@@ -13,6 +13,10 @@ once the top rows of the block fall below 1e-14 they are zeroed and dropped,
 which removes the huge (and empty) decay rates at the cutoff from the
 stability constraint.  This is exact up to the 1e-14 clip and is what makes
 large-cutoff transient runs affordable.
+
+``fixed_step`` swaps the adaptive pair for classical RK4 with a fixed step on
+the same engine: re-Hermitization, diagnostics, the truncation-breach guard
+(checked after every step) and the window shrink are shared.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     InsufficientDecayError,
@@ -58,123 +61,19 @@ _E6 = 11 / 84 - 187 / 2100
 _E7 = -1 / 40
 
 
-def _band_offsets(m: np.ndarray):
-    rows, cols = np.nonzero(m)
-    if rows.size == 0:
-        return "zero", None
-    offs = np.unique(cols - rows)
-    if offs.size == 1:
-        return "band", int(offs[0])
-    return "general", None
-
-
-def _multipliers(m: np.ndarray):
-    """Left/right multiplication closures tuned to the operator's structure."""
-    kind, s = _band_offsets(m)
-    dim = m.shape[0]
-    if kind == "zero":
-        def zmul(rho):
-            return np.zeros_like(rho)
-
-        return zmul, zmul
-    if kind == "band":
-        v = np.diag(m, s).copy()
-        if s == 0:
-            def lmul(rho, v=v):
-                return v[:, None] * rho
-
-            def rmul(rho, v=v):
-                return rho * v[None, :]
-
-            return lmul, rmul
-        if s > 0:
-            def lmul(rho, v=v, s=s):
-                out = np.zeros_like(rho)
-                out[:-s, :] = v[:, None] * rho[s:, :]
-                return out
-
-            def rmul(rho, v=v, s=s):
-                out = np.zeros_like(rho)
-                out[:, s:] = rho[:, :-s] * v[None, :]
-                return out
-
-            return lmul, rmul
-
-        def lmul(rho, v=v, s=-s):
-            out = np.zeros_like(rho)
-            out[s:, :] = v[:, None] * rho[:-s, :]
-            return out
-
-        def rmul(rho, v=v, s=-s):
-            out = np.zeros_like(rho)
-            out[:, :-s] = rho[:, s:] * v[None, :]
-            return out
-
-        return lmul, rmul
-    # general operator: sparse when it pays off, dense otherwise
-    if np.count_nonzero(m) <= 0.25 * dim * dim:
-        ms = sp.csr_matrix(m)
-
-        def lmul(rho, ms=ms):
-            return ms @ rho
-
-        def rmul(rho, ms=ms):
-            return rho @ ms
-
-        return lmul, rmul
-
-    def lmul(rho, m=m):
-        return m @ rho
-
-    def rmul(rho, m=m):
-        return rho @ m
-
-    return lmul, rmul
-
-
-class _BlockRhs:
-    """Master-equation right-hand side restricted to the leading m×m block.
-
-    Restriction is exact when the caller guarantees the state vanishes
-    outside the block and the equation never couples population upward
-    (see MasterEquation.is_pure_lowering).
-    """
-
-    def __init__(self, me: MasterEquation, m: int):
-        self.m = m
-        self.terms = []
-        for ch in me.channels:
-            if ch.rate == 0.0:
-                continue
-            x = np.ascontiguousarray(ch.op[:m, :m])
-            xd = np.ascontiguousarray(x.conj().T)
-            xdx = xd @ x
-            lx, _ = _multipliers(x)
-            _, rxd = _multipliers(xd)
-            lxdx, rxdx = _multipliers(xdx)
-            self.terms.append((ch.rate, lx, rxd, lxdx, rxdx))
-        self.h_ops = None
-        if me.omega != 0.0:
-            h = np.ascontiguousarray(me.hamiltonian[:m, :m])
-            self.h_ops = _multipliers(h)
-        self.scale = me.decay_scale(m)
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(rho)
-        if self.h_ops is not None:
-            lh, rh = self.h_ops
-            out += -1j * (lh(rho) - rh(rho))
-        for rate, lx, rxd, lxdx, rxdx in self.terms:
-            out += rate * (2.0 * rxd(lx(rho)) - lxdx(rho) - rxdx(rho))
-        return out
-
-
 def _frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
+def _hermitized(y: np.ndarray):
+    """(y + y†)/2 and the asymmetry max|y - y†| that it removes."""
+    yd = y.conj().T
+    return 0.5 * (y + yd), float(np.abs(y - yd).max())
+
+
 class _Engine:
-    """Adaptive DP45 stepper with hermitization, guards and window shrink."""
+    """Adaptive DP45 stepper, or classical RK4 with a fixed step when
+    ``fixed_step`` is given, with hermitization, guards and window shrink."""
 
     def __init__(
         self,
@@ -186,8 +85,10 @@ class _Engine:
         breach_guard: bool,
         breach_tol: float,
         max_steps: int,
+        fixed_step: float | None = None,
     ):
         self.me = me
+        self.fixed_step = fixed_step
         self.dim = me.dim
         self.tol = float(tol)
         self.breach_guard = breach_guard
@@ -208,8 +109,8 @@ class _Engine:
                 y[:, k0:] = 0.0
             self.k_active = k0
         self.yb = np.ascontiguousarray(y[: self.k_active, : self.k_active])
-        self.rhs = _BlockRhs(me, self.k_active)
-        self.h = None
+        self.rhs = me.generator.block(self.k_active)
+        self.h = fixed_step
         self.k1 = None
         self.err_prev = 1.0
         self.last_asym = 0.0
@@ -218,7 +119,7 @@ class _Engine:
     # -- stepping ---------------------------------------------------------
 
     def _seed_step(self, span: float) -> float:
-        scale = max(self.rhs.scale, 1e-12)
+        scale = max(self.me.decay_scale(self.k_active), 1e-12)
         return min(abs(span), 0.1 / scale)
 
     def _dp_step(self, h: float):
@@ -228,12 +129,18 @@ class _Engine:
         k4 = f(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
         k5 = f(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
         k6 = f(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-        y5 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        asym = float(np.abs(y5 - y5.conj().T).max())
-        ynew = 0.5 * (y5 + y5.conj().T)
+        ynew, asym = _hermitized(y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6))
         k7 = f(ynew)
         err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
         return ynew, k7, err, asym
+
+    def _rk4_step(self, h: float):
+        f, y, k1 = self.rhs, self.yb, self.k1
+        k2 = f(y + (0.5 * h) * k1)
+        k3 = f(y + (0.5 * h) * k2)
+        k4 = f(y + h * k3)
+        ynew, asym = _hermitized(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        return ynew, f(ynew), asym
 
     def _shrink(self):
         changed = False
@@ -245,7 +152,7 @@ class _Engine:
             self.k_active = k - 1
             changed = True
         if changed:
-            self.rhs = _BlockRhs(self.me, self.k_active)
+            self.rhs = self.me.generator.block(self.k_active)
             self.k1 = None
 
     def _guard(self):
@@ -272,8 +179,11 @@ class _Engine:
             if self.k1 is None:
                 self.k1 = self.rhs(self.yb)
             h = min(self.h, t_target - self.t)
-            ynew, k7, err, asym = self._dp_step(h)
-            en = _frob(err) / (self.tol * h * max(1.0, _frob(self.yb)))
+            if self.fixed_step is None:
+                ynew, k7, err, asym = self._dp_step(h)
+                en = _frob(err) / (self.tol * h * max(1.0, _frob(self.yb)))
+            else:
+                (ynew, k7, asym), en = self._rk4_step(h), 0.0
             if en <= 1.0:
                 self.yb = ynew
                 self.t += h
@@ -283,14 +193,15 @@ class _Engine:
                 self._guard()
                 if self.windowed:
                     self._shrink()
-                en_c = max(en, 1e-10)
-                fac = 0.9 * en_c**-0.175 * max(self.err_prev, 1e-10) ** 0.1
-                self.h = h * min(10.0, max(0.2, fac))
-                self.err_prev = en_c
+                if self.fixed_step is None:
+                    en_c = max(en, 1e-10)
+                    fac = 0.9 * en_c**-0.175 * max(self.err_prev, 1e-10) ** 0.1
+                    self.h = h * min(10.0, max(0.2, fac))
+                    self.err_prev = en_c
                 if on_accept is not None and on_accept(residual):
                     return
             else:
-                self.h = h * max(0.1, 0.9 * en**-0.25)
+                self.h = h * max(0.1, 0.9 * en ** (-1 / 4))
             if self.h < 1e-15 * max(1.0, abs(self.t)):
                 raise StepSizeUnderflowError(
                     f"step size underflow at t={self.t:.6g} (h={self.h:.3e})"
@@ -343,20 +254,6 @@ class SteadyEvolveResult:
     residual: float
 
 
-def _rk4_fixed(rhs, y, t0, t1, h):
-    t = t0
-    while t < t1 - 1e-14 * max(1.0, abs(t1)):
-        step = min(h, t1 - t)
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * step * k1)
-        k3 = rhs(y + 0.5 * step * k2)
-        k4 = rhs(y + step * k3)
-        y = y + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        y = 0.5 * (y + y.conj().T)
-        t += step
-    return y
-
-
 def propagate(
     me: MasterEquation,
     rho0: np.ndarray,
@@ -383,43 +280,15 @@ def propagate(
     if rho0.shape != (me.dim, me.dim):
         raise InvalidStateError(f"rho0 shape {rho0.shape} != ({me.dim}, {me.dim})")
 
-    if fixed_step is not None:
-        return _propagate_fixed(me, rho0, grid, fixed_step, breach_guard, breach_tol)
-
-    eng = _Engine(me, rho0, grid[0], tol, window, breach_guard, breach_tol, max_steps)
+    eng = _Engine(
+        me, rho0, grid[0], tol, window, breach_guard, breach_tol, max_steps, fixed_step
+    )
     states = [eng.full_state()]
     diags = [eng.diagnostics()]
     for t_next in grid[1:]:
         eng.step_to(float(t_next))
         states.append(eng.full_state())
         diags.append(eng.diagnostics())
-    tr, he, mi, tp = (np.array(col) for col in zip(*diags))
-    return Trajectory(grid.copy(), states, tr, he, mi, tp)
-
-
-def _propagate_fixed(me, rho0, grid, h, breach_guard, breach_tol):
-    rhs = _BlockRhs(me, me.dim)
-    y = 0.5 * (np.array(rho0, dtype=complex) + np.array(rho0, dtype=complex).conj().T)
-    states = [y.copy()]
-    diags = [(abs(float(np.real(np.trace(y))) - 1.0), 0.0, float(np.linalg.eigvalsh(y).min()), float(y[-1, -1].real))]
-    for i in range(1, grid.size):
-        y = _rk4_fixed(rhs, y, grid[i - 1], grid[i], h)
-        top = float(y[-1, -1].real)
-        if breach_guard and top > breach_tol:
-            raise TruncationBreachError(
-                f"top Fock level population {top:.3e} exceeds {breach_tol:.0e} "
-                f"at t={grid[i]:.6g}; increase dim",
-                time=float(grid[i]),
-            )
-        states.append(y.copy())
-        diags.append(
-            (
-                abs(float(np.real(np.trace(y))) - 1.0),
-                0.0,
-                float(np.linalg.eigvalsh(y).min()),
-                top,
-            )
-        )
     tr, he, mi, tp = (np.array(col) for col in zip(*diags))
     return Trajectory(grid.copy(), states, tr, he, mi, tp)
 

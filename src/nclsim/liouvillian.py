@@ -1,4 +1,4 @@
-"""Master-equation right-hand side and superoperator materialization.
+"""Master-equation generator: one list of sandwich terms and its readers.
 
 The equation of motion is
 
@@ -12,15 +12,31 @@ and the driving Hamiltonian H = iΩ(a - a†).  All rates in this package are
 interpreted under this convention; halve them when comparing against
 libraries that use the (1/2)-convention.
 
-The right-hand side is applied matrix-free (sums of left/right products,
-exploiting sparsity of the channel operators).  The superoperator matrix is
-materialized only for null-space steady-state solving, using column-stacking
-vectorization: vec(ρ)[i + dim*j] = ρ[i, j], so vec(AρB) = (Bᵀ ⊗ A) vec(ρ).
+Every linear equation in the package (this one, and the truncated driven
+equation of :mod:`steady`) is compiled once into a :class:`Generator`: a
+list of sandwich terms c·LρR.  A Lindblad equation gives Kρ and ρK† with
+K = -iH - Σ r x†x, plus 2r·xρx† for every channel.  Each operator is stored
+in the form that suits it.  Fock-ladder operators (a, a†, a·f(a†a),
+diagonals, H, K) keep only their few nonzero diagonals, so all terms between
+them fuse into Σ C_{s,t} ⊙ shift_{s,t}(ρ) with coefficient arrays C computed
+in advance.  Any other operator (the projector channel) is kept as one
+matrix, CSR when sparse enough and dense otherwise.
+
+The term list has three readers:
+
+* :func:`rhs`, the matrix-free right-hand side (the block below at m = dim);
+* :meth:`Generator.block`, the map on the leading m×m block of a state that
+  vanishes outside it, made by slicing the coefficient arrays; the
+  integrator's shrinking window uses it;
+* :func:`superoperator_sparse` (:meth:`Generator.superoperator`), the sparse
+  matrix under column-stacking vectorization: vec(ρ)[i + dim*j] = ρ[i, j],
+  so vec(AρB) = (Bᵀ ⊗ A) vec(ρ).  :func:`superoperator_matrix` densifies it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,6 +46,7 @@ from .fock import annihilation, creation, _check_dim
 
 SUPEROPERATOR_DIM_CAP = 64
 _SPARSE_DENSITY_CUTOFF = 0.25
+_MAX_BANDS = 3  # tridiagonal at most: every ladder operator, H and K here
 
 
 @dataclass(frozen=True)
@@ -44,11 +61,118 @@ class LindbladChannel:
             raise InvalidStateError(f"channel rate must be >= 0, got {self.rate}")
 
 
-def _maybe_sparse(m: np.ndarray):
-    dim = m.shape[0]
-    if np.count_nonzero(m) <= _SPARSE_DENSITY_CUTOFF * dim * dim:
-        return sp.csr_matrix(m)
-    return m
+def _diagonal_offsets(op: np.ndarray) -> np.ndarray:
+    """Sorted offsets (column - row) of the nonzero diagonals of ``op``."""
+    rows, cols = np.nonzero(op)
+    return np.unique(cols - rows)
+
+
+def _diagonals(op):
+    """{offset: np.diag(op, offset)} for a banded ``op``, else None."""
+    offsets = _diagonal_offsets(op)
+    if offsets.size > _MAX_BANDS:
+        return None
+    return {int(s): np.diag(op, s) for s in offsets}
+
+
+def _matrix(op):
+    """``op`` as CSR when sparse enough, dense otherwise; None is the identity."""
+    if op is None or np.count_nonzero(op) > _SPARSE_DENSITY_CUTOFF * op.size:
+        return op
+    return sp.csr_matrix(op)
+
+
+def _restrict(op, m: int):
+    if op is None or op.shape[0] == m:
+        return op
+    return op[:m, :m]
+
+
+class _Block:
+    """A generator applied to the leading m×m block of a state that vanishes
+    outside it: (Σ c·LρR)[:m, :m] from ρ[:m, :m]."""
+
+    def __init__(self, gen: "Generator", m: int):
+        # (destination rows, destination columns, source rows, source columns,
+        # coefficients): out[i, j] += C[i, j] · ρ[i+s, j-t] where both exist
+        self.shifts = []
+        for (s, t), coef in gen.bands.items():
+            if m <= abs(s) or m <= abs(t):
+                continue
+            self.shifts.append(
+                (
+                    slice(max(0, -s), m - max(0, s)),
+                    slice(max(0, t), m - max(0, -t)),
+                    slice(max(0, s), m - max(0, -s)),
+                    slice(max(0, -t), m - max(0, t)),
+                    np.ascontiguousarray(coef[: m - abs(s), : m - abs(t)]),
+                )
+            )
+        self.products = [(c, _restrict(lo, m), _restrict(ro, m)) for c, lo, ro in gen.products]
+
+    def __call__(self, rho: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(rho)
+        for dr, dc, sr, sc, coef in self.shifts:
+            out[dr, dc] += coef * rho[sr, sc]
+        for c, left, right in self.products:
+            t = rho if left is None else left @ rho
+            out += c * (t if right is None else t @ right)
+        return out
+
+
+class Generator:
+    """The linear map ρ ↦ Σ c·LρR on D×D matrices, compiled once.
+
+    ``terms`` lists (c, L, R) with L and R dense D×D arrays, or None for the
+    identity.  A term whose two operators both have at most three nonzero
+    diagonals joins the fused coefficient arrays ``bands``; any other term is
+    kept in ``products`` with its operators as matrices.
+    """
+
+    def __init__(self, dim: int, terms):
+        self.dim = dim
+        ones = {0: np.ones(dim)}
+        # (s, t) -> C, where out[i, j] gets C[i - max(0,-s), j - max(0,t)]·ρ[i+s, j-t]
+        self.bands = {}
+        self.products = []
+        for c, left, right in terms:
+            lb = ones if left is None else _diagonals(left)
+            rb = ones if right is None else _diagonals(right)
+            if lb is None or rb is None:
+                self.products.append((c, _matrix(left), _matrix(right)))
+                continue
+            # (LρR)[i, j] = Σ_{s,t} L[i, i+s] ρ[i+s, j-t] R[j-t, j]
+            for s, ldiag in lb.items():
+                for t, rdiag in rb.items():
+                    self.bands[(s, t)] = self.bands.get((s, t), 0.0) + c * np.outer(ldiag, rdiag)
+        self.apply = self.block(dim)
+
+    def block(self, m: int) -> _Block:
+        """The generator restricted to the leading m×m block (callable on ρ_b).
+
+        Exact for states that vanish outside the block; it keeps describing
+        the motion only while nothing couples population upward (see
+        MasterEquation.is_pure_lowering).
+        """
+        return _Block(self, m)
+
+    def superoperator(self) -> sp.csr_matrix:
+        """Sparse D²×D² matrix of the map under column stacking."""
+        dim = self.dim
+        index = np.arange(dim * dim).reshape((dim, dim), order="F")
+        parts = [
+            (coef.ravel(), index[dr, dc].ravel(), index[sr, sc].ravel())
+            for dr, dc, sr, sc, coef in self.apply.shifts
+        ]
+        vals, rows, cols = (np.concatenate(p) for p in zip(*parts)) if parts else ([], [], [])
+        total = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim), dtype=complex)
+        total.eliminate_zeros()
+        eye = sp.identity(dim, format="csr")
+        for c, left, right in self.products:
+            lo = eye if left is None else sp.csr_matrix(left)
+            ro = eye if right is None else sp.csr_matrix(right)
+            total = total + c * sp.kron(ro.T, lo, format="csr")
+        return total
 
 
 class MasterEquation:
@@ -99,23 +223,20 @@ class MasterEquation:
             LindbladChannel(self.gamma_linear * self.nbar, ad),
             LindbladChannel(self.gamma_nonlinear, self.nonlinear_op),
         ]
-        # matrix-free kernels for the active (rate > 0) channels
-        self._kernels = []
+
+    @cached_property
+    def generator(self) -> Generator:
+        """The equation compiled on first use: dρ/dt = Kρ + ρK† + Σ 2r·xρx†
+        with K = -iH - Σ r x†x (construction alone, as in a preflight, skips it)."""
+        k = -1j * self.hamiltonian
+        jumps = []
         for ch in self.channels:
             if ch.rate == 0.0:
                 continue
-            xdx = ch.op.conj().T @ ch.op
-            self._kernels.append(
-                (
-                    ch.rate,
-                    _maybe_sparse(ch.op),
-                    _maybe_sparse(ch.op.conj().T),
-                    _maybe_sparse(xdx),
-                    ch.op,
-                    xdx,
-                )
-            )
-        self._h_sparse = _maybe_sparse(self.hamiltonian) if self.omega != 0.0 else None
+            xd = ch.op.conj().T
+            k = k - ch.rate * (xd @ ch.op)
+            jumps.append((2.0 * ch.rate, ch.op, xd))
+        return Generator(self.dim, [(1.0, k, None), (1.0, None, k.conj().T)] + jumps)
 
     @property
     def epsilon(self) -> float:
@@ -135,10 +256,10 @@ class MasterEquation:
         """Upper estimate of the fastest decay rate (for step-size seeding)."""
         m = self.dim if m is None else m
         scale = 2.0 * abs(self.omega) * np.sqrt(m)
-        for kern in self._kernels:
-            d = np.real(np.diag(kern[5])[:m])
-            if d.size:
-                scale += 2.0 * kern[0] * d.max()
+        for ch in self.channels:
+            if ch.rate > 0.0:
+                # diag(x†x) holds the squared column norms of x
+                scale += 2.0 * ch.rate * (np.abs(ch.op[:, :m]) ** 2).sum(axis=0).max()
         return float(scale)
 
     def is_pure_lowering(self) -> bool:
@@ -150,11 +271,8 @@ class MasterEquation:
         for ch in self.channels:
             if ch.rate == 0.0:
                 continue
-            rows, cols = np.nonzero(ch.op)
-            if rows.size == 0:
-                continue
-            offsets = np.unique(cols - rows)
-            if offsets.size != 1 or offsets[0] < 1:
+            offsets = _diagonal_offsets(ch.op)
+            if offsets.size > 1 or (offsets.size == 1 and offsets[0] < 1):
                 return False
         return True
 
@@ -175,14 +293,7 @@ def rhs(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (me.dim, me.dim):
         raise DimensionMismatchError(f"rho shape {rho.shape} != ({me.dim}, {me.dim})")
-    out = np.zeros((me.dim, me.dim), dtype=complex)
-    if me._h_sparse is not None:
-        h = me._h_sparse
-        out += -1j * (h @ rho - rho @ h)
-    for rate, x, xd, xdx, _, _ in me._kernels:
-        t = x @ rho
-        out += rate * (2.0 * (t @ xd) - xdx @ rho - rho @ xdx)
-    return out
+    return me.generator.apply(rho)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -209,18 +320,7 @@ def spost(op) -> sp.csr_matrix:
 
 def superoperator_sparse(me: MasterEquation) -> sp.csr_matrix:
     """Sparse D²×D² matrix representing :func:`rhs` under column stacking."""
-    dim = me.dim
-    total = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
-    if me.omega != 0.0:
-        total = total + (-1j) * (spre(me.hamiltonian) - spost(me.hamiltonian))
-    for ch in me.channels:
-        if ch.rate == 0.0:
-            continue
-        x = sp.csr_matrix(ch.op)
-        xd = x.conj().T
-        xdx = (xd @ x).tocsr()
-        total = total + ch.rate * (2.0 * (spre(x) @ spost(xd)) - spre(xdx) - spost(xdx))
-    return total.tocsr()
+    return me.generator.superoperator()
 
 
 def superoperator_matrix(me: MasterEquation, cap: int = SUPEROPERATOR_DIM_CAP) -> np.ndarray:

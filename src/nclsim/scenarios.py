@@ -39,6 +39,9 @@ from .steady import (
     thermal_recurrence,
 )
 
+# relative tolerance for matching distribution_at = value:<x> to a sweep value
+VALUE_MATCH_RTOL = 1e-9
+
 SWEEPABLE = (
     "alpha",
     "alpha0",
@@ -131,6 +134,23 @@ class ScenarioConfig:
             "recurrence_thermal",
         ):
             raise ConfigError(f"unknown solver method {self.solver.method!r}")
+        how = self.output.distribution_at
+        if how is not None and how.startswith("value:"):
+            x = _value_target(how)
+            values = self.sweep.values if self.sweep.parameter != "none" else ()
+            if not any(_value_matches(x, v) for v in values):
+                raise ConfigError(f"distribution_at {how!r} matches no sweep value")
+
+
+def _value_target(how: str) -> float:
+    try:
+        return float(how.partition(":")[2])
+    except ValueError as exc:
+        raise ConfigError(f"distribution_at {how!r}: expected value:<number>") from exc
+
+
+def _value_matches(x: float, value: float) -> bool:
+    return abs(x - value) <= VALUE_MATCH_RTOL * max(abs(x), abs(value))
 
 
 @dataclass
@@ -293,7 +313,7 @@ def _steady_distribution_wanted(out: OutputSpec, sweep_value: float) -> bool:
     if how == "steady":
         return True
     if how.startswith("value:"):
-        return abs(float(how.partition(":")[2]) - sweep_value) <= 1e-12
+        return _value_matches(_value_target(how), sweep_value)
     raise ConfigError(f"distribution_at {how!r} not valid for steady solves")
 
 
@@ -427,8 +447,13 @@ def _run_point_isolated(args) -> PointResult:
 
 def _worker_count(n_points: int, workers: int | None) -> int:
     if workers is None:
-        env = os.environ.get("NCLSIM_WORKERS", "")
-        workers = int(env) if env.strip() else (os.cpu_count() or 1)
+        env = os.environ.get("NCLSIM_WORKERS", "").strip()
+        if not env:
+            workers = os.cpu_count() or 1
+        elif env.isdecimal() and int(env) >= 1:
+            workers = int(env)
+        else:
+            raise ConfigError(f"NCLSIM_WORKERS must be an integer >= 1, got {env!r}")
     return max(1, min(int(workers), n_points))
 
 

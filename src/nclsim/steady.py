@@ -46,9 +46,8 @@ from .fock import annihilation, check_density_matrix, diagonal_function_operator
 from .gadgets import ncl_lindblad
 from .liouvillian import (
     SUPEROPERATOR_DIM_CAP,
+    Generator,
     MasterEquation,
-    spost,
-    spre,
     superoperator_sparse,
     unvec,
     vec,
@@ -354,6 +353,18 @@ def _signed_alpha0(me: MasterEquation) -> float:
     return -me.omega / me.gamma_nonlinear
 
 
+def _approximate_generator(me: MasterEquation, f) -> Generator:
+    _check_ncl_consistency(me, f)
+    a = annihilation(me.dim)
+    ad = a.conj().T
+    bm = _b_operator(f, me.epsilon, me.dim) - _signed_alpha0(me) * np.eye(me.dim)
+    bdm = bm.conj().T
+    gam = me.gamma_nonlinear
+    # γ(a ρ B̃† + B̃ ρ a† - a†B̃ ρ - ρ B̃†a) with B̃ = B - α₀
+    terms = [(gam, a, bdm), (gam, bm, ad), (-gam, ad @ bm, None), (-gam, None, bdm @ a)]
+    return Generator(me.dim, terms)
+
+
 def approximate_rhs(me: MasterEquation, f, rho: np.ndarray) -> np.ndarray:
     """Right-hand side with the double-commutator term dropped.
 
@@ -361,40 +372,16 @@ def approximate_rhs(me: MasterEquation, f, rho: np.ndarray) -> np.ndarray:
     so dropping the last term is the entire approximation.  The retained part
     is expressed through B = a([f(a†a)]² + ε) and the signed amplitude α₀.
     """
-    _check_ncl_consistency(me, f)
+    gen = _approximate_generator(me, f)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (me.dim, me.dim):
         raise InvalidStateError(f"rho shape {rho.shape} != ({me.dim}, {me.dim})")
-    gam = me.gamma_nonlinear
-    a = annihilation(me.dim)
-    ad = a.conj().T
-    b = _b_operator(f, me.epsilon, me.dim)
-    bd = b.conj().T
-    al = _signed_alpha0(me)
-    ident = np.eye(me.dim, dtype=complex)
-    bm = b - al * ident
-    bdm = bd - al * ident
-    return gam * (a @ rho @ bdm + bm @ rho @ ad - ad @ bm @ rho - rho @ bdm @ a)
+    return gen.apply(rho)
 
 
 def approximate_superoperator(me: MasterEquation, f) -> sp.csr_matrix:
     """Sparse superoperator of :func:`approximate_rhs` (column stacking)."""
-    _check_ncl_consistency(me, f)
-    gam = me.gamma_nonlinear
-    a = sp.csr_matrix(annihilation(me.dim))
-    ad = a.conj().T.tocsr()
-    b = sp.csr_matrix(_b_operator(f, me.epsilon, me.dim))
-    al = _signed_alpha0(me)
-    ident = sp.identity(me.dim, format="csr", dtype=complex)
-    bm = (b - al * ident).tocsr()
-    bdm = bm.conj().T.tocsr()
-    total = (
-        spre(a) @ spost(bdm)
-        + spre(bm) @ spost(ad)
-        - spre((ad @ bm).tocsr())
-        - spost((bdm @ a).tocsr())
-    )
-    return (gam * total).tocsr()
+    return _approximate_generator(me, f).superoperator()
 
 
 def approximate_steady_state(

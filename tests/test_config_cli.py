@@ -200,6 +200,58 @@ def test_recurrence_cli_hits_asymptotic_q(tmp_path):
     assert rows[1][4] == "true"
 
 
+SWEPT_RECURRENCE_INI = """
+[system]
+dim = 40
+gamma_nonlinear = 1.0
+gamma_linear = 1.0
+
+[gadget]
+kind = ncl
+f = x-1
+
+[solver]
+method = recurrence_ncl
+
+[sweep]
+parameter = alpha0
+values = 1.0,2.0
+
+[output]
+directory = {outdir}
+basename = swept
+distribution_at = {at}
+"""
+
+
+def test_distribution_value_must_match_a_sweep_point(tmp_path, capsys):
+    outdir = tmp_path / "swept"
+    path = _write(tmp_path, SWEPT_RECURRENCE_INI.format(outdir=outdir, at="value:3"))
+    assert cli.main(["recurrence", path]) == 1
+    assert cli.main(["validate", path]) == 1
+    assert "matches no sweep value" in capsys.readouterr().err
+    assert not outdir.exists()
+    # within the shared relative tolerance, the nearby sweep value is picked
+    path = _write(tmp_path, SWEPT_RECURRENCE_INI.format(outdir=outdir, at="value:2.0000000001"))
+    assert cli.main(["recurrence", path]) == 0
+    with open(outdir / "swept_distribution.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert {row[0] for row in rows[1:]} == {"2"}
+
+
+@pytest.mark.parametrize("raw", ["two", "0", "-3"])
+def test_malformed_worker_count_is_config_error(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.setenv("NCLSIM_WORKERS", raw)
+    with pytest.raises(ConfigError):
+        sc._worker_count(2, None)
+    outdir = tmp_path / "swept"
+    path = _write(tmp_path, SWEPT_RECURRENCE_INI.format(outdir=outdir, at="steady"))
+    assert cli.main(["recurrence", path]) == 1
+    assert "NCLSIM_WORKERS" in capsys.readouterr().err
+    monkeypatch.setenv("NCLSIM_WORKERS", "1")
+    assert sc._worker_count(2, None) == 1
+
+
 def test_unconverged_exit_code(tmp_path):
     ini = """
 [system]

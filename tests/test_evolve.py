@@ -72,13 +72,16 @@ def test_step_tolerance_control():
     assert trace_distance(base, tight) < 10 * 1e-8
 
 
-def test_truncation_breach_guard():
+@pytest.mark.parametrize("fixed_step", [None, 1e-3])
+def test_truncation_breach_guard(fixed_step):
     me = lv.MasterEquation(5, omega=4.0)  # hard coherent drive, tiny space
     rho0 = fock.pure_density(fock.fock_state(0, 5))
     with pytest.raises(TruncationBreachError) as err:
-        evolve.propagate(me, rho0, np.linspace(0, 2.0, 10))
+        evolve.propagate(me, rho0, np.linspace(0, 2.0, 10), fixed_step=fixed_step)
     assert err.value.time is not None
-    traj = evolve.propagate(me, rho0, np.linspace(0, 0.2, 3), breach_guard=False)
+    traj = evolve.propagate(
+        me, rho0, np.linspace(0, 0.2, 3), breach_guard=False, fixed_step=fixed_step
+    )
     assert len(traj.states) == 3
 
 

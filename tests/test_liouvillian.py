@@ -4,7 +4,6 @@ import pytest
 from conftest import random_density
 from nclsim import fock, gadgets, liouvillian as lv
 from nclsim.errors import DimensionCapError, DimensionMismatchError, InvalidStateError
-from nclsim.evolve import _BlockRhs
 
 
 def _ncl_me(dim, **kw):
@@ -102,7 +101,7 @@ def test_rhs_dimension_mismatch(rng):
 
 def test_block_rhs_agrees_with_reference(rng):
     me = _ncl_me(9, gamma_linear=0.7, gamma_nonlinear=0.9, nbar=0.25, omega=2.0)
-    block = _BlockRhs(me, 9)
+    block = me.generator.block(9)
     for _ in range(5):
         rho = random_density(9, rng)
         assert np.abs(block(rho) - lv.rhs(me, rho)).max() <= 1e-12
