@@ -8,8 +8,8 @@ Subcommands
     figure <preset>       run a named figure preset and emit its files
     validate <config>     parse + guard checks only, no solving
 
-Exit codes: 0 success, 1 config error, 2 numerical failure,
-3 results emitted but some point unconverged or failed.
+Exit codes: 0 success, 1 config error, 2 numerical failure (no point
+succeeded), 3 results emitted but some sweep point failed.
 
 CSV output is RFC-4180-style (CRLF, header row, UTF-8, '.' decimal point)
 with 17-significant-digit floats, so re-running an identical config produces
@@ -231,7 +231,7 @@ def _result_status(results) -> int:
     failed = [p for p in points if p.error is not None]
     if failed and len(failed) == len(points):
         return 2  # nothing usable came out
-    if failed or any(p.kind == "steady" and p.converged is False for p in points):
+    if failed:
         return 3
     return 0
 
@@ -354,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="override a preset parameter (dim, tol, values, rates, t_max)",
+        help="override a preset parameter (dim, tol, values, rates)",
     )
     return parser
 

@@ -20,7 +20,7 @@ _KNOWN = {
     "system": {"dim", "gamma_linear", "gamma_nonlinear", "nbar", "omega"},
     "gadget": {"kind", "f", "f_coeffs", "f_shift", "f_power", "target", "source", "k"},
     "initial": {"state"},
-    "solver": {"method", "t_grid", "tol", "steady_tol", "t_max", "recurrence_start"},
+    "solver": {"method", "t_grid", "tol", "recurrence_start"},
     "sweep": {"parameter", "values"},
     "output": {
         "directory",
@@ -146,8 +146,6 @@ def parse_config(path: str) -> tuple:
         method=solver_sec.get("method", "propagate").strip(),
         t_grid=_parse_grid(solver_sec["t_grid"]) if solver_sec.get("t_grid") else SolverSpec().t_grid,
         tol=_getfloat(solver_sec, "tol", SolverSpec().tol),
-        steady_tol=_getfloat(solver_sec, "steady_tol", SolverSpec().steady_tol),
-        t_max=_getfloat(solver_sec, "t_max", SolverSpec().t_max),
         recurrence_start=_getint(solver_sec, "recurrence_start", 0),
     )
     sweep = SweepSpec(

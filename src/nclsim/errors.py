@@ -55,7 +55,7 @@ class InsufficientDecayError(SimulationError):
 
 
 class DimensionCapError(SimulationError):
-    """Superoperator materialization refused; use the time-evolution solver."""
+    """Dimension above the cap of a superoperator route (dense or sparse)."""
 
 
 class NonUniqueSteadyStateError(SimulationError):

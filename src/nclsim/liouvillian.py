@@ -233,9 +233,9 @@ class MasterEquation:
         for ch in self.channels:
             if ch.rate == 0.0:
                 continue
-            xd = ch.op.conj().T
-            k = k - ch.rate * (xd @ ch.op)
-            jumps.append((2.0 * ch.rate, ch.op, xd))
+            x = sp.csr_matrix(ch.op)  # sparse product: x†x without a BLAS call
+            k = k - ch.rate * (x.conj().T @ x).toarray()
+            jumps.append((2.0 * ch.rate, ch.op, ch.op.conj().T))
         return Generator(self.dim, [(1.0, k, None), (1.0, None, k.conj().T)] + jumps)
 
     @property
@@ -326,12 +326,12 @@ def superoperator_sparse(me: MasterEquation) -> sp.csr_matrix:
 def superoperator_matrix(me: MasterEquation, cap: int = SUPEROPERATOR_DIM_CAP) -> np.ndarray:
     """Dense superoperator matrix; refuses dimensions above ``cap``.
 
-    Above the cap the D²×D² matrix is too large to be worth materializing;
-    use the long-time integration solver (evolve.evolve_to_steady) instead.
+    Above the cap the dense D²×D² matrix is too large to be worth
+    materializing; use :func:`superoperator_sparse` instead.
     """
     if me.dim > cap:
         raise DimensionCapError(
-            f"dim {me.dim} exceeds superoperator cap {cap}; "
-            "use the long-time-integration solver instead"
+            f"dim {me.dim} exceeds the dense superoperator cap {cap}; "
+            "use the sparse superoperator instead"
         )
     return superoperator_sparse(me).toarray()

@@ -22,10 +22,10 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, SimulationError
-from .evolve import evolve_to_steady, propagate
+from .evolve import propagate
 from .fock import coherent_state, fock_state, pure_density, thermal_density
 from .gadgets import NonlinearFunction, ProjectorGadget, ncl_lindblad, projector_lindblad
-from .liouvillian import SUPEROPERATOR_DIM_CAP, MasterEquation
+from .liouvillian import MasterEquation
 from .observables import (
     DiagonalDistribution,
     ObservableReport,
@@ -79,8 +79,6 @@ class SolverSpec:
     method: str = "propagate"
     t_grid: tuple = ("log", 1e-3, 1.0, 100)  # expanded with a leading t=0
     tol: float = 1e-9
-    steady_tol: float = 1e-10
-    t_max: float = 1000.0
     recurrence_start: int = 0
 
 
@@ -348,30 +346,19 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
 
     if method in ("steady", "steady_approx"):
         me, f, target = build_system(cfg)
-        if method == "steady_approx":
-            if f is None:
-                raise ConfigError("steady_approx needs an ncl gadget")
-            rho = approximate_steady_state(me, f)
-            converged = True
-        elif cfg.dim <= SUPEROPERATOR_DIM_CAP:
+        if method == "steady":
             rho = steady_state_nullspace(me)
-            converged = True
+        elif f is None:
+            raise ConfigError("steady_approx needs an ncl gadget")
         else:
-            res = evolve_to_steady(
-                me,
-                _parse_state(cfg.initial, cfg.dim),
-                tol=cfg.solver.steady_tol,
-                t_max=cfg.solver.t_max,
-                step_tol=cfg.solver.tol,
-            )
-            rho, converged = res.rho, res.converged
+            rho = approximate_steady_state(me, f)
         report = observable_report(rho, target=target)
         dist = report.distribution if _steady_distribution_wanted(cfg.output, value) else None
         return PointResult(
             sweep_value=value,
             kind="steady",
             steady_report=report,
-            converged=bool(converged),
+            converged=True,
             distribution=dist,
             distribution_label="steady" if dist is not None else None,
         )
@@ -421,9 +408,9 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
 def preflight(config: ScenarioConfig) -> None:
     """Config-level and guard-level checks for every sweep point, no solving.
 
-    Builds the nonlinearity, gadget and master equation, constructs the
-    initial state (which runs the truncation guards) and expands the time
-    grid, for each resolved sweep point.
+    Builds the nonlinearity, gadget and master equation for each resolved
+    sweep point; for time propagation it also constructs the initial state
+    (which runs the truncation guards) and expands the time grid.
     """
     config.validate()
     values = list(config.sweep.values) if config.sweep.parameter != "none" else [float("nan")]
@@ -433,8 +420,6 @@ def preflight(config: ScenarioConfig) -> None:
         if cfg.solver.method == "propagate":
             _parse_state(cfg.initial, cfg.dim)
             expand_grid(cfg.solver.t_grid)
-        elif cfg.solver.method == "steady" and cfg.dim > SUPEROPERATOR_DIM_CAP:
-            _parse_state(cfg.initial, cfg.dim)
 
 
 def _run_point_isolated(args) -> PointResult:
@@ -471,10 +456,7 @@ def run_sweep(config: ScenarioConfig, workers: int | None = None) -> ScenarioRes
     provenance = {
         "version": __version__,
         "config": asdict(config),
-        "tolerances": {
-            "solver_tol": config.solver.tol,
-            "steady_tol": config.solver.steady_tol,
-        },
+        "tolerances": {"solver_tol": config.solver.tol},
     }
     return ScenarioResult(config=config, points=points, provenance=provenance)
 
@@ -602,11 +584,14 @@ def apply_overrides(config: ScenarioConfig, overrides: dict | None) -> ScenarioC
             cfg = replace(cfg, **{key: float(raw)})
         elif key == "tol":
             cfg = replace(cfg, solver=replace(cfg.solver, tol=float(raw)))
-        elif key == "t_max":
-            cfg = replace(cfg, solver=replace(cfg.solver, t_max=float(raw)))
         elif key == "values":
             vals = tuple(float(v) for v in str(raw).split(",") if v.strip())
             cfg = replace(cfg, sweep=replace(cfg.sweep, values=vals))
+            how = cfg.output.distribution_at
+            if vals and how is not None and how.startswith("value:"):
+                # a preset's value:<x> names its strongest drive; follow the new values
+                at = f"value:{max(vals)!r}"
+                cfg = replace(cfg, output=replace(cfg.output, distribution_at=at))
         else:
             raise ConfigError(f"unknown override key {key!r}")
     return cfg

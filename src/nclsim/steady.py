@@ -1,11 +1,13 @@
 """Stationary states: exact null-space solving and analytic diagonal theory.
 
-Exact steady states come from the null space of the vectorized Liouvillian.
-Two routes are provided: a dense SVD (small dimensions; also yields the
-degeneracy diagnostic directly) and a sparse direct solve in which one
-diagonal row of the superoperator is replaced by the trace constraint.
-The replaced row is always a *diagonal* row because trace preservation makes
-exactly the diagonal rows linearly dependent, so no information is lost.
+Exact steady states come from the null space of the vectorized Liouvillian,
+by one sparse direct solve in which one diagonal row of the superoperator is
+replaced by the trace constraint; a second solve with another replaced row
+probes for a degenerate null space.  The replaced row is always a *diagonal*
+row because trace preservation makes exactly the diagonal rows linearly
+dependent, so no information is lost.  The full equation and the truncated
+equation below share this solve and its dimension cap.  A dense SVD of the
+superoperator (method 'svd', capped much lower) is kept as a reference.
 
 The analytic side implements the detailed-balance recurrences for the
 diagonal of the stationary state:
@@ -48,6 +50,7 @@ from .liouvillian import (
     SUPEROPERATOR_DIM_CAP,
     Generator,
     MasterEquation,
+    superoperator_matrix,
     superoperator_sparse,
     unvec,
     vec,
@@ -58,6 +61,11 @@ TAIL_GUARD = 1e-12
 RESIDUAL_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
 _PROBE_TOL = 1e-7
+# Largest dim the sparse trace-row solve takes.  Driven NCL (α₀ = 150, ε = 1,
+# both probe factorizations, one BLAS thread, 2-core x86 VM): 0.6 s and 150 MB
+# peak at dim 128, 2.6 s and 230 MB at 200, 4.8 s and 330 MB at 256, 9.9 s
+# and 480 MB at 320.
+SPARSE_DIM_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -73,21 +81,38 @@ class PeakEstimate:
 # exact steady states
 
 
-def _residual_threshold(lop: sp.spmatrix, residual_tol: float) -> float:
+def _residual_threshold(lop, residual_tol: float) -> float:
     # absolute tolerance, floored by what double precision can deliver for
     # the operator's scale (rates ~1e5 leave residuals ~1e-11 after refinement)
     scale = float(np.abs(lop).sum(axis=1).max())
     return max(residual_tol, 100.0 * np.finfo(float).eps * scale)
 
 
+def _state_from_null_vector(lop, v: np.ndarray, dim: int, residual_tol: float) -> np.ndarray:
+    """Hermitized, unit-trace state from a null vector of ``lop``, residual-checked."""
+    rho = unvec(v, dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    tr = float(np.real(np.trace(rho)))
+    if abs(tr) < 1e-10:
+        raise NonUniqueSteadyStateError("null vector is traceless; no state in the kernel")
+    rho = rho / tr
+    residual = float(np.linalg.norm(lop @ vec(rho)))
+    thresh = _residual_threshold(lop, residual_tol)
+    if residual > thresh:
+        raise SteadyStateResidualError(f"steady-state residual {residual:.3e} above {thresh:.3e}")
+    return rho
+
+
 def _solve_with_trace_row(lop: sp.csr_matrix, dim: int, row: int) -> np.ndarray:
-    m = lop.tolil(copy=True)
-    trace_cols = np.arange(dim) * (dim + 1)
-    m[row, :] = 0.0
-    for c in trace_cols:
-        m[row, c] = 1.0
-    m = m.tocsc()
-    b = np.zeros(dim * dim, dtype=complex)
+    n = dim * dim
+    m = lop.copy()
+    m.data[m.indptr[row] : m.indptr[row + 1]] = 0.0
+    m.eliminate_zeros()
+    trace_row = sp.csr_matrix(
+        (np.ones(dim), (np.full(dim, row), np.arange(dim) * (dim + 1))), shape=(n, n)
+    )
+    m = (m + trace_row).tocsc()
+    b = np.zeros(n, dtype=complex)
     b[row] = 1.0
     lu = splu(m)
     x = lu.solve(b)
@@ -99,86 +124,69 @@ def _solve_with_trace_row(lop: sp.csr_matrix, dim: int, row: int) -> np.ndarray:
     return x
 
 
-def _nullspace_direct(lop: sp.csr_matrix, dim: int, residual_tol: float, probe: bool = True):
-    rows = [0, dim + 1, 2 * (dim + 1)]
+def _nullspace_direct(dim: int, build, residual_tol: float, cap: int = SPARSE_DIM_CAP) -> np.ndarray:
+    """Sparse trace-row solve of the superoperator ``build()``, called only
+    after ``dim`` is checked against ``cap``; two independent trace rows
+    probe for a degenerate null space."""
+    if dim > cap:
+        raise DimensionCapError(
+            f"dim {dim} exceeds the sparse steady-state cap {cap}; lower dim"
+        )
+    lop = build()
     solutions = []
-    for row in rows:
+    for row in (0, dim + 1, 2 * (dim + 1)):
         if row >= dim * dim:
             continue
         try:
             solutions.append(_solve_with_trace_row(lop, dim, row))
         except RuntimeError:
             continue
-        if len(solutions) == 2 or not probe:
+        if len(solutions) == 2:
             break
     if not solutions:
         raise NonUniqueSteadyStateError(
             "superoperator could not be factored with any trace-constraint row; "
             "the null space is likely degenerate"
         )
-    if probe and len(solutions) == 2:
+    if len(solutions) == 2:
         drift = np.linalg.norm(solutions[0] - solutions[1])
         if drift > _PROBE_TOL:
             raise NonUniqueSteadyStateError(
                 f"steady states from independent trace rows differ by {drift:.3e}; "
                 "null space is degenerate"
             )
-    x = solutions[0]
-    rho = unvec(x, dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.real(np.trace(rho))
-    residual = float(np.linalg.norm(lop @ vec(rho)))
-    thresh = _residual_threshold(lop, residual_tol)
-    if residual > thresh:
-        raise SteadyStateResidualError(
-            f"steady-state residual {residual:.3e} above {thresh:.3e}"
-        )
-    return rho, residual
+    return _state_from_null_vector(lop, solutions[0], dim, residual_tol)
 
 
-def _nullspace_svd(lop_dense: np.ndarray, dim: int, residual_tol: float, degeneracy_tol: float):
+def _null_vector_svd(lop_dense: np.ndarray, degeneracy_tol: float) -> np.ndarray:
     _, s, vh = np.linalg.svd(lop_dense)
     if s.size >= 2 and s[-2] < degeneracy_tol:
         raise NonUniqueSteadyStateError(
             f"second-smallest singular value {s[-2]:.3e} below {degeneracy_tol:.0e}"
         )
-    v = vh[-1].conj()
-    rho = unvec(v, dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = float(np.real(np.trace(rho)))
-    if abs(tr) < 1e-10:
-        raise NonUniqueSteadyStateError("null vector is traceless; no state in the kernel")
-    rho = rho / tr
-    residual = float(np.linalg.norm(lop_dense @ vec(rho)))
-    if residual > max(residual_tol, 100.0 * np.finfo(float).eps * np.abs(lop_dense).sum(axis=1).max()):
-        raise SteadyStateResidualError(f"steady-state residual {residual:.3e} too large")
-    return rho, residual
+    return vh[-1].conj()
 
 
 def steady_state_nullspace(
     me: MasterEquation,
-    method: str = "auto",
-    cap: int = SUPEROPERATOR_DIM_CAP,
+    method: str = "direct",
+    cap: int = SPARSE_DIM_CAP,
     residual_tol: float = RESIDUAL_TOL,
     degeneracy_tol: float = DEGENERACY_TOL,
 ) -> np.ndarray:
     """Unique stationary density matrix from the superoperator null space.
 
-    method: 'svd' (dense, explicit degeneracy check via singular values),
-    'direct' (sparse trace-constrained solve with a two-row degeneracy
-    probe), or 'auto' (svd for dim <= 16, direct above).
+    method: 'direct' (sparse trace-constrained solve with a two-row
+    degeneracy probe; dims up to ``cap``) or 'svd' (the dense reference
+    route, with an explicit degeneracy check via singular values; dims up to
+    the smaller of ``cap`` and the dense cap of superoperator_matrix).
     """
-    if me.dim > cap:
-        raise DimensionCapError(
-            f"dim {me.dim} exceeds steady-state cap {cap}; use evolve_to_steady"
-        )
-    if method == "auto":
-        method = "svd" if me.dim <= 16 else "direct"
-    lop = superoperator_sparse(me)
-    if method == "svd":
-        rho, _ = _nullspace_svd(lop.toarray(), me.dim, residual_tol, degeneracy_tol)
-    elif method == "direct":
-        rho, _ = _nullspace_direct(lop, me.dim, residual_tol)
+    if method == "direct":
+        rho = _nullspace_direct(me.dim, lambda: superoperator_sparse(me), residual_tol, cap)
+    elif method == "svd":
+        lop = superoperator_matrix(me, min(cap, SUPEROPERATOR_DIM_CAP))
+        v = _null_vector_svd(lop, degeneracy_tol)
+        rho = _state_from_null_vector(lop, v, me.dim, residual_tol)
     else:
         raise InvalidStateError(f"unknown steady-state method {method!r}")
     return check_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-8, psd_tol=1e-8)
@@ -395,9 +403,7 @@ def approximate_steady_state(
     the driven recurrence exactly and the state satisfies the eigen-relations
     Bρ = α₀ρ, ρB† = α₀ρ up to the Fock-cutoff boundary residual.
     """
-    lop = approximate_superoperator(me, f)
-    rho, _ = _nullspace_direct(lop, me.dim, residual_tol)
-    return rho
+    return _nullspace_direct(me.dim, lambda: approximate_superoperator(me, f), residual_tol)
 
 
 def b_eigen_residual(me: MasterEquation, f, rho: np.ndarray) -> float:

@@ -252,7 +252,7 @@ def test_malformed_worker_count_is_config_error(tmp_path, monkeypatch, capsys, r
     assert sc._worker_count(2, None) == 1
 
 
-def test_unconverged_exit_code(tmp_path):
+def test_steady_above_dense_cap_converges(tmp_path):
     ini = """
 [system]
 dim = 66
@@ -261,18 +261,48 @@ omega = 0.3
 
 [solver]
 method = steady
-t_max = 0.001
 
 [output]
 directory = {outdir}
-basename = unc
+basename = big
 """
-    outdir = tmp_path / "unc"
+    outdir = tmp_path / "big"
     path = _write(tmp_path, ini.format(outdir=outdir))
-    assert cli.main(["steady", path]) == 3
-    with open(outdir / "unc_steady.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[1][4] == "false"  # emitted, but flagged
+    assert cli.main(["steady", path]) == 0
+    with open(outdir / "big_steady.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["converged"] == "true"
+    assert abs(float(rows[0]["mean_n"]) - 0.09) <= 1e-10  # coherent state, |Ω/Γ|² photons
+
+
+def test_failed_point_exit_code(tmp_path, capsys):
+    ini = """
+[system]
+dim = 10
+gamma_linear = 1.0
+
+[initial]
+state = coherent:0.5
+
+[solver]
+method = propagate
+t_grid = lin:0:0.5:5
+
+[sweep]
+parameter = alpha
+values = 0.5,4.0
+
+[output]
+directory = {outdir}
+basename = part
+"""
+    outdir = tmp_path / "part"
+    path = _write(tmp_path, ini.format(outdir=outdir))
+    assert cli.main(["evolve", path]) == 3  # coherent:4 trips the truncation guard at dim 10
+    with open(outdir / "part_timeseries.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["sweep_value"] for r in rows} == {"0.5"}
+    assert "point 4.0 failed" in capsys.readouterr().err
 
 
 def test_all_points_failing_is_numerical_failure(tmp_path):
@@ -337,3 +367,13 @@ def test_figure_fig1a_small_override(tmp_path):
     assert {r[1] for r in rows[1:]} == {"1.5", "2"}
     assert os.path.exists(os.path.join(out, "fig1a_timeseries.csv"))
     assert not os.path.exists(os.path.join(out, "fig1a.svg"))
+
+
+def test_figure_fig2a_follows_overridden_values(tmp_path):
+    out = str(tmp_path / "fig2a")
+    args = ["figure", "fig2a", "--out", out, "--no-svg", "--override", "dim=32"]
+    assert cli.main(args + ["--override", "values=1,2"]) == 0
+    with open(os.path.join(out, "fig2a_eps1_distribution.csv"), newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 32 and {r["sweep_value"] for r in rows} == {"2"}
+    assert cli.main(args + ["--override", "values="]) == 1  # no values: a config error

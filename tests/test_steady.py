@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_density
 from nclsim import fock, gadgets, liouvillian as lv, steady
@@ -52,9 +53,36 @@ def test_degenerate_null_space_detected(method):
         steady.steady_state_nullspace(me, method=method)
 
 
-def test_dimension_cap_defers_to_evolution():
+@pytest.mark.parametrize(
+    "method, dim",
+    [pytest.param("direct", steady.SPARSE_DIM_CAP + 1, id="direct"), pytest.param("svd", 80, id="svd")],
+)
+def test_dimension_cap(method, dim):
     with pytest.raises(DimensionCapError):
-        steady.steady_state_nullspace(lv.MasterEquation(80, gamma_linear=1.0))
+        steady.steady_state_nullspace(lv.MasterEquation(dim, gamma_linear=1.0), method=method)
+
+
+THERMAL_F = [gadgets.NonlinearFunction.from_name(n) for n in ("x-1", "(x-1)^2", "(x-1)^3")] + [
+    gadgets.NonlinearFunction.from_name("x^k", power=k) for k in (1, 2)
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 40),
+    st.sampled_from(THERMAL_F),
+    st.floats(-12.0, 0.5).map(lambda e: 10.0**e),
+    st.floats(-2.0, 3.0).map(lambda e: 10.0**e),
+)
+def test_thermal_nullspace_diagonal_matches_recurrence(dim, f, nbar, ratio):
+    # n̄ and γ/Γ span decades so that small dims also pass the tail guard
+    try:
+        expected = steady.thermal_recurrence(f, nbar, ratio, dim)
+    except TailGuardError:
+        assume(False)
+    me = _ncl_me(dim, f, gamma_linear=1.0, gamma_nonlinear=ratio, nbar=nbar)
+    rho = steady.steady_state_nullspace(me)
+    assert np.abs(np.real(np.diag(rho)) - expected.probabilities).max() <= 1e-10
 
 
 # -- driven recurrence -------------------------------------------------------
