@@ -369,6 +369,13 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
+def _report_failed_points(results) -> None:
+    for result in results:
+        for point in result.points:
+            if point.error is not None:
+                print(f"point {point.sweep_value!r} failed: {point.error}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -391,6 +398,7 @@ def main(argv=None) -> int:
             files, status = _figure_files(args.preset, results, args.out, not args.no_svg)
             for f in files:
                 print(f)
+            _report_failed_points(results.values())
             return status
         # config-driven runs
         config, fileout = parse_config(args.config)
@@ -403,9 +411,7 @@ def main(argv=None) -> int:
         files, status = _emit_config_outputs(result, fileout)
         for f in files:
             print(f)
-        for point in result.points:
-            if point.error is not None:
-                print(f"point {point.sweep_value!r} failed: {point.error}", file=sys.stderr)
+        _report_failed_points([result])
         return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ simulation, so disabling a guard is an explicit per-call decision.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import pdtr, pdtrc, pdtrik
 
 from .errors import (
     FockIndexError,
@@ -30,6 +30,21 @@ COHERENT_TAIL_THRESHOLD = 1e-10
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-8
 PSD_TOL = 1e-8
+
+
+def _poisson_sf(k: int, mu: float) -> float:
+    """P(N > k) for N ~ Poisson(mu), k >= 0: the value scipy.stats.poisson.sf
+    gives, without importing scipy.stats."""
+    return float(pdtrc(k, mu))
+
+
+def _poisson_isf(q: float, mu: float) -> int:
+    """Smallest k with P(N > k) <= q for 0 < q < 1 and mu > 0: the value
+    scipy.stats.poisson.isf gives (its ppf of 1 - q, rounded via pdtrik)."""
+    p = 1.0 - q
+    k = np.ceil(pdtrik(p, mu))
+    below = max(k - 1.0, 0.0)
+    return int(below if pdtr(below, mu) >= p else k)
 
 
 def _check_dim(dim: int) -> int:
@@ -71,8 +86,8 @@ def coherent_min_dim(alpha: complex, threshold: float = COHERENT_TAIL_THRESHOLD)
     if mu == 0.0:
         return 2
     # isf gives a good starting point; walk to the exact integer boundary
-    d = max(2, int(poisson.isf(threshold, mu)) - 2)
-    while poisson.sf(d - 1, mu) >= threshold:
+    d = max(2, _poisson_isf(threshold, mu) - 2)
+    while _poisson_sf(d - 1, mu) >= threshold:
         d += 1
     return d
 
@@ -88,7 +103,7 @@ def coherent_state(alpha: complex, dim: int, guard: bool = True) -> np.ndarray:
     dim = _check_dim(dim)
     mu = abs(alpha) ** 2
     if guard:
-        tail = float(poisson.sf(dim - 1, mu))
+        tail = _poisson_sf(dim - 1, mu)
         if tail >= COHERENT_TAIL_THRESHOLD:
             need = coherent_min_dim(alpha)
             raise TruncationLeakageError(

@@ -170,8 +170,11 @@ def projector_lindblad(gadget: ProjectorGadget, dim: int) -> np.ndarray:
 
 
 def ncl_lindblad(f, dim: int) -> np.ndarray:
-    """Nonlinear coherent loss operator A = a · f(a†a)."""
-    return annihilation(dim) @ diagonal_function_operator(f, dim)
+    """Nonlinear coherent loss operator A = a · f(a†a), without a dense
+    product: the one entry √n of column n of a times f(n), bitwise equal to
+    ``annihilation(dim) @ diagonal_function_operator(f, dim)``."""
+    fvals = np.diag(diagonal_function_operator(f, dim)).real
+    return np.diag(np.diag(annihilation(dim), 1) * fvals[1:], 1)
 
 
 def gamma_eff(gadget: ProjectorGadget, gamma: float) -> float:

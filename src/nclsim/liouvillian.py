@@ -30,7 +30,9 @@ The term list has three readers:
   integrator's shrinking window uses it;
 * :func:`superoperator_sparse` (:meth:`Generator.superoperator`), the sparse
   matrix under column-stacking vectorization: vec(ρ)[i + dim*j] = ρ[i, j],
-  so vec(AρB) = (Bᵀ ⊗ A) vec(ρ).  :func:`superoperator_matrix` densifies it.
+  so vec(AρB) = (Bᵀ ⊗ A) vec(ρ).  Its dtype follows its entries: float64
+  when all are real, as for every equation a config can state, else
+  complex128.  :func:`superoperator_matrix` densifies it.
 """
 
 from __future__ import annotations
@@ -157,7 +159,9 @@ class Generator:
         return _Block(self, m)
 
     def superoperator(self) -> sp.csr_matrix:
-        """Sparse D²×D² matrix of the map under column stacking."""
+        """Sparse D²×D² matrix of the map under column stacking: float64 when
+        no entry has an imaginary part (every equation with real operators,
+        including H = iΩ(a - a†), whose -iH is real), complex128 otherwise."""
         dim = self.dim
         index = np.arange(dim * dim).reshape((dim, dim), order="F")
         parts = [
@@ -172,7 +176,9 @@ class Generator:
             lo = eye if left is None else sp.csr_matrix(left)
             ro = eye if right is None else sp.csr_matrix(right)
             total = total + c * sp.kron(ro.T, lo, format="csr")
-        return total
+        if total.data.imag.any():
+            return total
+        return sp.csr_matrix((total.data.real.copy(), total.indices, total.indptr), shape=total.shape)
 
 
 class MasterEquation:

@@ -112,9 +112,10 @@ def photon_distribution(rho: np.ndarray) -> DiagonalDistribution:
 
 
 def purity(rho: np.ndarray) -> float:
-    """Tr ρ² (1 for pure states, 1/dim for the maximally mixed state)."""
+    """Tr ρ² (1 for pure states, 1/dim for the maximally mixed state), as
+    Σ|ρ_ij|² for Hermitian ρ: O(dim²), no matrix product."""
     rho = np.asarray(rho, dtype=complex)
-    return float(np.real(np.trace(rho @ rho)))
+    return float(np.vdot(rho, rho).real)
 
 
 @dataclass(frozen=True)

@@ -572,6 +572,13 @@ def expand_preset(name: str):
 PRESET_NAMES = ("fig1a", "fig1b", "fig1c", "fig1d", "fig2a", "fig2b", "fig2c", "fig2d")
 
 
+def _override_value(key: str, raw, convert):
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise ConfigError(f"override {key}={raw!r}: expected {convert.__name__}") from exc
+
+
 def apply_overrides(config: ScenarioConfig, overrides: dict | None) -> ScenarioConfig:
     """Apply CLI-style key=value overrides to a config."""
     if not overrides:
@@ -579,13 +586,15 @@ def apply_overrides(config: ScenarioConfig, overrides: dict | None) -> ScenarioC
     cfg = config
     for key, raw in overrides.items():
         if key == "dim":
-            cfg = replace(cfg, dim=int(raw))
+            cfg = replace(cfg, dim=_override_value(key, raw, int))
         elif key in ("gamma_linear", "gamma_nonlinear", "nbar", "omega"):
-            cfg = replace(cfg, **{key: float(raw)})
+            cfg = replace(cfg, **{key: _override_value(key, raw, float)})
         elif key == "tol":
-            cfg = replace(cfg, solver=replace(cfg.solver, tol=float(raw)))
+            cfg = replace(cfg, solver=replace(cfg.solver, tol=_override_value(key, raw, float)))
         elif key == "values":
-            vals = tuple(float(v) for v in str(raw).split(",") if v.strip())
+            vals = tuple(
+                _override_value(key, v, float) for v in str(raw).split(",") if v.strip()
+            )
             cfg = replace(cfg, sweep=replace(cfg.sweep, values=vals))
             how = cfg.output.distribution_at
             if vals and how is not None and how.startswith("value:"):

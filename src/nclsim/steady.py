@@ -5,9 +5,13 @@ by one sparse direct solve in which one diagonal row of the superoperator is
 replaced by the trace constraint; a second solve with another replaced row
 probes for a degenerate null space.  The replaced row is always a *diagonal*
 row because trace preservation makes exactly the diagonal rows linearly
-dependent, so no information is lost.  The full equation and the truncated
-equation below share this solve and its dimension cap.  A dense SVD of the
-superoperator (method 'svd', capped much lower) is kept as a reference.
+dependent, so no information is lost.  The solve runs in the superoperator's
+own dtype: float64 whenever the equation is real (every preset and config
+equation), complex128 otherwise; SuperLU orders the columns by minimum degree
+on Aᵀ+A.  States are returned as complex128 either way.  The full equation
+and the truncated equation below share this solve and its dimension cap.  A
+dense SVD of the superoperator (method 'svd', capped much lower) is kept as a
+reference.
 
 The analytic side implements the detailed-balance recurrences for the
 diagonal of the stationary state:
@@ -44,7 +48,7 @@ from .errors import (
     SteadyStateResidualError,
     TailGuardError,
 )
-from .fock import annihilation, check_density_matrix, diagonal_function_operator
+from .fock import annihilation, check_density_matrix
 from .gadgets import ncl_lindblad
 from .liouvillian import (
     SUPEROPERATOR_DIM_CAP,
@@ -62,9 +66,9 @@ RESIDUAL_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
 _PROBE_TOL = 1e-7
 # Largest dim the sparse trace-row solve takes.  Driven NCL (α₀ = 150, ε = 1,
-# both probe factorizations, one BLAS thread, 2-core x86 VM): 0.6 s and 150 MB
-# peak at dim 128, 2.6 s and 230 MB at 200, 4.8 s and 330 MB at 256, 9.9 s
-# and 480 MB at 320.
+# both probe factorizations in float64, one BLAS thread, 2-core x86 VM,
+# process peak RSS): 0.3 s and 91 MB at dim 128, 0.8 s and 127 MB at 200,
+# 1.7 s and 173 MB at 256, 2.8 s and 238 MB at 320.
 SPARSE_DIM_CAP = 256
 
 
@@ -89,7 +93,8 @@ def _residual_threshold(lop, residual_tol: float) -> float:
 
 
 def _state_from_null_vector(lop, v: np.ndarray, dim: int, residual_tol: float) -> np.ndarray:
-    """Hermitized, unit-trace state from a null vector of ``lop``, residual-checked."""
+    """Hermitized, unit-trace complex state from a null vector of ``lop``,
+    residual-checked."""
     rho = unvec(v, dim)
     rho = 0.5 * (rho + rho.conj().T)
     tr = float(np.real(np.trace(rho)))
@@ -100,7 +105,7 @@ def _state_from_null_vector(lop, v: np.ndarray, dim: int, residual_tol: float) -
     thresh = _residual_threshold(lop, residual_tol)
     if residual > thresh:
         raise SteadyStateResidualError(f"steady-state residual {residual:.3e} above {thresh:.3e}")
-    return rho
+    return rho.astype(complex)
 
 
 def _solve_with_trace_row(lop: sp.csr_matrix, dim: int, row: int) -> np.ndarray:
@@ -112,9 +117,11 @@ def _solve_with_trace_row(lop: sp.csr_matrix, dim: int, row: int) -> np.ndarray:
         (np.ones(dim), (np.full(dim, row), np.arange(dim) * (dim + 1))), shape=(n, n)
     )
     m = (m + trace_row).tocsc()
-    b = np.zeros(n, dtype=complex)
+    b = np.zeros(n, dtype=lop.dtype)
     b[row] = 1.0
-    lu = splu(m)
+    # minimum degree on Aᵀ+A: less fill than the default COLAMD on these
+    # structurally near-symmetric matrices (at dim 128, L+U 1.06M against 1.59M)
+    lu = splu(m, permc_spec="MMD_AT_PLUS_A")
     x = lu.solve(b)
     for _ in range(3):  # iterative refinement against the modified system
         r = b - m @ x
@@ -340,8 +347,7 @@ def gaussian_profile(f, n0: int, epsilon: float, delta_n: int) -> float:
 
 
 def _b_operator(f, epsilon: float, dim: int) -> np.ndarray:
-    g = diagonal_function_operator(lambda n: float(f(n)) ** 2 + epsilon, dim)
-    return annihilation(dim) @ g
+    return ncl_lindblad(lambda n: float(f(n)) ** 2 + epsilon, dim)
 
 
 def _check_ncl_consistency(me: MasterEquation, f) -> None:

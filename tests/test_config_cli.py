@@ -377,3 +377,21 @@ def test_figure_fig2a_follows_overridden_values(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 32 and {r["sweep_value"] for r in rows} == {"2"}
     assert cli.main(args + ["--override", "values="]) == 1  # no values: a config error
+
+
+def test_malformed_override_value_is_config_error(tmp_path, capsys):
+    out = str(tmp_path / "fig2d")
+    for override in ("dim=x", "nbar=lots", "values=1,y"):
+        assert cli.main(["figure", "fig2d", "--out", out, "--override", override]) == 1
+        err = capsys.readouterr().err
+        assert "config error: override" in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_figure_names_failed_points(tmp_path, capsys):
+    out = str(tmp_path / "fig1c")
+    args = ["figure", "fig1c", "--out", out, "--no-svg", "--override", "dim=10"]
+    assert cli.main(args + ["--override", "values=0.5,2"]) == 3  # coherent:2 trips the guard
+    err = capsys.readouterr().err
+    assert "point 2.0 failed: TruncationLeakageError" in err
+    assert "point 0.5" not in err

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -77,6 +81,28 @@ def test_coherent_truncation_guard():
     # and the guard can be disabled explicitly
     v = fock.coherent_state(5.0, 60, guard=False)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_poisson_guard_values_match_scipy_stats_bitwise():
+    from scipy.stats import poisson
+
+    for mu in [0.0, 1e-8, 0.25, 1.0, 4.0, 6.25, 25.0, 64.0, 100.0, 400.0, 1e4]:
+        for k in [0, 1, 2, 5, 10, 23, 60, 129, 300, 1000]:
+            assert fock._poisson_sf(k, mu) == float(poisson.sf(k, mu))
+        if mu == 0.0:
+            continue
+        for q in [1e-14, 1e-12, 1e-10, 1e-6, 0.5]:
+            assert fock._poisson_isf(q, mu) == poisson.isf(q, mu)
+
+
+def test_cli_import_skips_scipy_stats():
+    code = "import sys, nclsim.cli; print(any(m.startswith('scipy.stats') for m in sys.modules))"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fock.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0, -2.0, 1.0 + 1.0j])

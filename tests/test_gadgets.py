@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nclsim import fock, gadgets, liouvillian
+from nclsim import fock, gadgets, liouvillian, steady
 from nclsim.errors import (
     DimensionMismatchError,
     InvalidStateError,
@@ -124,6 +124,23 @@ def test_ncl_lindblad_matches_product():
     assert np.array_equal(op, ref)
     assert np.linalg.norm(op @ fock.fock_state(1, dim)) == 0.0
     assert np.allclose(op @ fock.fock_state(2, dim), np.sqrt(2) * fock.fock_state(1, dim))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [gadgets.NonlinearFunction.from_name(n) for n in ("x-1", "(x-1)^2", "(x-1)^3")]
+    + [gadgets.NonlinearFunction.from_table([-2.0, 0.0, -0.5, 3.0, 0.0, -1e-300, 7.0, 1e150])],
+    ids=["x-1", "(x-1)^2", "(x-1)^3", "table"],
+)
+@pytest.mark.parametrize("dim", [2, 8, 64, 130])
+def test_ncl_and_b_operators_bitwise_equal_dense_product(f, dim):
+    if f.table is not None:
+        dim = min(dim, f.table.size)
+    a = fock.annihilation(dim)
+    ref = a @ fock.diagonal_function_operator(f, dim)
+    assert gadgets.ncl_lindblad(f, dim).tobytes() == ref.tobytes()
+    g = fock.diagonal_function_operator(lambda n: float(f(n)) ** 2 + 0.5, dim)
+    assert steady._b_operator(f, 0.5, dim).tobytes() == (a @ g).tobytes()
 
 
 # -- diagnostics -------------------------------------------------------------

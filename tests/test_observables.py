@@ -83,6 +83,12 @@ def test_purity():
     assert obs.purity(np.eye(4, dtype=complex) / 4) == pytest.approx(0.25)
 
 
+def test_purity_equals_trace_of_square(rng):
+    for dim in (2, 9, 40):
+        rho = random_density(dim, rng)
+        assert obs.purity(rho) == pytest.approx(float(np.real(np.trace(rho @ rho))), rel=1e-13)
+
+
 def test_moments_match_operator_expectations(rng):
     dim = 14
     rho = random_density(dim, rng)

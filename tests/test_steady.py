@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_density
-from nclsim import fock, gadgets, liouvillian as lv, steady
+from nclsim import fock, gadgets, liouvillian as lv, scenarios as sc, steady
 from nclsim.errors import (
     BlockedRecurrenceError,
     DimensionCapError,
@@ -43,6 +43,35 @@ def test_svd_and_direct_routes_agree():
     rho_svd = steady.steady_state_nullspace(me, method="svd")
     rho_dir = steady.steady_state_nullspace(me, method="direct")
     assert np.abs(rho_svd - rho_dir).max() <= 1e-9
+
+
+@pytest.mark.parametrize("name", sc.PRESET_NAMES)
+def test_preset_superoperators_are_real(name):
+    # every equation a preset states has real operators and -iH = Ω(a - a†)
+    for _, config in sc.expand_preset(name):
+        for value in (config.sweep.values[0], config.sweep.values[-1]):
+            me, f, _ = sc.build_system(sc.resolve_point(config, value))
+            assert lv.superoperator_sparse(me).dtype == np.float64
+            if config.solver.method == "steady_approx":
+                assert steady.approximate_superoperator(me, f).dtype == np.float64
+
+
+@pytest.mark.parametrize("method", ["direct", "svd"])
+def test_phase_rotated_channel_gives_the_same_state(method):
+    # e^{iθ}·a·f(a†a) is the same channel, but its superoperator is complex
+    dim = 16
+    f = gadgets.NonlinearFunction.from_name("x-1")
+    rates = dict(gamma_linear=0.5, gamma_nonlinear=1.0, omega=3.0)
+    real = _ncl_me(dim, f, **rates)
+    op = np.exp(0.7j) * gadgets.ncl_lindblad(f, dim)
+    rotated = lv.MasterEquation(dim, nonlinear_op=op, **rates)
+    assert lv.superoperator_sparse(real).dtype == np.float64
+    assert lv.superoperator_sparse(rotated).dtype == np.complex128
+    expected = steady.steady_state_nullspace(real, method=method)
+    rho = steady.steady_state_nullspace(rotated, method=method)
+    assert expected.dtype == rho.dtype == np.complex128
+    assert np.abs(rho - steady.steady_state_nullspace(real)).max() <= 1e-10
+    assert np.abs(rho - expected).max() <= 1e-10
 
 
 @pytest.mark.parametrize("method", ["svd", "direct"])
@@ -309,6 +338,7 @@ def test_approximate_steady_state_matches_recurrence():
     f = gadgets.NonlinearFunction.from_name("x-1")
     me = _ncl_me(30, gamma_linear=0.2, gamma_nonlinear=1.0, omega=5.0)
     rho = steady.approximate_steady_state(me, f)
+    assert rho.dtype == np.complex128
     d_rec = steady.ncl_recurrence(f, 5.0, 0.2, 30).probabilities
     assert np.abs(np.real(np.diag(rho)) - d_rec).max() <= 1e-8
     assert steady.b_eigen_residual(me, f, rho) <= 1e-8
