@@ -14,13 +14,25 @@ which removes the huge (and empty) decay rates at the cutoff from the
 stability constraint.  This is exact up to the 1e-14 clip and is what makes
 large-cutoff transient runs affordable.
 
-``fixed_step`` swaps the adaptive pair for classical RK4 with a fixed step on
-the same engine: re-Hermitization, diagnostics, the truncation-breach guard
-(checked after every step) and the window shrink are shared.
+One explicit Runge-Kutta step reads a Butcher tableau: DP45 with its error
+row, or, when ``fixed_step`` is given, classical RK4 with a fixed step and no
+error row.  Re-Hermitization, diagnostics, the truncation-breach guard
+(checked after every step) and the window shrink are shared.  The stage
+derivatives are the rows of one array, and every stage input, the new state
+and the error estimate is one tableau row times that array.
+
+The active block is float64 when the generator (see
+:class:`~nclsim.liouvillian.Generator`) and ρ₀ are both real, as for every
+preset and INI equation, and complex128 otherwise; recorded states are
+complex128 either way.  Norms are summed by numpy, not by a BLAS dot, whose
+value changes with the BLAS thread count on long vectors.
+:class:`SolverStats` counts accepted and rejected steps, rhs evaluations and
+the smallest active block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,29 +52,73 @@ STEADY_TOL = 1e-10
 BREACH_TOL = 1e-6
 _SHRINK_CUT = 1e-14
 
-# Dormand-Prince 4(5) tableau
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168,
-    -355 / 33,
-    46732 / 5247,
-    49 / 176,
-    -5103 / 18656,
+
+@dataclass(frozen=True)
+class _Tableau:
+    """An explicit Runge-Kutta method whose last stage is evaluated at the
+    new state (first same as last): ``a[i]`` weights the stages before stage
+    i, ``b`` gives the new state and ``e``, over every stage and the last
+    one, the local error estimate (None: no estimate, every step accepted)."""
+
+    a: tuple
+    b: np.ndarray
+    e: np.ndarray | None
+
+    @property
+    def stages(self) -> int:
+        return len(self.b)
+
+
+# Dormand & Prince, J. Comput. Appl. Math. 6 (1980): 5th-order solution, error
+# against the embedded 4th-order one
+_DP45 = _Tableau(
+    a=(
+        (),
+        np.array([1 / 5]),
+        np.array([3 / 40, 9 / 40]),
+        np.array([44 / 45, -56 / 15, 32 / 9]),
+        np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+        np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    ),
+    b=np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    e=np.array(
+        [
+            35 / 384 - 5179 / 57600,
+            0.0,
+            500 / 1113 - 7571 / 16695,
+            125 / 192 - 393 / 640,
+            -2187 / 6784 + 92097 / 339200,
+            11 / 84 - 187 / 2100,
+            -1 / 40,
+        ]
+    ),
 )
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1 = 35 / 384 - 5179 / 57600
-_E3 = 500 / 1113 - 7571 / 16695
-_E4 = 125 / 192 - 393 / 640
-_E5 = -2187 / 6784 + 92097 / 339200
-_E6 = 11 / 84 - 187 / 2100
-_E7 = -1 / 40
+
+# classical fourth-order Runge-Kutta
+_RK4 = _Tableau(
+    a=((), np.array([1 / 2]), np.array([0.0, 1 / 2]), np.array([0.0, 0.0, 1.0])),
+    b=np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6]),
+    e=None,
+)
 
 
-def _frob(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+def _flat(m: np.ndarray) -> np.ndarray:
+    """A contiguous real or complex array as one real vector (a view)."""
+    return m.reshape(-1).view(np.float64)
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real vector, summed by einsum's own loop: a BLAS
+    dot splits long vectors among threads, and its value then depends on
+    the thread count."""
+    return math.sqrt(np.einsum("i,i->", v, v))
+
+
+def _check_tol(name: str, value: float) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidStateError(f"{name} must be finite and > 0, got {value!r}")
+    return value
 
 
 def _hermitized(y: np.ndarray):
@@ -71,9 +127,29 @@ def _hermitized(y: np.ndarray):
     return 0.5 * (y + yd), float(np.abs(y - yd).max())
 
 
+@dataclass(frozen=True)
+class SolverStats:
+    """What the stepper did: step attempts accepted and rejected, right-hand
+    side evaluations, and the smallest active-block size reached."""
+
+    accepted_steps: int
+    rejected_steps: int
+    rhs_evaluations: int
+    min_k_active: int
+
+
 class _Engine:
-    """Adaptive DP45 stepper, or classical RK4 with a fixed step when
-    ``fixed_step`` is given, with hermitization, guards and window shrink."""
+    """Explicit Runge-Kutta stepper on the active block: adaptive DP45, or
+    classical RK4 with a fixed step when ``fixed_step`` is given, with
+    hermitization, guards and window shrink.
+
+    The block is float64 when the generator and ρ₀ are both real, and
+    complex128 otherwise.  Stage derivatives are the rows of one
+    (stages + 1, m, m) array, reallocated only when the window shrinks; row 0
+    holds f(y) and the last row f(y_new), which becomes row 0 of the next
+    step.  Stage combinations are products of a tableau row with the real
+    view of those rows.
+    """
 
     def __init__(
         self,
@@ -88,16 +164,17 @@ class _Engine:
         fixed_step: float | None = None,
     ):
         self.me = me
-        self.fixed_step = fixed_step
+        self.tableau = _DP45 if fixed_step is None else _RK4
         self.dim = me.dim
-        self.tol = float(tol)
+        self.tol = tol
         self.breach_guard = breach_guard
         self.breach_tol = breach_tol
         self.max_steps = int(max_steps)
         self.t = float(t0)
         self.windowed = bool(window) and me.is_pure_lowering()
 
-        y = np.array(rho0, dtype=complex)
+        real = me.generator.dtype == np.float64 and not np.imag(rho0).any()
+        y = np.array(np.real(rho0) if real else rho0, dtype=np.float64 if real else complex)
         y = 0.5 * (y + y.conj().T)
         self.k_active = self.dim
         if self.windowed:
@@ -109,12 +186,30 @@ class _Engine:
                 y[:, k0:] = 0.0
             self.k_active = k0
         self.yb = np.ascontiguousarray(y[: self.k_active, : self.k_active])
-        self.rhs = me.generator.block(self.k_active)
+        self._allocate()
         self.h = fixed_step
-        self.k1 = None
         self.err_prev = 1.0
         self.last_asym = 0.0
-        self.attempts = 0
+        self.accepted = 0
+        self.rejected = 0
+        self.rhs_evaluations = 0
+
+    def _allocate(self):
+        """Block map and stage buffers for the current k_active; row 0 stale."""
+        m = self.k_active
+        self.rhs = self.me.generator.block(m)
+        self.k = np.empty((self.tableau.stages + 1, m, m), dtype=self.yb.dtype)
+        self.kflat = self.k.reshape(self.k.shape[0], -1).view(np.float64)
+        self.stage = np.empty((m, m), dtype=self.yb.dtype)
+        self.k_fresh = False
+
+    def derivative(self) -> np.ndarray:
+        """f(y) at the current state (stage row 0)."""
+        if not self.k_fresh:
+            self.rhs(self.yb, out=self.k[0])
+            self.rhs_evaluations += 1
+            self.k_fresh = True
+        return self.k[0]
 
     # -- stepping ---------------------------------------------------------
 
@@ -122,38 +217,33 @@ class _Engine:
         scale = max(self.me.decay_scale(self.k_active), 1e-12)
         return min(abs(span), 0.1 / scale)
 
-    def _dp_step(self, h: float):
-        f, y, k1 = self.rhs, self.yb, self.k1
-        k2 = f(y + h * (_A21 * k1))
-        k3 = f(y + h * (_A31 * k1 + _A32 * k2))
-        k4 = f(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = f(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = f(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-        ynew, asym = _hermitized(y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6))
-        k7 = f(ynew)
-        err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        return ynew, k7, err, asym
-
-    def _rk4_step(self, h: float):
-        f, y, k1 = self.rhs, self.yb, self.k1
-        k2 = f(y + (0.5 * h) * k1)
-        k3 = f(y + (0.5 * h) * k2)
-        k4 = f(y + h * k3)
-        ynew, asym = _hermitized(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        return ynew, f(ynew), asym
+    def _step(self, h: float):
+        """One attempt of size h: the new state, its asymmetry, and the
+        error norm in units of the tolerance (0 without an error row)."""
+        tab, y, k, kflat = self.tableau, self.yb, self.k, self.kflat
+        self.derivative()
+        stage_flat = _flat(self.stage)
+        for i in range(1, tab.stages):
+            np.matmul(h * tab.a[i], kflat[:i], out=stage_flat)
+            self.stage += y
+            self.rhs(self.stage, out=k[i])
+        dy = (h * tab.b) @ kflat[: tab.stages]
+        ynew, asym = _hermitized(y + dy.view(y.dtype).reshape(y.shape))
+        self.rhs(ynew, out=k[-1])
+        self.rhs_evaluations += tab.stages
+        if tab.e is None:
+            return ynew, asym, 0.0
+        err = _norm(tab.e @ kflat)
+        return ynew, asym, err / (self.tol * max(1.0, _norm(_flat(y))))
 
     def _shrink(self):
-        changed = False
-        while self.k_active > 2:
-            k = self.k_active
-            if np.abs(self.yb[k - 1, :]).max() >= _SHRINK_CUT:
-                break
-            self.yb = np.ascontiguousarray(self.yb[: k - 1, : k - 1])
-            self.k_active = k - 1
-            changed = True
-        if changed:
-            self.rhs = self.me.generator.block(self.k_active)
-            self.k1 = None
+        k = self.k_active
+        while k > 2 and np.abs(self.yb[k - 1, :k]).max() < _SHRINK_CUT:
+            k -= 1
+        if k < self.k_active:
+            self.yb = np.ascontiguousarray(self.yb[:k, :k])
+            self.k_active = k
+            self._allocate()
 
     def _guard(self):
         if not self.breach_guard or self.k_active < self.dim:
@@ -167,40 +257,35 @@ class _Engine:
             )
 
     def step_to(self, t_target: float, on_accept=None):
-        """Advance to t_target; on_accept(residual) may return True to stop."""
+        """Advance to t_target; on_accept(residual) may return True to stop,
+        where residual is ||f(y)||_F at the accepted state."""
         if self.h is None:
             self.h = self._seed_step(t_target - self.t)
         while self.t < t_target - 1e-14 * max(1.0, abs(t_target)):
-            self.attempts += 1
-            if self.attempts > self.max_steps:
+            if self.accepted + self.rejected >= self.max_steps:
                 raise SimulationError(
                     f"integration exceeded {self.max_steps} step attempts"
                 )
-            if self.k1 is None:
-                self.k1 = self.rhs(self.yb)
             h = min(self.h, t_target - self.t)
-            if self.fixed_step is None:
-                ynew, k7, err, asym = self._dp_step(h)
-                en = _frob(err) / (self.tol * h * max(1.0, _frob(self.yb)))
-            else:
-                (ynew, k7, asym), en = self._rk4_step(h), 0.0
+            ynew, asym, en = self._step(h)
             if en <= 1.0:
+                self.accepted += 1
                 self.yb = ynew
                 self.t += h
-                self.k1 = k7
+                self.k[0] = self.k[-1]
                 self.last_asym = asym
-                residual = _frob(k7)
                 self._guard()
                 if self.windowed:
                     self._shrink()
-                if self.fixed_step is None:
+                if self.tableau.e is not None:
                     en_c = max(en, 1e-10)
                     fac = 0.9 * en_c**-0.175 * max(self.err_prev, 1e-10) ** 0.1
                     self.h = h * min(10.0, max(0.2, fac))
                     self.err_prev = en_c
-                if on_accept is not None and on_accept(residual):
+                if on_accept is not None and on_accept(_norm(_flat(self.derivative()))):
                     return
             else:
+                self.rejected += 1
                 self.h = h * max(0.1, 0.9 * en ** (-1 / 4))
             if self.h < 1e-15 * max(1.0, abs(self.t)):
                 raise StepSizeUnderflowError(
@@ -210,8 +295,6 @@ class _Engine:
     # -- observation ------------------------------------------------------
 
     def full_state(self) -> np.ndarray:
-        if self.k_active == self.dim:
-            return self.yb.copy()
         full = np.zeros((self.dim, self.dim), dtype=complex)
         full[: self.k_active, : self.k_active] = self.yb
         return full
@@ -225,10 +308,15 @@ class _Engine:
         top = float(self.yb[-1, -1].real) if self.k_active == self.dim else 0.0
         return tr_err, self.last_asym, min_eig, top
 
+    def stats(self) -> SolverStats:
+        # the window only shrinks, so the current block is the smallest
+        return SolverStats(self.accepted, self.rejected, self.rhs_evaluations, self.k_active)
+
 
 @dataclass
 class Trajectory:
-    """Recorded propagation: states and per-point integrity diagnostics."""
+    """Recorded propagation: states (complex128), per-point integrity
+    diagnostics, and what the stepper did."""
 
     times: np.ndarray
     states: list
@@ -236,6 +324,7 @@ class Trajectory:
     herm_error: np.ndarray
     min_eigenvalue: np.ndarray
     top_population: np.ndarray
+    stats: SolverStats
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -268,9 +357,10 @@ def propagate(
     """Integrate dρ/dt = rhs(me, ρ) and record the state on a time grid.
 
     ``grid`` must be ascending; ``rho0`` is the state at ``grid[0]``.  ``tol``
-    is the local error tolerance per unit time.  ``fixed_step`` selects the
-    classical fixed-step RK4 fallback instead of the adaptive pair.
+    is the local error tolerance per unit time, finite and > 0.  ``fixed_step``
+    selects the classical fixed-step RK4 fallback instead of the adaptive pair.
     """
+    tol = _check_tol("tol", tol)
     rho0 = check_density_matrix(rho0)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
@@ -290,7 +380,7 @@ def propagate(
         states.append(eng.full_state())
         diags.append(eng.diagnostics())
     tr, he, mi, tp = (np.array(col) for col in zip(*diags))
-    return Trajectory(grid.copy(), states, tr, he, mi, tp)
+    return Trajectory(grid.copy(), states, tr, he, mi, tp, eng.stats())
 
 
 def evolve_to_steady(
@@ -306,15 +396,17 @@ def evolve_to_steady(
 ) -> SteadyEvolveResult:
     """Integrate until ||rhs(ρ)||_F < tol or t_max is reached.
 
-    The returned result is explicitly tagged converged/unconverged; callers
-    must not treat an unconverged state as stationary.
+    ``tol`` and the step tolerance ``step_tol`` must be finite and > 0.  The
+    returned result is explicitly tagged converged/unconverged; callers must
+    not treat an unconverged state as stationary.
     """
+    tol = _check_tol("tol", tol)
+    step_tol = _check_tol("step_tol", step_tol)
     rho0 = check_density_matrix(rho0)
     if rho0.shape != (me.dim, me.dim):
         raise InvalidStateError(f"rho0 shape {rho0.shape} != ({me.dim}, {me.dim})")
     eng = _Engine(me, rho0, 0.0, step_tol, window, breach_guard, breach_tol, max_steps)
-    eng.k1 = eng.rhs(eng.yb)
-    residual = _frob(eng.k1)
+    residual = _norm(_flat(eng.derivative()))
     if residual < tol:
         return SteadyEvolveResult(eng.full_state(), True, 0.0, residual)
 

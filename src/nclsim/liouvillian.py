@@ -27,12 +27,17 @@ The term list has three readers:
 * :func:`rhs`, the matrix-free right-hand side (the block below at m = dim);
 * :meth:`Generator.block`, the map on the leading m×m block of a state that
   vanishes outside it, made by slicing the coefficient arrays; the
-  integrator's shrinking window uses it;
+  integrator's shrinking window uses it, writing each derivative into a
+  preallocated stage buffer (``out=``);
 * :func:`superoperator_sparse` (:meth:`Generator.superoperator`), the sparse
   matrix under column-stacking vectorization: vec(ρ)[i + dim*j] = ρ[i, j],
-  so vec(AρB) = (Bᵀ ⊗ A) vec(ρ).  Its dtype follows its entries: float64
-  when all are real, as for every equation a config can state, else
-  complex128.  :func:`superoperator_matrix` densifies it.
+  so vec(AρB) = (Bᵀ ⊗ A) vec(ρ).  :func:`superoperator_matrix` densifies it.
+
+The generator decides its dtype once, ``Generator.dtype``: float64 when no
+band coefficient and no product term has an imaginary part, as for every
+equation a config can state, else complex128.  Coefficients and product
+matrices are stored in it, the superoperator is built in it, and the
+integrator keeps its state in it when ρ₀ is real too.
 """
 
 from __future__ import annotations
@@ -95,10 +100,13 @@ class _Block:
     outside it: (Σ c·LρR)[:m, :m] from ρ[:m, :m]."""
 
     def __init__(self, gen: "Generator", m: int):
+        self.dtype = gen.dtype
         # (destination rows, destination columns, source rows, source columns,
-        # coefficients): out[i, j] += C[i, j] · ρ[i+s, j-t] where both exist
+        # coefficients): out[i, j] += C[i, j] · ρ[i+s, j-t] where both exist.
+        # The diagonal band (0, 0), when present, comes first: it covers the
+        # whole block, so it writes ``out`` instead of adding to zeros.
         self.shifts = []
-        for (s, t), coef in gen.bands.items():
+        for (s, t), coef in sorted(gen.bands.items(), key=lambda item: item[0] != (0, 0)):
             if m <= abs(s) or m <= abs(t):
                 continue
             self.shifts.append(
@@ -110,11 +118,21 @@ class _Block:
                     np.ascontiguousarray(coef[: m - abs(s), : m - abs(t)]),
                 )
             )
+        self.covers = (0, 0) in gen.bands
         self.products = [(c, _restrict(lo, m), _restrict(ro, m)) for c, lo, ro in gen.products]
 
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(rho)
-        for dr, dc, sr, sc, coef in self.shifts:
+    def __call__(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The derivative of ``rho``, written into ``out`` when one is given
+        (its dtype must hold the result: complex unless both are real)."""
+        if out is None:
+            out = np.empty(rho.shape, np.result_type(rho, self.dtype))
+        shifts = self.shifts
+        if self.covers:
+            np.multiply(shifts[0][4], rho, out=out)
+            shifts = shifts[1:]
+        else:
+            out.fill(0.0)
+        for dr, dc, sr, sc, coef in shifts:
             out[dr, dc] += coef * rho[sr, sc]
         for c, left, right in self.products:
             t = rho if left is None else left @ rho
@@ -129,24 +147,42 @@ class Generator:
     identity.  A term whose two operators both have at most three nonzero
     diagonals joins the fused coefficient arrays ``bands``; any other term is
     kept in ``products`` with its operators as matrices.
+
+    ``dtype`` is decided once here: float64 when no band coefficient and no
+    product term has an imaginary part (every equation a config can state,
+    including H = iΩ(a - a†), whose -iH is real), complex128 otherwise.  The
+    bands and products are stored in it, and the window block and the
+    superoperator compute in it.
     """
 
     def __init__(self, dim: int, terms):
         self.dim = dim
         ones = {0: np.ones(dim)}
         # (s, t) -> C, where out[i, j] gets C[i - max(0,-s), j - max(0,t)]·ρ[i+s, j-t]
-        self.bands = {}
-        self.products = []
+        bands = {}
+        products = []
         for c, left, right in terms:
             lb = ones if left is None else _diagonals(left)
             rb = ones if right is None else _diagonals(right)
             if lb is None or rb is None:
-                self.products.append((c, _matrix(left), _matrix(right)))
+                products.append((c, left, right))
                 continue
             # (LρR)[i, j] = Σ_{s,t} L[i, i+s] ρ[i+s, j-t] R[j-t, j]
             for s, ldiag in lb.items():
                 for t, rdiag in rb.items():
-                    self.bands[(s, t)] = self.bands.get((s, t), 0.0) + c * np.outer(ldiag, rdiag)
+                    bands[(s, t)] = bands.get((s, t), 0.0) + c * np.outer(ldiag, rdiag)
+        parts = list(bands.values()) + [x for term in products for x in term if x is not None]
+        real = not any(np.iscomplexobj(x) and np.imag(x).any() for x in parts)
+        self.dtype = np.dtype(np.float64 if real else np.complex128)
+
+        def cast(x):
+            return x if x is None else np.asarray(np.real(x) if real else x, dtype=self.dtype)
+
+        self.bands = {st: cast(coef) for st, coef in bands.items()}
+        self.products = [
+            (np.real(c) if real else c, _matrix(cast(left)), _matrix(cast(right)))
+            for c, left, right in products
+        ]
         self.apply = self.block(dim)
 
     def block(self, m: int) -> _Block:
@@ -159,9 +195,7 @@ class Generator:
         return _Block(self, m)
 
     def superoperator(self) -> sp.csr_matrix:
-        """Sparse D²×D² matrix of the map under column stacking: float64 when
-        no entry has an imaginary part (every equation with real operators,
-        including H = iΩ(a - a†), whose -iH is real), complex128 otherwise."""
+        """Sparse D²×D² matrix of the map under column stacking, in ``dtype``."""
         dim = self.dim
         index = np.arange(dim * dim).reshape((dim, dim), order="F")
         parts = [
@@ -169,16 +203,16 @@ class Generator:
             for dr, dc, sr, sc, coef in self.apply.shifts
         ]
         vals, rows, cols = (np.concatenate(p) for p in zip(*parts)) if parts else ([], [], [])
-        total = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim), dtype=complex)
+        total = sp.csr_matrix(
+            (vals, (rows, cols)), shape=(dim * dim, dim * dim), dtype=self.dtype
+        )
         total.eliminate_zeros()
-        eye = sp.identity(dim, format="csr")
+        eye = sp.identity(dim, dtype=self.dtype, format="csr")
         for c, left, right in self.products:
             lo = eye if left is None else sp.csr_matrix(left)
             ro = eye if right is None else sp.csr_matrix(right)
             total = total + c * sp.kron(ro.T, lo, format="csr")
-        if total.data.imag.any():
-            return total
-        return sp.csr_matrix((total.data.real.copy(), total.indices, total.indptr), shape=total.shape)
+        return total
 
 
 class MasterEquation:

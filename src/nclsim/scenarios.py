@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, SimulationError
-from .evolve import propagate
+from .evolve import SolverStats, propagate
 from .fock import coherent_state, fock_state, pure_density, thermal_density
 from .gadgets import NonlinearFunction, ProjectorGadget, ncl_lindblad, projector_lindblad
 from .liouvillian import MasterEquation
@@ -112,6 +112,8 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.dim < 2:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
+        if not (np.isfinite(self.solver.tol) and self.solver.tol > 0):
+            raise ConfigError(f"tol must be finite and > 0, got {self.solver.tol!r}")
         for name in ("gamma_linear", "gamma_nonlinear", "nbar"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -167,6 +169,7 @@ class PointResult:
     distribution: DiagonalDistribution | None = None
     distribution_label: str | None = None
     poisson_reference: DiagonalDistribution | None = None
+    solver_stats: SolverStats | None = None
 
 
 @dataclass
@@ -342,6 +345,7 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
             distribution=dist,
             distribution_label=label,
             poisson_reference=pois,
+            solver_stats=traj.stats,
         )
 
     if method in ("steady", "steady_approx"):
@@ -457,6 +461,13 @@ def run_sweep(config: ScenarioConfig, workers: int | None = None) -> ScenarioRes
         "version": __version__,
         "config": asdict(config),
         "tolerances": {"solver_tol": config.solver.tol},
+        # deterministic step counts of every propagated point (none for solves)
+        "solver_stats": [
+            {"sweep_value": p.sweep_value if np.isfinite(p.sweep_value) else None}
+            | asdict(p.solver_stats)
+            for p in points
+            if p.solver_stats is not None
+        ],
     }
     return ScenarioResult(config=config, points=points, provenance=provenance)
 

@@ -324,6 +324,45 @@ basename = boom
     assert cli.main(["evolve", path]) == 2  # truncation breach on the only point
 
 
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "inf", "nan"])
+def test_bad_tolerance_is_config_error(tmp_path, capsys, tol):
+    outdir = tmp_path / "out"
+    path = _write(tmp_path, EVOLVE_INI.format(outdir=outdir).replace("tol = 1e-9", f"tol = {tol}"))
+    with pytest.raises(ConfigError, match="tol"):
+        parse_config(path)
+    assert cli.main(["evolve", path]) == 1
+    assert not outdir.exists()
+    fig = tmp_path / "fig"
+    assert cli.main(["figure", "fig1c", "--out", str(fig), "--override", f"tol={tol}"]) == 1
+    assert not fig.exists()
+    err = capsys.readouterr().err
+    assert err.count("config error: tol must be finite and > 0") == 2
+    assert "Traceback" not in err
+
+
+def test_provenance_records_solver_stats(tmp_path, monkeypatch):
+    stats = []
+    csvs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("NCLSIM_WORKERS", workers)
+        outdir = tmp_path / f"workers{workers}"
+        path = _write(tmp_path, EVOLVE_INI.format(outdir=outdir), name=f"w{workers}.ini")
+        assert cli.main(["evolve", path]) == 0
+        payload = json.loads((outdir / "unit_provenance.json").read_text(encoding="utf-8"))
+        stats.append(payload["solver_stats"])
+        csvs.append((outdir / "unit_timeseries.csv").read_bytes())
+    assert stats[0] == stats[1]
+    assert csvs[0] == csvs[1]
+    assert [s["sweep_value"] for s in stats[0]] == [1.0, 1.2]
+    for s in stats[0]:
+        assert set(s) == {
+            "sweep_value", "accepted_steps", "rejected_steps", "rhs_evaluations", "min_k_active"
+        }
+        assert s["accepted_steps"] >= 25 and s["rejected_steps"] >= 0
+        assert s["rhs_evaluations"] > 6 * s["accepted_steps"]
+        assert 2 <= s["min_k_active"] <= 20
+
+
 def test_svg_content(tmp_path):
     outdir = tmp_path / "out"
     path = _write(tmp_path, EVOLVE_INI.format(outdir=outdir))

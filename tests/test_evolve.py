@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import trace_distance
-from nclsim import evolve, fock, gadgets, liouvillian as lv, steady
+from nclsim import evolve, fock, gadgets, liouvillian as lv, scenarios, steady
 from nclsim.errors import (
     InsufficientDecayError,
     InvalidStateError,
@@ -85,6 +89,67 @@ def test_truncation_breach_guard(fixed_step):
     assert len(traj.states) == 3
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.inf, np.nan])
+def test_tolerance_validation(tol):
+    me = lv.MasterEquation(4, gamma_linear=1.0)
+    rho0 = fock.pure_density(fock.fock_state(1, 4))
+    with pytest.raises(InvalidStateError, match="tol"):
+        evolve.propagate(me, rho0, np.array([0.0, 0.5]), tol=tol)
+    with pytest.raises(InvalidStateError, match="step_tol"):
+        evolve.evolve_to_steady(me, rho0, step_tol=tol)
+    with pytest.raises(InvalidStateError, match="tol"):
+        evolve.evolve_to_steady(me, rho0, tol=tol)
+
+
+@pytest.mark.parametrize("fixed_step", [None, 2e-4])
+def test_complex_path_matches_real_path(fixed_step):
+    # e^{0.7i}·a·f(a†a) is the same channel; its rounding-level imaginary
+    # parts make the generator complex128, so the stepper runs in complex
+    dim = 20
+    op = gadgets.ncl_lindblad(gadgets.NonlinearFunction.from_name("x-1"), dim)
+    real_me = lv.MasterEquation(dim, gamma_linear=1.0, gamma_nonlinear=0.3, nonlinear_op=op)
+    rotated = lv.MasterEquation(
+        dim, gamma_linear=1.0, gamma_nonlinear=0.3, nonlinear_op=np.exp(0.7j) * op
+    )
+    assert real_me.generator.dtype == np.float64
+    assert rotated.generator.dtype == np.complex128
+    rho0 = fock.pure_density(fock.coherent_state(1.5, dim))
+    grid = np.linspace(0.0, 0.5, 11)
+    a = evolve.propagate(real_me, rho0, grid, fixed_step=fixed_step)
+    b = evolve.propagate(rotated, rho0, grid, fixed_step=fixed_step)
+    for x, y in zip(a.states, b.states):
+        assert x.dtype == y.dtype == np.complex128
+        assert np.abs(x - y).max() <= 1e-10
+
+
+@pytest.mark.parametrize("preset", ["fig1a", "fig1b", "fig1c", "fig1d"])
+def test_preset_propagation_runs_in_real_arithmetic(preset):
+    config = scenarios.expand_preset(preset)[0][1]
+    cfg = scenarios.resolve_point(config, config.sweep.values[0])
+    me, _, _ = scenarios.build_system(cfg)
+    rho0 = scenarios._parse_state(cfg.initial, cfg.dim)
+    eng = evolve._Engine(me, rho0, 0.0, cfg.solver.tol, True, True, evolve.BREACH_TOL, 1)
+    assert eng.yb.dtype == np.float64
+    assert eng.full_state().dtype == np.complex128
+
+
+def test_solver_stats_count_the_work():
+    me = _ncl_me(16, gamma_linear=0.5, gamma_nonlinear=0.3)
+    rho0 = fock.pure_density(fock.coherent_state(1.0, 16))
+    grid = np.linspace(0.0, 1.0, 5)
+    stats = evolve.propagate(me, rho0, grid).stats
+    steps = stats.accepted_steps + stats.rejected_steps
+    # six stage evaluations per attempt, plus f(ρ) at the start and after each shrink
+    assert stats.accepted_steps >= 4 and steps * 6 < stats.rhs_evaluations <= steps * 7 + 1
+    assert 2 <= stats.min_k_active < 16
+    loss = lv.MasterEquation(6, gamma_linear=0.5)
+    fock2 = fock.pure_density(fock.fock_state(2, 6))
+    fixed = evolve.propagate(loss, fock2, grid, fixed_step=0.05).stats
+    # 20 RK4 steps of four evaluations on the 3×3 block that holds |2⟩
+    assert (fixed.accepted_steps, fixed.rejected_steps) == (20, 0)
+    assert (fixed.rhs_evaluations, fixed.min_k_active) == (81, 3)
+
+
 def test_grid_validation():
     me = lv.MasterEquation(4, gamma_linear=1.0)
     rho0 = fock.pure_density(fock.fock_state(0, 4))
@@ -135,6 +200,49 @@ def test_cross_solver_agreement():
     )
     assert res.converged
     assert trace_distance(res.rho, rho_ns) <= 1e-7
+
+
+BLAS_INI = """
+[system]
+dim = 48
+gamma_linear = 1.0
+nbar = 0.5
+omega = 1.5
+
+[initial]
+state = coherent:1.5
+
+[solver]
+method = propagate
+t_grid = log:1e-3:1.0:20
+
+[output]
+directory = {outdir}
+basename = blas
+svg = false
+"""
+
+
+def test_results_do_not_depend_on_blas_threads(tmp_path):
+    # not pure-lowering, so the block stays 48×48 and each stage product is a
+    # 7×2304 matrix-vector product, large enough for BLAS to split it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evolve.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        outdir = tmp_path / f"threads{threads}"
+        path = tmp_path / f"blas{threads}.ini"
+        path.write_text(BLAS_INI.format(outdir=outdir), encoding="utf-8")
+        env = dict(
+            os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, NCLSIM_WORKERS="1"
+        )
+        subprocess.run(
+            [sys.executable, "-m", "nclsim.cli", "evolve", str(path)],
+            capture_output=True, check=True, env=env,
+        )
+        outputs.append(sorted(outdir.glob("*.csv")))
+    assert [p.name for p in outputs[0]] == [p.name for p in outputs[1]] != []
+    for a, b in zip(*outputs):
+        assert a.read_bytes() == b.read_bytes()
 
 
 # -- projector-gadget decay fitting -----------------------------------------
