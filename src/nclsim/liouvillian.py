@@ -14,29 +14,29 @@ libraries that use the (1/2)-convention.
 
 Every linear equation in the package (this one, and the truncated driven
 equation of :mod:`steady`) is compiled once into a :class:`Generator`: a
-list of sandwich terms c·LρR.  A Lindblad equation gives Kρ and ρK† with
-K = -iH - Σ r x†x, plus 2r·xρx† for every channel.  Each operator is stored
-in the form that suits it.  Fock-ladder operators (a, a†, a·f(a†a),
-diagonals, H, K) keep only their few nonzero diagonals, so all terms between
-them fuse into Σ C_{s,t} ⊙ shift_{s,t}(ρ) with coefficient arrays C computed
-in advance.  Any other operator (the projector channel) is kept as one
-matrix, CSR when sparse enough and dense otherwise.
+list of sandwich terms c·LρR.  A Lindblad equation gives -iHρ and ρ(-iH)†,
+and for every channel -r·x†xρ, -r·ρx†x and 2r·xρx†.  Fock-ladder operators
+(a, a†, a·f(a†a), diagonals, H) keep only their few nonzero diagonals, so all
+terms between them fuse into Σ C_{s,t} ⊙ shift_{s,t}(ρ) with coefficient
+arrays C computed in advance.  Any other operator (the projector channel
+A = |φ⟩⟨χ| and its rank-1 A†A) is kept as exact low-rank factors U·Vᵀ from
+one SVD, so its terms cost O(rank·dim²) and no dense product.
 
 The term list has three readers:
 
 * :func:`rhs`, the matrix-free right-hand side (the block below at m = dim);
 * :meth:`Generator.block`, the map on the leading m×m block of a state that
-  vanishes outside it, made by slicing the coefficient arrays; the
-  integrator's shrinking window uses it, writing each derivative into a
-  preallocated stage buffer (``out=``);
+  vanishes outside it, made by slicing the coefficient arrays and the rows of
+  the factors; the integrator's shrinking window uses it, writing each
+  derivative into a preallocated stage buffer (``out=``);
 * :func:`superoperator_sparse` (:meth:`Generator.superoperator`), the sparse
   matrix under column-stacking vectorization: vec(ρ)[i + dim*j] = ρ[i, j],
   so vec(AρB) = (Bᵀ ⊗ A) vec(ρ).  :func:`superoperator_matrix` densifies it.
 
 The generator decides its dtype once, ``Generator.dtype``: float64 when no
-band coefficient and no product term has an imaginary part, as for every
-equation a config can state, else complex128.  Coefficients and product
-matrices are stored in it, the superoperator is built in it, and the
+band coefficient and no factored operator has an imaginary part, as for
+every equation a config can state, else complex128.  Coefficients and
+factors are stored in it, the superoperator is built in it, and the
 integrator keeps its state in it when ρ₀ is real too.
 """
 
@@ -52,8 +52,7 @@ from .errors import DimensionCapError, DimensionMismatchError, InvalidStateError
 from .fock import annihilation, creation, _check_dim
 
 SUPEROPERATOR_DIM_CAP = 64
-_SPARSE_DENSITY_CUTOFF = 0.25
-_MAX_BANDS = 3  # tridiagonal at most: every ladder operator, H and K here
+_MAX_BANDS = 3  # tridiagonal at most: every ladder operator and H here
 
 
 @dataclass(frozen=True)
@@ -82,17 +81,19 @@ def _diagonals(op):
     return {int(s): np.diag(op, s) for s in offsets}
 
 
-def _matrix(op):
-    """``op`` as CSR when sparse enough, dense otherwise; None is the identity."""
-    if op is None or np.count_nonzero(op) > _SPARSE_DENSITY_CUTOFF * op.size:
-        return op
-    return sp.csr_matrix(op)
+def _factors(op):
+    """(U, V) with op = U·Vᵀ, from one SVD cut at numpy's ``matrix_rank`` rule
+    (s > s_max·dim·eps); None is the identity."""
+    if op is None:
+        return None
+    u, s, vh = np.linalg.svd(op)
+    rank = np.count_nonzero(s > s[0] * op.shape[0] * np.finfo(float).eps)
+    return u[:, :rank] * s[:rank], vh[:rank].T
 
 
-def _restrict(op, m: int):
-    if op is None or op.shape[0] == m:
-        return op
-    return op[:m, :m]
+def _restrict(factors, m: int):
+    """Factors of op[:m, :m]: the first m rows of U and of V."""
+    return factors if factors is None else (factors[0][:m], factors[1][:m])
 
 
 class _Block:
@@ -135,8 +136,11 @@ class _Block:
         for dr, dc, sr, sc, coef in shifts:
             out[dr, dc] += coef * rho[sr, sc]
         for c, left, right in self.products:
-            t = rho if left is None else left @ rho
-            out += c * (t if right is None else t @ right)
+            # c·U_L (V_Lᵀ ρ U_R) V_Rᵀ, contracted through the rank-r middle
+            t = rho if left is None else left[1].T @ rho
+            t = t if right is None else t @ right[0]
+            t = t if left is None else left[0] @ t
+            out += c * (t if right is None else t @ right[1].T)
         return out
 
 
@@ -146,12 +150,14 @@ class Generator:
     ``terms`` lists (c, L, R) with L and R dense D×D arrays, or None for the
     identity.  A term whose two operators both have at most three nonzero
     diagonals joins the fused coefficient arrays ``bands``; any other term is
-    kept in ``products`` with its operators as matrices.
+    kept in ``products`` as (c, (U_L, V_L), (U_R, V_R)) with L = U_L·V_Lᵀ and
+    R = U_R·V_Rᵀ, the rank read off the SVD (one column each for the
+    projector channel), or None for the identity.
 
     ``dtype`` is decided once here: float64 when no band coefficient and no
     product term has an imaginary part (every equation a config can state,
     including H = iΩ(a - a†), whose -iH is real), complex128 otherwise.  The
-    bands and products are stored in it, and the window block and the
+    bands and factors are stored in it, and the window block and the
     superoperator compute in it.
     """
 
@@ -180,7 +186,7 @@ class Generator:
 
         self.bands = {st: cast(coef) for st, coef in bands.items()}
         self.products = [
-            (np.real(c) if real else c, _matrix(cast(left)), _matrix(cast(right)))
+            (np.real(c) if real else c, _factors(cast(left)), _factors(cast(right)))
             for c, left, right in products
         ]
         self.apply = self.block(dim)
@@ -209,8 +215,8 @@ class Generator:
         total.eliminate_zeros()
         eye = sp.identity(dim, dtype=self.dtype, format="csr")
         for c, left, right in self.products:
-            lo = eye if left is None else sp.csr_matrix(left)
-            ro = eye if right is None else sp.csr_matrix(right)
+            lo = eye if left is None else sp.csr_matrix(left[0] @ left[1].T)
+            ro = eye if right is None else sp.csr_matrix(right[0] @ right[1].T)
             total = total + c * sp.kron(ro.T, lo, format="csr")
         return total
 
@@ -234,7 +240,9 @@ class MasterEquation:
         nonlinear_op: np.ndarray | None = None,
     ):
         self.dim = _check_dim(dim)
-        if gamma_linear < 0 or gamma_nonlinear < 0 or nbar < 0:
+        if not np.isfinite([gamma_linear, gamma_nonlinear, nbar, omega]).all():
+            raise InvalidStateError("rates, thermal occupation and omega must be finite")
+        if min(gamma_linear, gamma_nonlinear, nbar) < 0:
             raise InvalidStateError("rates and thermal occupation must be >= 0")
         if gamma_nonlinear > 0 and nonlinear_op is None:
             raise InvalidStateError("gamma_nonlinear > 0 requires an engineered operator")
@@ -253,6 +261,8 @@ class MasterEquation:
                 raise DimensionMismatchError(
                     f"engineered operator shape {nonlinear_op.shape} != ({self.dim}, {self.dim})"
                 )
+            if not np.isfinite(nonlinear_op).all():
+                raise InvalidStateError("engineered operator has a non-finite entry")
         self.nonlinear_op = nonlinear_op
         self.hamiltonian = 1j * self.omega * (a - ad)
         herm = np.abs(self.hamiltonian - self.hamiltonian.conj().T).max()
@@ -266,17 +276,18 @@ class MasterEquation:
 
     @cached_property
     def generator(self) -> Generator:
-        """The equation compiled on first use: dρ/dt = Kρ + ρK† + Σ 2r·xρx†
-        with K = -iH - Σ r x†x (construction alone, as in a preflight, skips it)."""
+        """The equation compiled on first use, one term per product, so a rank-1
+        x†x stays rank 1 (construction alone, as in a preflight, skips it)."""
         k = -1j * self.hamiltonian
-        jumps = []
+        terms = [(1.0, k, None), (1.0, None, k.conj().T)]
         for ch in self.channels:
             if ch.rate == 0.0:
                 continue
             x = sp.csr_matrix(ch.op)  # sparse product: x†x without a BLAS call
-            k = k - ch.rate * (x.conj().T @ x).toarray()
-            jumps.append((2.0 * ch.rate, ch.op, ch.op.conj().T))
-        return Generator(self.dim, [(1.0, k, None), (1.0, None, k.conj().T)] + jumps)
+            xdx = (x.conj().T @ x).toarray()
+            r = ch.rate
+            terms += [(-r, xdx, None), (-r, None, xdx), (2.0 * r, ch.op, ch.op.conj().T)]
+        return Generator(self.dim, terms)
 
     @property
     def epsilon(self) -> float:
@@ -344,18 +355,6 @@ def vec(rho: np.ndarray) -> np.ndarray:
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`vec`."""
     return np.asarray(v).reshape((dim, dim), order="F")
-
-
-def spre(op) -> sp.csr_matrix:
-    """Superoperator for left multiplication: vec(Aρ) = spre(A) vec(ρ)."""
-    op = sp.csr_matrix(op)
-    return sp.kron(sp.identity(op.shape[0], format="csr"), op, format="csr")
-
-
-def spost(op) -> sp.csr_matrix:
-    """Superoperator for right multiplication: vec(ρB) = spost(B) vec(ρ)."""
-    op = sp.csr_matrix(op)
-    return sp.kron(op.T, sp.identity(op.shape[0], format="csr"), format="csr")
 
 
 def superoperator_sparse(me: MasterEquation) -> sp.csr_matrix:

@@ -113,9 +113,11 @@ def photon_distribution(rho: np.ndarray) -> DiagonalDistribution:
 
 def purity(rho: np.ndarray) -> float:
     """Tr ρ² (1 for pure states, 1/dim for the maximally mixed state), as
-    Σ|ρ_ij|² for Hermitian ρ: O(dim²), no matrix product."""
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.vdot(rho, rho).real)
+    Σ|ρ_ij|² for Hermitian ρ: O(dim²), no matrix product.  Summed by einsum
+    over the real view, not a BLAS dot, whose last digit depends on the
+    thread count."""
+    v = np.ascontiguousarray(rho, dtype=complex).view(float).ravel()
+    return float(np.einsum("i,i->", v, v))
 
 
 @dataclass(frozen=True)

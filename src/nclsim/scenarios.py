@@ -114,9 +114,12 @@ class ScenarioConfig:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
         if not (np.isfinite(self.solver.tol) and self.solver.tol > 0):
             raise ConfigError(f"tol must be finite and > 0, got {self.solver.tol!r}")
-        for name in ("gamma_linear", "gamma_nonlinear", "nbar"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("gamma_linear", "gamma_nonlinear", "nbar", "omega"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+            if value < 0 and name != "omega":
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         if self.gadget.kind not in ("ncl", "projector", "none"):
             raise ConfigError(f"unknown gadget kind {self.gadget.kind!r}")
         if self.sweep.parameter != "none":

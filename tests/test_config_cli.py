@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -322,6 +323,26 @@ basename = boom
     outdir = tmp_path / "boom"
     path = _write(tmp_path, ini.format(outdir=outdir))
     assert cli.main(["evolve", path]) == 2  # truncation breach on the only point
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("gamma_linear", "nan"), ("gamma_nonlinear", "inf"), ("nbar", "nan"), ("omega", "inf")],
+)
+def test_non_finite_system_value_is_config_error(tmp_path, capsys, name, value):
+    outdir = tmp_path / "out"
+    ini = re.sub(rf"^{name} = .*\n", "", EVOLVE_INI.format(outdir=outdir), flags=re.M)
+    path = _write(tmp_path, ini.replace("dim = 20\n", f"dim = 20\n{name} = {value}\n"))
+    with pytest.raises(ConfigError, match=name):
+        parse_config(path)
+    assert cli.main(["evolve", path]) == 1
+    assert not outdir.exists()
+    fig = tmp_path / "fig"
+    assert cli.main(["figure", "fig1c", "--out", str(fig), "--override", f"{name}={value}"]) == 1
+    assert not fig.exists()
+    err = capsys.readouterr().err
+    assert err.count(f"config error: {name} must be finite") == 2
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-9", "inf", "nan"])

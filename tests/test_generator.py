@@ -1,9 +1,9 @@
 """Differential properties of the compiled generator.
 
-The fused band terms, the matrix terms, the block restriction and the sparse
+The fused band terms, the factored terms, the block restriction and the sparse
 superoperator are checked against the dense reference -i[H, ρ] + Σ r·L(x)ρ
 on randomly drawn equations: dim 2-12, random rates, drive and thermal
-occupation, and an NCL, projector or no engineered channel.
+occupation, and an NCL, projector, random low-rank or no engineered channel.
 """
 
 import numpy as np
@@ -27,6 +27,11 @@ def _engineered(draw, kind, dim, rng):
         phi, y = (rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(2))
         ak = np.linalg.matrix_power(fock.annihilation(dim), draw(st.integers(1, 2)))
         return np.outer(phi, y.conj() @ ak)
+    if kind == "lowrank":  # generic complex operator of drawn rank 1..dim
+        us, vs = (
+            rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2)
+        )
+        return sum(np.outer(us[i], vs[i]) for i in range(draw(st.integers(1, dim))))
     return None
 
 
@@ -36,7 +41,7 @@ def equations(draw, lowering=False):
     ``lowering`` only pure-lowering ones (no drive, no pumping, no projector)."""
     dim = draw(st.integers(2, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = ["ncl", "none"] if lowering else ["ncl", "projector", "none"]
+    kinds = ["ncl", "none"] if lowering else ["ncl", "projector", "lowrank", "none"]
     op = _engineered(draw, draw(st.sampled_from(kinds)), dim, rng)
     me = lv.MasterEquation(
         dim,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density
-from nclsim import fock, gadgets, liouvillian as lv
+from nclsim import fock, gadgets, liouvillian as lv, scenarios
 from nclsim.errors import DimensionCapError, DimensionMismatchError, InvalidStateError
 
 
@@ -54,6 +54,32 @@ def test_master_equation_channels():
         lv.MasterEquation(6, gamma_linear=-1.0)
     with pytest.raises(InvalidStateError):
         lv.MasterEquation(6, gamma_nonlinear=1.0)  # engineered channel without operator
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"gamma_linear": float("nan")},
+        {"gamma_nonlinear": float("inf")},
+        {"nbar": float("nan")},
+        {"omega": float("-inf")},
+        {"nonlinear_op": np.diag(np.full(5, np.nan), 1)},
+    ],
+)
+def test_master_equation_rejects_non_finite_input(kw):
+    kw = {"gamma_nonlinear": 1.0, "nonlinear_op": fock.annihilation(6), **kw}
+    with pytest.raises(InvalidStateError, match="finite"):
+        lv.MasterEquation(6, **kw)
+
+
+def test_projector_channel_compiles_to_rank_one_factors():
+    config = scenarios.expand_preset("fig1a")[0][1]
+    me, _, _ = scenarios.build_system(scenarios.resolve_point(config, config.sweep.values[0]))
+    products = me.generator.products
+    assert len(products) == 3  # -γA†Aρ, -γρA†A and 2γAρA†; H and the ladder stay banded
+    for _, left, right in products:
+        for factors in (left, right):
+            assert factors is None or all(f.shape == (me.dim, 1) for f in factors)
 
 
 def test_rhs_zero_generator(rng):

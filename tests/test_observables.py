@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -81,6 +85,31 @@ def test_purity():
         1.0, abs=1e-10
     )
     assert obs.purity(np.eye(4, dtype=complex) / 4) == pytest.approx(0.25)
+
+
+PURITY_SCRIPT = """
+import numpy as np
+from nclsim import observables
+for seed in (0, 1, 2):
+    rng = np.random.default_rng(seed)
+    rho = rng.normal(size=(200, 200)) + 1j * rng.normal(size=(200, 200))
+    print(float.hex(observables.purity(rho)))
+"""
+
+
+def test_purity_does_not_depend_on_blas_threads():
+    # 40000 complex entries: long enough for OpenBLAS to split a dot among threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(obs.__file__)))
+    digits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-c", PURITY_SCRIPT],
+            capture_output=True, check=True, env=env, text=True,
+        )
+        digits.append(run.stdout.split())
+    assert len(digits[0]) == 3
+    assert digits[0] == digits[1]
 
 
 def test_purity_equals_trace_of_square(rng):
