@@ -2,9 +2,16 @@
 
 The integrator is an embedded Dormand-Prince 4(5) pair with PI step-size
 control, applied directly to the D×D density matrix (no vectorization).
-After every accepted step the state is re-Hermitized, ρ ← (ρ+ρ†)/2;
-positivity is monitored but never projected, so integrator bugs surface in
-the recorded diagnostics instead of being masked.
+The error is controlled per step: the local error estimate of a step,
+h·‖Σ eᵢkᵢ‖, must stay below ``tol``·max(1, ‖ρ‖) (Frobenius norms), and the
+PI controller uses the exponents of an error of order h⁵ (Hairer, Nørsett &
+Wanner, *Solving ODEs I*, §II.4).  Steps are clipped only at the final time:
+a grid time inside an accepted step is read from the pair's free 4th-order
+continuous extension over the stage derivatives of that step (§II.6).
+After every accepted step, and for every grid state, the state is
+re-Hermitized, ρ ← (ρ+ρ†)/2; positivity is monitored but never projected,
+so integrator bugs surface in the recorded diagnostics instead of being
+masked.
 
 For master equations with no upward coupling (no driving, no thermal
 pumping, every channel operator on a single superdiagonal) population only
@@ -15,11 +22,12 @@ stability constraint.  This is exact up to the 1e-14 clip and is what makes
 large-cutoff transient runs affordable.
 
 One explicit Runge-Kutta step reads a Butcher tableau: DP45 with its error
-row, or, when ``fixed_step`` is given, classical RK4 with a fixed step and no
-error row.  Re-Hermitization, diagnostics, the truncation-breach guard
-(checked after every step) and the window shrink are shared.  The stage
-derivatives are the rows of one array, and every stage input, the new state
-and the error estimate is one tableau row times that array.
+row, or, when ``fixed_step`` is given, classical RK4 with a fixed step, no
+error row and its cubic continuous extension.  Re-Hermitization,
+diagnostics, the truncation-breach guard (checked after every step), grid
+recording and the window shrink are shared.  The stage derivatives are the
+rows of one array, and every stage input, the new state, the error estimate
+and every grid state is one tableau row times that array.
 
 The active block is float64 when the generator (see
 :class:`~nclsim.liouvillian.Generator`) and ρ₀ are both real, as for every
@@ -47,8 +55,9 @@ from .errors import (
 from .fock import check_density_matrix
 from .liouvillian import MasterEquation
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-12
 STEADY_TOL = 1e-10
+STEADY_STEP_TOL = 1e-13
 BREACH_TOL = 1e-6
 _SHRINK_CUT = 1e-14
 
@@ -58,11 +67,14 @@ class _Tableau:
     """An explicit Runge-Kutta method whose last stage is evaluated at the
     new state (first same as last): ``a[i]`` weights the stages before stage
     i, ``b`` gives the new state and ``e``, over every stage and the last
-    one, the local error estimate (None: no estimate, every step accepted)."""
+    one, the local error estimate (None: no estimate, every step accepted).
+    ``p`` is the continuous extension over the same rows: the state at
+    t + θh is y + h·Σ bᵢ(θ)kᵢ with bᵢ(θ) = Σ_j p[i, j]·θ^(j+1)."""
 
     a: tuple
     b: np.ndarray
     e: np.ndarray | None
+    p: np.ndarray
 
     @property
     def stages(self) -> int:
@@ -70,7 +82,8 @@ class _Tableau:
 
 
 # Dormand & Prince, J. Comput. Appl. Math. 6 (1980): 5th-order solution, error
-# against the embedded 4th-order one
+# against the embedded 4th-order one; the free 4th-order continuous extension
+# is Dormand & Prince's (Hairer, Nørsett & Wanner, Solving ODEs I, §II.6)
 _DP45 = _Tableau(
     a=(
         (),
@@ -92,13 +105,33 @@ _DP45 = _Tableau(
             -1 / 40,
         ]
     ),
+    p=np.array(
+        [
+            [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+            [0, 0, 0, 0],
+            [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+            [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+            [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+            [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+            [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+        ]
+    ),
 )
 
-# classical fourth-order Runge-Kutta
+# classical fourth-order Runge-Kutta with its cubic continuous extension
 _RK4 = _Tableau(
     a=((), np.array([1 / 2]), np.array([0.0, 1 / 2]), np.array([0.0, 0.0, 1.0])),
     b=np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6]),
     e=None,
+    p=np.array(
+        [
+            [1, -3 / 2, 2 / 3],
+            [0, 1, -2 / 3],
+            [0, 1, -2 / 3],
+            [0, -1 / 2, 2 / 3],
+            [0, 0, 0],
+        ]
+    ),
 )
 
 
@@ -141,7 +174,8 @@ class SolverStats:
 class _Engine:
     """Explicit Runge-Kutta stepper on the active block: adaptive DP45, or
     classical RK4 with a fixed step when ``fixed_step`` is given, with
-    hermitization, guards and window shrink.
+    hermitization, guards, window shrink and grid states from the continuous
+    extension of each accepted step.
 
     The block is float64 when the generator and ρ₀ are both real, and
     complex128 otherwise.  Stage derivatives are the rows of one
@@ -219,7 +253,7 @@ class _Engine:
 
     def _step(self, h: float):
         """One attempt of size h: the new state, its asymmetry, and the
-        error norm in units of the tolerance (0 without an error row)."""
+        local error norm in units of the tolerance (0 without an error row)."""
         tab, y, k, kflat = self.tableau, self.yb, self.k, self.kflat
         self.derivative()
         stage_flat = _flat(self.stage)
@@ -233,8 +267,16 @@ class _Engine:
         self.rhs_evaluations += tab.stages
         if tab.e is None:
             return ynew, asym, 0.0
-        err = _norm(tab.e @ kflat)
+        err = h * _norm(tab.e @ kflat)
         return ynew, asym, err / (self.tol * max(1.0, _norm(_flat(y))))
+
+    def _dense(self, y: np.ndarray, theta: float, h: float):
+        """The hermitized state at t + θh inside the step of size h from y,
+        y + h·Σ bᵢ(θ)kᵢ over the stage rows of that step, and its asymmetry."""
+        p = self.tableau.p
+        w = (h * theta) * (p @ theta ** np.arange(p.shape[1]))
+        dy = w @ self.kflat
+        return _hermitized(y + dy.view(y.dtype).reshape(y.shape))
 
     def _shrink(self):
         k = self.k_active
@@ -256,57 +298,80 @@ class _Engine:
                 time=self.t,
             )
 
-    def step_to(self, t_target: float, on_accept=None):
-        """Advance to t_target; on_accept(residual) may return True to stop,
-        where residual is ||f(y)||_F at the accepted state."""
+    def run(self, t_end: float, grid=(), on_accept=None) -> list:
+        """Advance to t_end and observe the state at each time of the
+        ascending ``grid`` inside (t, t_end].
+
+        Steps are clipped only at t_end; a grid time inside an accepted step
+        is observed from that step's continuous extension.  on_accept(residual)
+        may return True to stop, where residual is ||f(y)||_F at the accepted
+        state.  Returns the observations (see :meth:`observe`).
+        """
+        seen = []
         if self.h is None:
-            self.h = self._seed_step(t_target - self.t)
-        while self.t < t_target - 1e-14 * max(1.0, abs(t_target)):
+            self.h = self._seed_step(t_end - self.t)
+        done = 1e-14 * max(1.0, abs(t_end))
+        while self.t < t_end - done:
             if self.accepted + self.rejected >= self.max_steps:
                 raise SimulationError(
                     f"integration exceeded {self.max_steps} step attempts"
                 )
-            h = min(self.h, t_target - self.t)
+            h = min(self.h, t_end - self.t)
             ynew, asym, en = self._step(h)
             if en <= 1.0:
+                y, t = self.yb, self.t
                 self.accepted += 1
                 self.yb = ynew
-                self.t += h
-                self.k[0] = self.k[-1]
+                self.t = t_end if t + h >= t_end - done else t + h
                 self.last_asym = asym
                 self._guard()
+                while len(seen) < len(grid) and grid[len(seen)] <= self.t:
+                    theta = min(1.0, (grid[len(seen)] - t) / h)
+                    seen.append(self.observe(*self._dense(y, theta, h)))
+                self.k[0] = self.k[-1]
                 if self.windowed:
                     self._shrink()
                 if self.tableau.e is not None:
+                    # PI control for a local error of order h⁵
                     en_c = max(en, 1e-10)
-                    fac = 0.9 * en_c**-0.175 * max(self.err_prev, 1e-10) ** 0.1
+                    fac = 0.9 * en_c ** (-0.7 / 5) * max(self.err_prev, 1e-10) ** (0.4 / 5)
                     self.h = h * min(10.0, max(0.2, fac))
                     self.err_prev = en_c
                 if on_accept is not None and on_accept(_norm(_flat(self.derivative()))):
-                    return
+                    return seen
             else:
                 self.rejected += 1
-                self.h = h * max(0.1, 0.9 * en ** (-1 / 4))
+                self.h = h * max(0.1, 0.9 * en ** (-1 / 5))
             if self.h < 1e-15 * max(1.0, abs(self.t)):
                 raise StepSizeUnderflowError(
                     f"step size underflow at t={self.t:.6g} (h={self.h:.3e})"
                 )
+        # only a span within round-off of t_end is left without a step
+        seen += [self.observe() for _ in grid[len(seen):]]
+        return seen
 
     # -- observation ------------------------------------------------------
 
-    def full_state(self) -> np.ndarray:
+    def full_state(self, y: np.ndarray | None = None) -> np.ndarray:
+        """A block of the current size (the current state by default),
+        padded with zeros to dim×dim, complex128."""
         full = np.zeros((self.dim, self.dim), dtype=complex)
-        full[: self.k_active, : self.k_active] = self.yb
+        full[: self.k_active, : self.k_active] = self.yb if y is None else y
         return full
 
-    def diagnostics(self):
-        tr_err = abs(float(np.real(np.trace(self.yb))) - 1.0)
-        w = np.linalg.eigvalsh(self.yb)
-        min_eig = float(w.min())
+    def observe(self, y: np.ndarray | None = None, asym: float | None = None):
+        """(full state, diagnostics) of a block of the current size, the
+        current state by default; the diagnostics are the trace error, the
+        asymmetry removed by its hermitization, the smallest eigenvalue and
+        the top Fock population."""
+        if y is None:
+            y, asym = self.yb, self.last_asym
+        tr_err = abs(float(np.real(np.trace(y))) - 1.0)
+        min_eig = float(np.linalg.eigvalsh(y).min())
         if self.k_active < self.dim:
             min_eig = min(min_eig, 0.0)
-        top = float(self.yb[-1, -1].real) if self.k_active == self.dim else 0.0
-        return tr_err, self.last_asym, min_eig, top
+        top = float(y[-1, -1].real) if self.k_active == self.dim else 0.0
+        return self.full_state(y), (tr_err, asym, min_eig, top)
 
     def stats(self) -> SolverStats:
         # the window only shrinks, so the current block is the smallest
@@ -357,7 +422,9 @@ def propagate(
     """Integrate dρ/dt = rhs(me, ρ) and record the state on a time grid.
 
     ``grid`` must be ascending; ``rho0`` is the state at ``grid[0]``.  ``tol``
-    is the local error tolerance per unit time, finite and > 0.  ``fixed_step``
+    is the local error tolerance per step, relative to max(1, ‖ρ‖), finite
+    and > 0.  The grid does not clip the steps: each grid state comes from
+    the continuous extension of the step that covers it.  ``fixed_step``
     selects the classical fixed-step RK4 fallback instead of the adaptive pair.
     """
     tol = _check_tol("tol", tol)
@@ -373,14 +440,9 @@ def propagate(
     eng = _Engine(
         me, rho0, grid[0], tol, window, breach_guard, breach_tol, max_steps, fixed_step
     )
-    states = [eng.full_state()]
-    diags = [eng.diagnostics()]
-    for t_next in grid[1:]:
-        eng.step_to(float(t_next))
-        states.append(eng.full_state())
-        diags.append(eng.diagnostics())
+    states, diags = zip(eng.observe(), *eng.run(float(grid[-1]), grid[1:]))
     tr, he, mi, tp = (np.array(col) for col in zip(*diags))
-    return Trajectory(grid.copy(), states, tr, he, mi, tp, eng.stats())
+    return Trajectory(grid.copy(), list(states), tr, he, mi, tp, eng.stats())
 
 
 def evolve_to_steady(
@@ -388,7 +450,7 @@ def evolve_to_steady(
     rho0: np.ndarray,
     tol: float = STEADY_TOL,
     t_max: float = 1000.0,
-    step_tol: float = DEFAULT_TOL,
+    step_tol: float = STEADY_STEP_TOL,
     breach_guard: bool = True,
     breach_tol: float = BREACH_TOL,
     window: bool = True,
@@ -396,7 +458,10 @@ def evolve_to_steady(
 ) -> SteadyEvolveResult:
     """Integrate until ||rhs(ρ)||_F < tol or t_max is reached.
 
-    ``tol`` and the step tolerance ``step_tol`` must be finite and > 0.  The
+    ``tol`` and the per-step error tolerance ``step_tol`` must be finite and
+    > 0.  Every step may leave a local error of about ``step_tol``, so the
+    residual cannot fall much below the fastest rate times ``step_tol``;
+    tighten both together.  The
     returned result is explicitly tagged converged/unconverged; callers must
     not treat an unconverged state as stationary.
     """
@@ -416,7 +481,7 @@ def evolve_to_steady(
         state["res"] = res
         return res < tol
 
-    eng.step_to(float(t_max), on_accept=check)
+    eng.run(float(t_max), on_accept=check)
     residual = state["res"]
     return SteadyEvolveResult(eng.full_state(), residual < tol, eng.t, residual)
 

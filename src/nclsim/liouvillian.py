@@ -184,9 +184,22 @@ class Generator:
         def cast(x):
             return x if x is None else np.asarray(np.real(x) if real else x, dtype=self.dtype)
 
+        factored = []  # (operator, its factors): one SVD per distinct operator
+
+        def factors(op):
+            if op is None:
+                return None
+            for prev, (u, v) in factored:
+                if np.array_equal(op, prev):
+                    return u, v
+                if np.array_equal(op, prev.conj().T):
+                    return v.conj(), u.conj()  # (U·Vᵀ)† = V̄·Ūᵀ
+            factored.append((op, _factors(op)))
+            return factored[-1][1]
+
         self.bands = {st: cast(coef) for st, coef in bands.items()}
         self.products = [
-            (np.real(c) if real else c, _factors(cast(left)), _factors(cast(right)))
+            (np.real(c) if real else c, factors(cast(left)), factors(cast(right)))
             for c, left, right in products
         ]
         self.apply = self.block(dim)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, SimulationError
-from .evolve import SolverStats, propagate
+from .evolve import DEFAULT_TOL, SolverStats, propagate
 from .fock import coherent_state, fock_state, pure_density, thermal_density
 from .gadgets import NonlinearFunction, ProjectorGadget, ncl_lindblad, projector_lindblad
 from .liouvillian import MasterEquation
@@ -78,7 +78,7 @@ class GadgetSpec:
 class SolverSpec:
     method: str = "propagate"
     t_grid: tuple = ("log", 1e-3, 1.0, 100)  # expanded with a leading t=0
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     recurrence_start: int = 0
 
 

@@ -54,7 +54,7 @@ def gadget_run():
     t_steady = time.time() - t0
 
     t0 = time.time()
-    traj = evolve.propagate(me, rho0, np.linspace(0.0, 0.2, 240), tol=1e-9)
+    traj = evolve.propagate(me, rho0, np.linspace(0.0, 0.2, 240))
     t_traj = time.time() - t0
     return {
         "gadget": g,

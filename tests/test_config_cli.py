@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from nclsim import cli, scenarios as sc
+from nclsim import cli, evolve, scenarios as sc
 from nclsim.config import parse_config
 from nclsim.errors import ConfigError
 
@@ -26,7 +26,6 @@ state = coherent:1.2
 [solver]
 method = propagate
 t_grid = log:1e-3:0.5:25
-tol = 1e-9
 
 [sweep]
 parameter = alpha
@@ -348,7 +347,8 @@ def test_non_finite_system_value_is_config_error(tmp_path, capsys, name, value):
 @pytest.mark.parametrize("tol", ["0", "-1e-9", "inf", "nan"])
 def test_bad_tolerance_is_config_error(tmp_path, capsys, tol):
     outdir = tmp_path / "out"
-    path = _write(tmp_path, EVOLVE_INI.format(outdir=outdir).replace("tol = 1e-9", f"tol = {tol}"))
+    ini = EVOLVE_INI.format(outdir=outdir).replace("[solver]\n", f"[solver]\ntol = {tol}\n")
+    path = _write(tmp_path, ini)
     with pytest.raises(ConfigError, match="tol"):
         parse_config(path)
     assert cli.main(["evolve", path]) == 1
@@ -359,6 +359,15 @@ def test_bad_tolerance_is_config_error(tmp_path, capsys, tol):
     err = capsys.readouterr().err
     assert err.count("config error: tol must be finite and > 0") == 2
     assert "Traceback" not in err
+
+
+def test_ini_without_tol_uses_the_integrator_default(tmp_path):
+    outdir = tmp_path / "out"
+    assert "tol" not in EVOLVE_INI
+    path = _write(tmp_path, EVOLVE_INI.format(outdir=outdir))
+    assert cli.main(["evolve", path]) == 0
+    payload = json.loads((outdir / "unit_provenance.json").read_text(encoding="utf-8"))
+    assert payload["tolerances"]["solver_tol"] == evolve.DEFAULT_TOL
 
 
 def test_provenance_records_solver_stats(tmp_path, monkeypatch):

@@ -76,6 +76,64 @@ def test_step_tolerance_control():
     assert trace_distance(base, tight) < 10 * 1e-8
 
 
+def test_grid_points_cost_no_steps():
+    # steps are clipped only at the final time, so a 200-point grid takes the
+    # same steps as a 10-point one over the same span
+    me = _ncl_me(40, gamma_linear=1.0, gamma_nonlinear=0.2)
+    rho0 = fock.pure_density(fock.coherent_state(2.0, 40))
+    coarse, fine = (
+        evolve.propagate(me, rho0, np.concatenate([[0.0], np.geomspace(1e-5, 1.0, n)]))
+        for n in (10, 200)
+    )
+    assert coarse.stats == fine.stats
+    assert coarse.stats.min_k_active < 40  # the window shrank
+    assert np.abs(coarse.states[-1] - fine.states[-1]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("fixed_step", [None, 2e-4])
+def test_dense_output_inside_the_first_step_and_at_the_end(fixed_step):
+    # ten grid points inside the first step and the last one on the final
+    # time, all read from the continuous extension of the step that covers them
+    me = _ncl_me(24, gamma_linear=1.0, gamma_nonlinear=0.2, omega=0.5)
+    rho0 = fock.pure_density(fock.coherent_state(2.0, 24))
+    grid = np.concatenate([[0.0], np.linspace(1e-9, 1e-8, 10), [0.05, 0.1]])
+    traj = evolve.propagate(me, rho0, grid, fixed_step=fixed_step)
+    ends = evolve.propagate(me, rho0, grid[[0, -1]], fixed_step=fixed_step)
+    tight = evolve.propagate(me, rho0, grid, tol=evolve.DEFAULT_TOL / 100)
+    assert traj.stats == ends.stats  # the grid points took no step of their own
+    for a, b in zip(traj.states, tight.states):
+        assert np.abs(a - b).max() <= 1e-10
+    assert traj.trace_error.max() <= 1e-8 and traj.herm_error.max() <= 1e-10
+
+
+def _projector_me(dim, target, alpha, k, gamma_linear):
+    g = gadgets.ProjectorGadget(fock.fock_state(target, dim), fock.coherent_state(alpha, dim), k)
+    op = gadgets.projector_lindblad(g, dim)
+    return lv.MasterEquation(dim, gamma_linear=gamma_linear, gamma_nonlinear=1.0, nonlinear_op=op)
+
+
+@pytest.mark.parametrize(
+    "make, alpha",
+    [
+        pytest.param(lambda: _ncl_me(14, gamma_linear=1.0, gamma_nonlinear=0.2), 1.0, id="ncl14"),
+        pytest.param(
+            lambda: _ncl_me(24, gamma_linear=0.5, gamma_nonlinear=0.2, omega=1.0), 2.0,
+            id="ncl24-driven",
+        ),
+        pytest.param(lambda: _ncl_me(40, gamma_linear=1.0, gamma_nonlinear=0.2), 3.0, id="ncl40"),
+        pytest.param(lambda: _projector_me(24, 2, 1.0, 2, 0.0), 1.0, id="projector24"),
+        pytest.param(lambda: _projector_me(40, 2, 2.0, 2, 0.2), 2.0, id="projector40"),
+    ],
+)
+def test_default_tolerance_is_within_1e_10_of_a_tighter_run(make, alpha):
+    me = make()
+    rho0 = fock.pure_density(fock.coherent_state(alpha, me.dim))
+    grid = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 30)])
+    default = evolve.propagate(me, rho0, grid)
+    tight = evolve.propagate(me, rho0, grid, tol=evolve.DEFAULT_TOL / 100)
+    assert max(np.abs(a - b).max() for a, b in zip(default.states, tight.states)) <= 1e-10
+
+
 @pytest.mark.parametrize("fixed_step", [None, 1e-3])
 def test_truncation_breach_guard(fixed_step):
     me = lv.MasterEquation(5, omega=4.0)  # hard coherent drive, tiny space
@@ -173,7 +231,7 @@ def test_evolve_to_steady_thermal_detailed_balance():
     me = lv.MasterEquation(24, gamma_linear=1.0, nbar=nbar)
     rho0 = fock.pure_density(fock.fock_state(0, 24))
     # the steady tolerance must sit above the integrator's local-error noise
-    # floor (~||L|| * step_tol * h); 1e-9 is comfortably reachable
+    # floor (~||L|| * step_tol); 1e-9 is comfortably reachable
     res = evolve.evolve_to_steady(me, rho0, tol=1e-9, t_max=50.0)
     assert res.converged
     p = np.real(np.diag(res.rho))

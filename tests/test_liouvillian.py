@@ -82,6 +82,21 @@ def test_projector_channel_compiles_to_rank_one_factors():
             assert factors is None or all(f.shape == (me.dim, 1) for f in factors)
 
 
+def test_projector_channel_takes_one_svd_per_distinct_operator(monkeypatch):
+    # A and A†A are factored once each: A† reuses A's factors, and A†A
+    # appears on both sides of ρ
+    config = scenarios.expand_preset("fig1a")[0][1]
+    me, _, _ = scenarios.build_system(scenarios.resolve_point(config, config.sweep.values[0]))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    products = me.generator.products
+    assert len(calls) == 2
+    (_, xdx_left, _), (_, _, xdx_right), (_, x, xd) = products
+    assert all(a is b for a, b in zip(xdx_left, xdx_right))
+    assert np.allclose(xd[0] @ xd[1].T, (x[0] @ x[1].T).conj().T, rtol=0, atol=1e-15)
+
+
 def test_rhs_zero_generator(rng):
     me = lv.MasterEquation(7)
     rho = random_density(7, rng)
