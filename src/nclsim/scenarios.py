@@ -33,6 +33,7 @@ from .observables import (
     poisson_distribution,
 )
 from .steady import (
+    LUStats,
     approximate_steady_state,
     ncl_recurrence,
     steady_state_nullspace,
@@ -172,7 +173,7 @@ class PointResult:
     distribution: DiagonalDistribution | None = None
     distribution_label: str | None = None
     poisson_reference: DiagonalDistribution | None = None
-    solver_stats: SolverStats | None = None
+    solver_stats: SolverStats | LUStats | None = None
 
 
 @dataclass
@@ -353,12 +354,13 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
 
     if method in ("steady", "steady_approx"):
         me, f, target = build_system(cfg)
+        stats = LUStats()
         if method == "steady":
-            rho = steady_state_nullspace(me)
+            rho = steady_state_nullspace(me, stats=stats)
         elif f is None:
             raise ConfigError("steady_approx needs an ncl gadget")
         else:
-            rho = approximate_steady_state(me, f)
+            rho = approximate_steady_state(me, f, stats=stats)
         report = observable_report(rho, target=target)
         dist = report.distribution if _steady_distribution_wanted(cfg.output, value) else None
         return PointResult(
@@ -368,6 +370,7 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
             converged=True,
             distribution=dist,
             distribution_label="steady" if dist is not None else None,
+            solver_stats=stats,
         )
 
     if method in ("recurrence_ncl", "recurrence_thermal"):
@@ -464,7 +467,8 @@ def run_sweep(config: ScenarioConfig, workers: int | None = None) -> ScenarioRes
         "version": __version__,
         "config": asdict(config),
         "tolerances": {"solver_tol": config.solver.tol},
-        # deterministic step counts of every propagated point (none for solves)
+        # deterministic step counts of every propagated point and sparse LU
+        # counts of every null-space point (none for recurrences)
         "solver_stats": [
             {"sweep_value": p.sweep_value if np.isfinite(p.sweep_value) else None}
             | asdict(p.solver_stats)

@@ -1,17 +1,18 @@
 """Stationary states: exact null-space solving and analytic diagonal theory.
 
 Exact steady states come from the null space of the vectorized Liouvillian,
-by one sparse direct solve in which one diagonal row of the superoperator is
-replaced by the trace constraint; a second solve with another replaced row
-probes for a degenerate null space.  The replaced row is always a *diagonal*
-row because trace preservation makes exactly the diagonal rows linearly
-dependent, so no information is lost.  The solve runs in the superoperator's
-own dtype: float64 whenever the equation is real (every preset and config
-equation), complex128 otherwise; SuperLU orders the columns by minimum degree
-on Aᵀ+A.  States are returned as complex128 either way.  The full equation
-and the truncated equation below share this solve and its dimension cap.  A
-dense SVD of the superoperator (method 'svd', capped much lower) is kept as a
-reference.
+by one sparse LU solve in which one diagonal row of the superoperator is
+replaced by the trace constraint.  Replacing another row instead is a rank-2
+update of that system; its solution, from the same factors by Woodbury's
+identity, probes for a degenerate null space.  The replaced row is always a
+*diagonal* row because trace preservation makes exactly the diagonal rows
+linearly dependent, so no information is lost.  The solve runs in the
+superoperator's own dtype: float64 whenever the equation is real (every
+preset and config equation), complex128 otherwise; SuperLU orders the
+columns by minimum degree on Aᵀ+A.  States are returned as complex128 either
+way.  The full equation and the truncated equation below share this solve
+and its dimension cap.  A dense SVD of the superoperator (method 'svd',
+capped much lower) is kept as a reference.
 
 The analytic side implements the detailed-balance recurrences for the
 diagonal of the stationary state:
@@ -66,9 +67,9 @@ RESIDUAL_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
 _PROBE_TOL = 1e-7
 # Largest dim the sparse trace-row solve takes.  Driven NCL (α₀ = 150, ε = 1,
-# both probe factorizations in float64, one BLAS thread, 2-core x86 VM,
-# process peak RSS): 0.3 s and 91 MB at dim 128, 0.8 s and 127 MB at 200,
-# 1.7 s and 173 MB at 256, 2.8 s and 238 MB at 320.
+# one float64 factorization with the probe, one BLAS thread, 2-core x86 VM,
+# process peak RSS): 0.17 s and 90 MB at dim 128, 0.50 s and 127 MB at 200,
+# 0.87 s and 174 MB at 256, 1.6 s and 240 MB at 320.
 SPARSE_DIM_CAP = 256
 
 
@@ -108,7 +109,8 @@ def _state_from_null_vector(lop, v: np.ndarray, dim: int, residual_tol: float) -
     return rho.astype(complex)
 
 
-def _solve_with_trace_row(lop: sp.csr_matrix, dim: int, row: int) -> np.ndarray:
+def _with_trace_row(lop: sp.csr_matrix, dim: int, row: int) -> sp.csc_matrix:
+    """``lop`` with row ``row`` replaced by the trace row."""
     n = dim * dim
     m = lop.copy()
     m.data[m.indptr[row] : m.indptr[row + 1]] = 0.0
@@ -116,53 +118,134 @@ def _solve_with_trace_row(lop: sp.csr_matrix, dim: int, row: int) -> np.ndarray:
     trace_row = sp.csr_matrix(
         (np.ones(dim), (np.full(dim, row), np.arange(dim) * (dim + 1))), shape=(n, n)
     )
-    m = (m + trace_row).tocsc()
-    b = np.zeros(n, dtype=lop.dtype)
-    b[row] = 1.0
-    # minimum degree on Aᵀ+A: less fill than the default COLAMD on these
-    # structurally near-symmetric matrices (at dim 128, L+U 1.06M against 1.59M)
-    lu = splu(m, permc_spec="MMD_AT_PLUS_A")
-    x = lu.solve(b)
-    for _ in range(3):  # iterative refinement against the modified system
-        r = b - m @ x
+    return (m + trace_row).tocsc()
+
+
+def _refined(x: np.ndarray, b: np.ndarray, apply, solve) -> np.ndarray:
+    """``x`` after up to three steps of iterative refinement of apply(x) = b."""
+    for _ in range(3):
+        r = b - apply(x)
         if np.linalg.norm(r) <= 1e-14 * max(1.0, np.linalg.norm(x)):
             break
-        x = x + lu.solve(r)
+        x = x + solve(r)
     return x
 
 
-def _nullspace_direct(dim: int, build, residual_tol: float, cap: int = SPARSE_DIM_CAP) -> np.ndarray:
+def _unit(n: int, row: int, dtype) -> np.ndarray:
+    b = np.zeros(n, dtype=dtype)
+    b[row] = 1.0
+    return b
+
+
+def _woodbury_probe(m, solve, w: sp.csr_matrix, rows: tuple, z: np.ndarray):
+    """Solution of M₂x = e_{r₁}, where M₂ = M₁ + e_{r₀}W₀ + e_{r₁}W₁ differs
+    from the factored system M₁ (trace row at r₀) in rows r₀ and r₁; None
+    when M₂ is singular to working precision.
+
+    ``z`` is M₁⁻¹[e_{r₀}, e_{r₁}].  With the 2×2 capacitance C = I + WZ,
+    Woodbury's identity gives M₂⁻¹b = y - ZC⁻¹Wy with y = M₁⁻¹b, and C is
+    singular exactly when M₂ is.  Refinement runs against M₂.
+    """
+    r0, r1 = rows
+    cap = np.eye(2) + w @ z
+    if not np.isfinite(cap).all() or np.linalg.cond(cap) >= 1.0 / np.finfo(float).eps:
+        return None
+
+    def solve2(b):
+        y = solve(b)
+        return y - z @ np.linalg.solve(cap, w @ y)
+
+    def apply2(x):
+        y = m @ x
+        y[[r0, r1]] += w @ x
+        return y
+
+    x = z[:, 1] - z @ np.linalg.solve(cap, w @ z[:, 1])
+    return _refined(x, _unit(m.shape[0], r1, m.dtype), apply2, solve2)
+
+
+@dataclass
+class LUStats:
+    """Sparse LU work of one stationary solve: ``splu`` calls (ones that
+    raise included) and solves with the factors."""
+
+    lu_factorizations: int = 0
+    lu_solves: int = 0
+
+
+def _nullspace_direct(
+    dim: int, build, residual_tol: float, cap: int = SPARSE_DIM_CAP, stats: LUStats | None = None
+) -> np.ndarray:
     """Sparse trace-row solve of the superoperator ``build()``, called only
-    after ``dim`` is checked against ``cap``; two independent trace rows
-    probe for a degenerate null space."""
+    after ``dim`` is checked against ``cap``.
+
+    The system with diagonal row r₀ replaced by the trace row is factored
+    once.  A second trace row r₁ probes for a degenerate null space: its
+    system is a rank-2 update of the first, solved through the same factors
+    (:func:`_woodbury_probe`); its solution must agree with the first
+    within ``_PROBE_TOL``, and the first system must not be singular to
+    working precision.  Rows are tried in the order 0, dim+1, 2(dim+1); a row
+    whose factorization fails, or whose update is singular, is skipped.  The
+    state comes from the first solution.
+    """
     if dim > cap:
         raise DimensionCapError(
             f"dim {dim} exceeds the sparse steady-state cap {cap}; lower dim"
         )
+    stats = LUStats() if stats is None else stats
     lop = build()
-    solutions = []
-    for row in (0, dim + 1, 2 * (dim + 1)):
-        if row >= dim * dim:
-            continue
+    n = dim * dim
+    rows = [row for row in (0, dim + 1, 2 * (dim + 1)) if row < n]
+    for i, r0 in enumerate(rows):
+        m = _with_trace_row(lop, dim, r0)
+        stats.lu_factorizations += 1
         try:
-            solutions.append(_solve_with_trace_row(lop, dim, row))
+            # minimum degree on Aᵀ+A: less fill than the default COLAMD on these
+            # structurally near-symmetric matrices (at dim 128, L+U 1.06M against 1.59M)
+            lu = splu(m, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError:
             continue
-        if len(solutions) == 2:
-            break
-    if not solutions:
+        break
+    else:
         raise NonUniqueSteadyStateError(
             "superoperator could not be factored with any trace-constraint row; "
             "the null space is likely degenerate"
         )
-    if len(solutions) == 2:
-        drift = np.linalg.norm(solutions[0] - solutions[1])
+
+    def solve(b):
+        stats.lu_solves += 1
+        return lu.solve(b)
+
+    b = _unit(n, r0, lop.dtype)
+    z0 = solve(b)
+    x = _refined(z0, b, m.dot, solve)
+    trace = sp.csr_matrix(
+        (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(dim) * (dim + 1))), shape=(1, n)
+    )
+    for r1 in rows[i + 1 :]:
+        z = np.column_stack([z0, solve(_unit(n, r1, lop.dtype))])
+        w = sp.vstack([lop[r0] - trace, trace - lop[r1]], format="csr")
+        probe = _woodbury_probe(m, solve, w, (r0, r1), z)
+        if probe is None:
+            continue
+        drift = np.linalg.norm(x - probe)
         if drift > _PROBE_TOL:
             raise NonUniqueSteadyStateError(
                 f"steady states from independent trace rows differ by {drift:.3e}; "
                 "null space is degenerate"
             )
-    return _state_from_null_vector(lop, solutions[0], dim, residual_tol)
+        # A trace-preserving generator gives both rows the same solution in
+        # exact arithmetic, so the drift shows a degenerate null space only
+        # through rounding.  Such a null space holds a traceless element that
+        # makes M₁ singular, which ‖M₁‖₁‖M₁⁻¹e_{r₁}‖₁ bounds from below.
+        condition = float(np.abs(m).sum(axis=0).max() * np.abs(z[:, 1]).sum())
+        if condition >= 1.0 / np.finfo(float).eps:
+            raise NonUniqueSteadyStateError(
+                f"trace-row system is singular to working precision (condition number "
+                f">= {condition:.3e}); null space is degenerate"
+            )
+        break
+    return _state_from_null_vector(lop, x, dim, residual_tol)
 
 
 def _null_vector_svd(lop_dense: np.ndarray, degeneracy_tol: float) -> np.ndarray:
@@ -180,6 +263,7 @@ def steady_state_nullspace(
     cap: int = SPARSE_DIM_CAP,
     residual_tol: float = RESIDUAL_TOL,
     degeneracy_tol: float = DEGENERACY_TOL,
+    stats: LUStats | None = None,
 ) -> np.ndarray:
     """Unique stationary density matrix from the superoperator null space.
 
@@ -187,9 +271,10 @@ def steady_state_nullspace(
     degeneracy probe; dims up to ``cap``) or 'svd' (the dense reference
     route, with an explicit degeneracy check via singular values; dims up to
     the smaller of ``cap`` and the dense cap of superoperator_matrix).
+    ``stats``, when given, counts the sparse LU work of the direct route.
     """
     if method == "direct":
-        rho = _nullspace_direct(me.dim, lambda: superoperator_sparse(me), residual_tol, cap)
+        rho = _nullspace_direct(me.dim, lambda: superoperator_sparse(me), residual_tol, cap, stats)
     elif method == "svd":
         lop = superoperator_matrix(me, min(cap, SUPEROPERATOR_DIM_CAP))
         v = _null_vector_svd(lop, degeneracy_tol)
@@ -402,14 +487,18 @@ def approximate_steady_state(
     me: MasterEquation,
     f,
     residual_tol: float = RESIDUAL_TOL,
+    stats: LUStats | None = None,
 ) -> np.ndarray:
     """Stationary state of the truncated equation, via its null space.
 
     Not of Lindblad form, so positivity is not guaranteed; the diagonal obeys
     the driven recurrence exactly and the state satisfies the eigen-relations
-    Bρ = α₀ρ, ρB† = α₀ρ up to the Fock-cutoff boundary residual.
+    Bρ = α₀ρ, ρB† = α₀ρ up to the Fock-cutoff boundary residual.  ``stats``,
+    when given, counts the sparse LU work.
     """
-    return _nullspace_direct(me.dim, lambda: approximate_superoperator(me, f), residual_tol)
+    return _nullspace_direct(
+        me.dim, lambda: approximate_superoperator(me, f), residual_tol, stats=stats
+    )
 
 
 def b_eigen_residual(me: MasterEquation, f, rho: np.ndarray) -> float:

@@ -393,6 +393,27 @@ def test_provenance_records_solver_stats(tmp_path, monkeypatch):
         assert 2 <= s["min_k_active"] <= 20
 
 
+@pytest.mark.parametrize("method", ["steady", "steady_approx"])
+def test_provenance_records_lu_counts_of_steady_points(tmp_path, monkeypatch, method):
+    ini = (
+        "[system]\ndim = 24\ngamma_linear = 1.0\ngamma_nonlinear = 1.0\n"
+        "[gadget]\nkind = ncl\nf = x-1\n"
+        f"[solver]\nmethod = {method}\n"
+        "[sweep]\nparameter = alpha0\nvalues = 1.0,5.0\n"
+        "[output]\ndirectory = {outdir}\nbasename = st\n"
+    )
+    monkeypatch.setenv("NCLSIM_WORKERS", "1")
+    outdir = tmp_path / "out"
+    assert cli.main(["steady", _write(tmp_path, ini.format(outdir=outdir))]) == 0
+    payload = json.loads((outdir / "st_provenance.json").read_text(encoding="utf-8"))
+    stats = payload["solver_stats"]
+    assert [s["sweep_value"] for s in stats] == [1.0, 5.0]
+    for s in stats:
+        assert set(s) == {"sweep_value", "lu_factorizations", "lu_solves"}
+        assert s["lu_factorizations"] == 1
+        assert 2 <= s["lu_solves"] <= 8
+
+
 def test_svg_content(tmp_path):
     outdir = tmp_path / "out"
     path = _write(tmp_path, EVOLVE_INI.format(outdir=outdir))
