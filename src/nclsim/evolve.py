@@ -21,13 +21,10 @@ which removes the huge (and empty) decay rates at the cutoff from the
 stability constraint.  This is exact up to the 1e-14 clip and is what makes
 large-cutoff transient runs affordable.
 
-One explicit Runge-Kutta step reads a Butcher tableau: DP45 with its error
-row, or, when ``fixed_step`` is given, classical RK4 with a fixed step, no
-error row and its cubic continuous extension.  Re-Hermitization,
-diagnostics, the truncation-breach guard (checked after every step), grid
-recording and the window shrink are shared.  The stage derivatives are the
-rows of one array, and every stage input, the new state, the error estimate
-and every grid state is one tableau row times that array.
+The step reads DP45's Butcher tableau.  The truncation-breach guard is
+checked after every accepted step.  The stage derivatives are the rows of
+one array, and every stage input, the new state, the error estimate and
+every grid state is one tableau row times that array.
 
 The active block is float64 when the generator (see
 :class:`~nclsim.liouvillian.Generator`) and ρ₀ are both real, as for every
@@ -67,13 +64,13 @@ class _Tableau:
     """An explicit Runge-Kutta method whose last stage is evaluated at the
     new state (first same as last): ``a[i]`` weights the stages before stage
     i, ``b`` gives the new state and ``e``, over every stage and the last
-    one, the local error estimate (None: no estimate, every step accepted).
+    one, the local error estimate.
     ``p`` is the continuous extension over the same rows: the state at
     t + θh is y + h·Σ bᵢ(θ)kᵢ with bᵢ(θ) = Σ_j p[i, j]·θ^(j+1)."""
 
     a: tuple
     b: np.ndarray
-    e: np.ndarray | None
+    e: np.ndarray
     p: np.ndarray
 
     @property
@@ -118,22 +115,6 @@ _DP45 = _Tableau(
     ),
 )
 
-# classical fourth-order Runge-Kutta with its cubic continuous extension
-_RK4 = _Tableau(
-    a=((), np.array([1 / 2]), np.array([0.0, 1 / 2]), np.array([0.0, 0.0, 1.0])),
-    b=np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6]),
-    e=None,
-    p=np.array(
-        [
-            [1, -3 / 2, 2 / 3],
-            [0, 1, -2 / 3],
-            [0, 1, -2 / 3],
-            [0, -1 / 2, 2 / 3],
-            [0, 0, 0],
-        ]
-    ),
-)
-
 
 def _flat(m: np.ndarray) -> np.ndarray:
     """A contiguous real or complex array as one real vector (a view)."""
@@ -172,10 +153,9 @@ class SolverStats:
 
 
 class _Engine:
-    """Explicit Runge-Kutta stepper on the active block: adaptive DP45, or
-    classical RK4 with a fixed step when ``fixed_step`` is given, with
-    hermitization, guards, window shrink and grid states from the continuous
-    extension of each accepted step.
+    """Adaptive DP45 stepper on the active block, with hermitization,
+    guards, window shrink and grid states from the continuous extension of
+    each accepted step.
 
     The block is float64 when the generator and ρ₀ are both real, and
     complex128 otherwise.  Stage derivatives are the rows of one
@@ -195,10 +175,9 @@ class _Engine:
         breach_guard: bool,
         breach_tol: float,
         max_steps: int,
-        fixed_step: float | None = None,
     ):
         self.me = me
-        self.tableau = _DP45 if fixed_step is None else _RK4
+        self.tableau = _DP45
         self.dim = me.dim
         self.tol = tol
         self.breach_guard = breach_guard
@@ -221,7 +200,7 @@ class _Engine:
             self.k_active = k0
         self.yb = np.ascontiguousarray(y[: self.k_active, : self.k_active])
         self._allocate()
-        self.h = fixed_step
+        self.h = None
         self.err_prev = 1.0
         self.last_asym = 0.0
         self.accepted = 0
@@ -253,7 +232,7 @@ class _Engine:
 
     def _step(self, h: float):
         """One attempt of size h: the new state, its asymmetry, and the
-        local error norm in units of the tolerance (0 without an error row)."""
+        local error norm in units of the tolerance."""
         tab, y, k, kflat = self.tableau, self.yb, self.k, self.kflat
         self.derivative()
         stage_flat = _flat(self.stage)
@@ -265,8 +244,6 @@ class _Engine:
         ynew, asym = _hermitized(y + dy.view(y.dtype).reshape(y.shape))
         self.rhs(ynew, out=k[-1])
         self.rhs_evaluations += tab.stages
-        if tab.e is None:
-            return ynew, asym, 0.0
         err = h * _norm(tab.e @ kflat)
         return ynew, asym, err / (self.tol * max(1.0, _norm(_flat(y))))
 
@@ -331,12 +308,11 @@ class _Engine:
                 self.k[0] = self.k[-1]
                 if self.windowed:
                     self._shrink()
-                if self.tableau.e is not None:
-                    # PI control for a local error of order h⁵
-                    en_c = max(en, 1e-10)
-                    fac = 0.9 * en_c ** (-0.7 / 5) * max(self.err_prev, 1e-10) ** (0.4 / 5)
-                    self.h = h * min(10.0, max(0.2, fac))
-                    self.err_prev = en_c
+                # PI control for a local error of order h⁵
+                en_c = max(en, 1e-10)
+                fac = 0.9 * en_c ** (-0.7 / 5) * max(self.err_prev, 1e-10) ** (0.4 / 5)
+                self.h = h * min(10.0, max(0.2, fac))
+                self.err_prev = en_c
                 if on_accept is not None and on_accept(_norm(_flat(self.derivative()))):
                     return seen
             else:
@@ -416,7 +392,6 @@ def propagate(
     breach_guard: bool = True,
     breach_tol: float = BREACH_TOL,
     window: bool = True,
-    fixed_step: float | None = None,
     max_steps: int = 2_000_000,
 ) -> Trajectory:
     """Integrate dρ/dt = rhs(me, ρ) and record the state on a time grid.
@@ -424,8 +399,7 @@ def propagate(
     ``grid`` must be ascending; ``rho0`` is the state at ``grid[0]``.  ``tol``
     is the local error tolerance per step, relative to max(1, ‖ρ‖), finite
     and > 0.  The grid does not clip the steps: each grid state comes from
-    the continuous extension of the step that covers it.  ``fixed_step``
-    selects the classical fixed-step RK4 fallback instead of the adaptive pair.
+    the continuous extension of the step that covers it.
     """
     tol = _check_tol("tol", tol)
     rho0 = check_density_matrix(rho0)
@@ -437,9 +411,7 @@ def propagate(
     if rho0.shape != (me.dim, me.dim):
         raise InvalidStateError(f"rho0 shape {rho0.shape} != ({me.dim}, {me.dim})")
 
-    eng = _Engine(
-        me, rho0, grid[0], tol, window, breach_guard, breach_tol, max_steps, fixed_step
-    )
+    eng = _Engine(me, rho0, grid[0], tol, window, breach_guard, breach_tol, max_steps)
     states, diags = zip(eng.observe(), *eng.run(float(grid[-1]), grid[1:]))
     tr, he, mi, tp = (np.array(col) for col in zip(*diags))
     return Trajectory(grid.copy(), list(states), tr, he, mi, tp, eng.stats())

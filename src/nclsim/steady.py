@@ -1,18 +1,18 @@
 """Stationary states: exact null-space solving and analytic diagonal theory.
 
 Exact steady states come from the null space of the vectorized Liouvillian,
-by one sparse LU solve in which one diagonal row of the superoperator is
-replaced by the trace constraint.  Replacing another row instead is a rank-2
-update of that system; its solution, from the same factors by Woodbury's
-identity, probes for a degenerate null space.  The replaced row is always a
-*diagonal* row because trace preservation makes exactly the diagonal rows
-linearly dependent, so no information is lost.  The solve runs in the
-superoperator's own dtype: float64 whenever the equation is real (every
-preset and config equation), complex128 otherwise; SuperLU orders the
-columns by minimum degree on Aᵀ+A.  States are returned as complex128 either
-way.  The full equation and the truncated equation below share this solve
-and its dimension cap.  A dense SVD of the superoperator (method 'svd',
-capped much lower) is kept as a reference.
+by one sparse LU solve in which the first diagonal row of the superoperator
+is replaced by the trace constraint.  The replaced row is a *diagonal* row
+because trace preservation makes exactly the diagonal rows linearly
+dependent, so no information is lost; the system is then singular exactly
+when the null space is degenerate, which a 1-norm condition estimate from
+the same factors detects.  The solve runs in the superoperator's own dtype:
+float64 whenever the equation is real (every preset and config equation),
+complex128 otherwise; SuperLU orders the columns by minimum degree on Aᵀ+A.
+States are returned as complex128 either way.  The full equation and the
+truncated equation below share this solve and its dimension cap.  A dense
+SVD of the superoperator (method 'svd', capped much lower) is kept as a
+reference.
 
 The analytic side implements the detailed-balance recurrences for the
 diagonal of the stationary state:
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
 from scipy.special import logsumexp
 
 from .errors import (
@@ -65,11 +65,11 @@ from .observables import DiagonalDistribution
 TAIL_GUARD = 1e-12
 RESIDUAL_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
-_PROBE_TOL = 1e-7
 # Largest dim the sparse trace-row solve takes.  Driven NCL (α₀ = 150, ε = 1,
-# one float64 factorization with the probe, one BLAS thread, 2-core x86 VM,
-# process peak RSS): 0.17 s and 90 MB at dim 128, 0.50 s and 127 MB at 200,
-# 0.87 s and 174 MB at 256, 1.6 s and 240 MB at 320.
+# one float64 factorization with the condition estimate, one BLAS thread,
+# 2-core x86 VM, process peak RSS, two runs): 0.14-0.16 s and 90 MB at dim
+# 128, 0.37-0.45 s and 127 MB at 200, 0.78-0.86 s and 174 MB at 256,
+# 1.4-1.5 s and 239 MB at 320.
 SPARSE_DIM_CAP = 256
 
 
@@ -109,14 +109,14 @@ def _state_from_null_vector(lop, v: np.ndarray, dim: int, residual_tol: float) -
     return rho.astype(complex)
 
 
-def _with_trace_row(lop: sp.csr_matrix, dim: int, row: int) -> sp.csc_matrix:
-    """``lop`` with row ``row`` replaced by the trace row."""
+def _with_trace_row(lop: sp.csr_matrix, dim: int) -> sp.csc_matrix:
+    """``lop`` with row 0 replaced by the trace row."""
     n = dim * dim
     m = lop.copy()
-    m.data[m.indptr[row] : m.indptr[row + 1]] = 0.0
+    m.data[m.indptr[0] : m.indptr[1]] = 0.0
     m.eliminate_zeros()
     trace_row = sp.csr_matrix(
-        (np.ones(dim), (np.full(dim, row), np.arange(dim) * (dim + 1))), shape=(n, n)
+        (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(dim) * (dim + 1))), shape=(n, n)
     )
     return (m + trace_row).tocsc()
 
@@ -129,39 +129,6 @@ def _refined(x: np.ndarray, b: np.ndarray, apply, solve) -> np.ndarray:
             break
         x = x + solve(r)
     return x
-
-
-def _unit(n: int, row: int, dtype) -> np.ndarray:
-    b = np.zeros(n, dtype=dtype)
-    b[row] = 1.0
-    return b
-
-
-def _woodbury_probe(m, solve, w: sp.csr_matrix, rows: tuple, z: np.ndarray):
-    """Solution of M₂x = e_{r₁}, where M₂ = M₁ + e_{r₀}W₀ + e_{r₁}W₁ differs
-    from the factored system M₁ (trace row at r₀) in rows r₀ and r₁; None
-    when M₂ is singular to working precision.
-
-    ``z`` is M₁⁻¹[e_{r₀}, e_{r₁}].  With the 2×2 capacitance C = I + WZ,
-    Woodbury's identity gives M₂⁻¹b = y - ZC⁻¹Wy with y = M₁⁻¹b, and C is
-    singular exactly when M₂ is.  Refinement runs against M₂.
-    """
-    r0, r1 = rows
-    cap = np.eye(2) + w @ z
-    if not np.isfinite(cap).all() or np.linalg.cond(cap) >= 1.0 / np.finfo(float).eps:
-        return None
-
-    def solve2(b):
-        y = solve(b)
-        return y - z @ np.linalg.solve(cap, w @ y)
-
-    def apply2(x):
-        y = m @ x
-        y[[r0, r1]] += w @ x
-        return y
-
-    x = z[:, 1] - z @ np.linalg.solve(cap, w @ z[:, 1])
-    return _refined(x, _unit(m.shape[0], r1, m.dtype), apply2, solve2)
 
 
 @dataclass
@@ -179,14 +146,15 @@ def _nullspace_direct(
     """Sparse trace-row solve of the superoperator ``build()``, called only
     after ``dim`` is checked against ``cap``.
 
-    The system with diagonal row r₀ replaced by the trace row is factored
-    once.  A second trace row r₁ probes for a degenerate null space: its
-    system is a rank-2 update of the first, solved through the same factors
-    (:func:`_woodbury_probe`); its solution must agree with the first
-    within ``_PROBE_TOL``, and the first system must not be singular to
-    working precision.  Rows are tried in the order 0, dim+1, 2(dim+1); a row
-    whose factorization fails, or whose update is singular, is skipped.  The
-    state comes from the first solution.
+    M₁, the superoperator with diagonal row 0 replaced by the trace row, is
+    factored once; the state comes from M₁x = e₀.  The diagonal rows of a
+    trace-preserving generator sum to zero, so M₁x = 0 exactly when x is a
+    traceless element of the null space: M₁ is singular exactly when the
+    null space is degenerate, whichever diagonal row holds the trace.  A
+    factorization that fails, or a 1-norm condition number of M₁ of at
+    least 1/eps, raises NonUniqueSteadyStateError.  ‖M₁⁻¹‖₁ is estimated
+    by Hager's method (Higham & Tisseur's block form with one column, so no
+    random start), a few solves with M₁ and M₁ᴴ.
     """
     if dim > cap:
         raise DimensionCapError(
@@ -194,57 +162,33 @@ def _nullspace_direct(
         )
     stats = LUStats() if stats is None else stats
     lop = build()
-    n = dim * dim
-    rows = [row for row in (0, dim + 1, 2 * (dim + 1)) if row < n]
-    for i, r0 in enumerate(rows):
-        m = _with_trace_row(lop, dim, r0)
-        stats.lu_factorizations += 1
-        try:
-            # minimum degree on Aᵀ+A: less fill than the default COLAMD on these
-            # structurally near-symmetric matrices (at dim 128, L+U 1.06M against 1.59M)
-            lu = splu(m, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError:
-            continue
-        break
-    else:
+    m = _with_trace_row(lop, dim)
+    stats.lu_factorizations += 1
+    try:
+        # minimum degree on Aᵀ+A: less fill than the default COLAMD on these
+        # structurally near-symmetric matrices (at dim 128, L+U 1.06M against 1.59M)
+        lu = splu(m, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
         raise NonUniqueSteadyStateError(
-            "superoperator could not be factored with any trace-constraint row; "
-            "the null space is likely degenerate"
-        )
+            f"trace-row system is exactly singular ({exc}); null space is degenerate"
+        ) from exc
 
-    def solve(b):
+    def solve(b, trans="N"):
         stats.lu_solves += 1
-        return lu.solve(b)
+        return lu.solve(b, trans=trans)
 
-    b = _unit(n, r0, lop.dtype)
-    z0 = solve(b)
-    x = _refined(z0, b, m.dot, solve)
-    trace = sp.csr_matrix(
-        (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(dim) * (dim + 1))), shape=(1, n)
+    b = np.zeros(dim * dim, dtype=lop.dtype)
+    b[0] = 1.0
+    x = _refined(solve(b), b, m.dot, solve)
+    inverse = LinearOperator(
+        m.shape, matvec=solve, rmatvec=lambda y: solve(y, "H"), dtype=m.dtype
     )
-    for r1 in rows[i + 1 :]:
-        z = np.column_stack([z0, solve(_unit(n, r1, lop.dtype))])
-        w = sp.vstack([lop[r0] - trace, trace - lop[r1]], format="csr")
-        probe = _woodbury_probe(m, solve, w, (r0, r1), z)
-        if probe is None:
-            continue
-        drift = np.linalg.norm(x - probe)
-        if drift > _PROBE_TOL:
-            raise NonUniqueSteadyStateError(
-                f"steady states from independent trace rows differ by {drift:.3e}; "
-                "null space is degenerate"
-            )
-        # A trace-preserving generator gives both rows the same solution in
-        # exact arithmetic, so the drift shows a degenerate null space only
-        # through rounding.  Such a null space holds a traceless element that
-        # makes M₁ singular, which ‖M₁‖₁‖M₁⁻¹e_{r₁}‖₁ bounds from below.
-        condition = float(np.abs(m).sum(axis=0).max() * np.abs(z[:, 1]).sum())
-        if condition >= 1.0 / np.finfo(float).eps:
-            raise NonUniqueSteadyStateError(
-                f"trace-row system is singular to working precision (condition number "
-                f">= {condition:.3e}); null space is degenerate"
-            )
-        break
+    condition = float(np.abs(m).sum(axis=0).max()) * onenormest(inverse, t=1)
+    if not condition < 1.0 / np.finfo(float).eps:  # NaN from overflowed solves too
+        raise NonUniqueSteadyStateError(
+            f"trace-row system is singular to working precision (condition number "
+            f">= {condition:.3e}); null space is degenerate"
+        )
     return _state_from_null_vector(lop, x, dim, residual_tol)
 
 
@@ -267,10 +211,11 @@ def steady_state_nullspace(
 ) -> np.ndarray:
     """Unique stationary density matrix from the superoperator null space.
 
-    method: 'direct' (sparse trace-constrained solve with a two-row
-    degeneracy probe; dims up to ``cap``) or 'svd' (the dense reference
-    route, with an explicit degeneracy check via singular values; dims up to
-    the smaller of ``cap`` and the dense cap of superoperator_matrix).
+    method: 'direct' (sparse trace-constrained solve with a condition
+    estimate as the degeneracy test; dims up to ``cap``) or 'svd' (the
+    dense reference route, with an explicit degeneracy check via singular
+    values; dims up to the smaller of ``cap`` and the dense cap of
+    superoperator_matrix).
     ``stats``, when given, counts the sparse LU work of the direct route.
     """
     if method == "direct":

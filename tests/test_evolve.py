@@ -57,16 +57,6 @@ def test_window_matches_full_integration():
         assert np.abs(a - b).max() <= 1e-9
 
 
-def test_fixed_step_fallback():
-    me = lv.MasterEquation(6, gamma_linear=0.5)
-    rho0 = fock.pure_density(fock.fock_state(2, 6))
-    grid = np.linspace(0, 1, 5)
-    adaptive = evolve.propagate(me, rho0, grid)
-    fixed = evolve.propagate(me, rho0, grid, fixed_step=1e-3)
-    for a, b in zip(adaptive.states, fixed.states):
-        assert np.abs(a - b).max() <= 1e-6
-
-
 def test_step_tolerance_control():
     me = _ncl_me(16, gamma_linear=0.5, gamma_nonlinear=0.3)
     rho0 = fock.pure_density(fock.coherent_state(1.0, 16))
@@ -90,15 +80,14 @@ def test_grid_points_cost_no_steps():
     assert np.abs(coarse.states[-1] - fine.states[-1]).max() <= 1e-15
 
 
-@pytest.mark.parametrize("fixed_step", [None, 2e-4])
-def test_dense_output_inside_the_first_step_and_at_the_end(fixed_step):
+def test_dense_output_inside_the_first_step_and_at_the_end():
     # ten grid points inside the first step and the last one on the final
     # time, all read from the continuous extension of the step that covers them
     me = _ncl_me(24, gamma_linear=1.0, gamma_nonlinear=0.2, omega=0.5)
     rho0 = fock.pure_density(fock.coherent_state(2.0, 24))
     grid = np.concatenate([[0.0], np.linspace(1e-9, 1e-8, 10), [0.05, 0.1]])
-    traj = evolve.propagate(me, rho0, grid, fixed_step=fixed_step)
-    ends = evolve.propagate(me, rho0, grid[[0, -1]], fixed_step=fixed_step)
+    traj = evolve.propagate(me, rho0, grid)
+    ends = evolve.propagate(me, rho0, grid[[0, -1]])
     tight = evolve.propagate(me, rho0, grid, tol=evolve.DEFAULT_TOL / 100)
     assert traj.stats == ends.stats  # the grid points took no step of their own
     for a, b in zip(traj.states, tight.states):
@@ -134,16 +123,13 @@ def test_default_tolerance_is_within_1e_10_of_a_tighter_run(make, alpha):
     assert max(np.abs(a - b).max() for a, b in zip(default.states, tight.states)) <= 1e-10
 
 
-@pytest.mark.parametrize("fixed_step", [None, 1e-3])
-def test_truncation_breach_guard(fixed_step):
+def test_truncation_breach_guard():
     me = lv.MasterEquation(5, omega=4.0)  # hard coherent drive, tiny space
     rho0 = fock.pure_density(fock.fock_state(0, 5))
     with pytest.raises(TruncationBreachError) as err:
-        evolve.propagate(me, rho0, np.linspace(0, 2.0, 10), fixed_step=fixed_step)
+        evolve.propagate(me, rho0, np.linspace(0, 2.0, 10))
     assert err.value.time is not None
-    traj = evolve.propagate(
-        me, rho0, np.linspace(0, 0.2, 3), breach_guard=False, fixed_step=fixed_step
-    )
+    traj = evolve.propagate(me, rho0, np.linspace(0, 0.2, 3), breach_guard=False)
     assert len(traj.states) == 3
 
 
@@ -159,8 +145,7 @@ def test_tolerance_validation(tol):
         evolve.evolve_to_steady(me, rho0, tol=tol)
 
 
-@pytest.mark.parametrize("fixed_step", [None, 2e-4])
-def test_complex_path_matches_real_path(fixed_step):
+def test_complex_path_matches_real_path():
     # e^{0.7i}·a·f(a†a) is the same channel; its rounding-level imaginary
     # parts make the generator complex128, so the stepper runs in complex
     dim = 20
@@ -173,8 +158,8 @@ def test_complex_path_matches_real_path(fixed_step):
     assert rotated.generator.dtype == np.complex128
     rho0 = fock.pure_density(fock.coherent_state(1.5, dim))
     grid = np.linspace(0.0, 0.5, 11)
-    a = evolve.propagate(real_me, rho0, grid, fixed_step=fixed_step)
-    b = evolve.propagate(rotated, rho0, grid, fixed_step=fixed_step)
+    a = evolve.propagate(real_me, rho0, grid)
+    b = evolve.propagate(rotated, rho0, grid)
     for x, y in zip(a.states, b.states):
         assert x.dtype == y.dtype == np.complex128
         assert np.abs(x - y).max() <= 1e-10
@@ -200,12 +185,6 @@ def test_solver_stats_count_the_work():
     # six stage evaluations per attempt, plus f(ρ) at the start and after each shrink
     assert stats.accepted_steps >= 4 and steps * 6 < stats.rhs_evaluations <= steps * 7 + 1
     assert 2 <= stats.min_k_active < 16
-    loss = lv.MasterEquation(6, gamma_linear=0.5)
-    fock2 = fock.pure_density(fock.fock_state(2, 6))
-    fixed = evolve.propagate(loss, fock2, grid, fixed_step=0.05).stats
-    # 20 RK4 steps of four evaluations on the 3×3 block that holds |2⟩
-    assert (fixed.accepted_steps, fixed.rejected_steps) == (20, 0)
-    assert (fixed.rhs_evaluations, fixed.min_k_active) == (81, 3)
 
 
 def test_grid_validation():
