@@ -8,8 +8,9 @@ Subcommands
     figure <preset>       run a named figure preset and emit its files
     validate <config>     parse + guard checks only, no solving
 
-Exit codes: 0 success, 1 config error, 2 numerical failure (no point
-succeeded), 3 results emitted but some sweep point failed.
+Exit codes: 0 success, 1 config error (found before anything is solved or
+written), 2 numerical failure (no point succeeded), 3 results emitted but
+some sweep point failed.
 
 CSV output is RFC-4180-style (CRLF, header row, UTF-8, '.' decimal point)
 with 17-significant-digit floats, so re-running an identical config produces
@@ -62,11 +63,8 @@ DISTRIBUTION_HEADER = ["sweep_value", "n", "p_n"]
 STEADY_HEADER = ["sweep_value", "mandel_q", "mean_n", "purity", "converged"]
 
 
-def emit_csv(result: ScenarioResult, path: str, kind: str = "auto") -> str:
+def emit_csv(result: ScenarioResult, path: str, kind: str) -> str:
     """Write one CSV of the given kind (timeseries | steady | distribution)."""
-    if kind == "auto":
-        kinds = {p.kind for p in result.points if p.error is None}
-        kind = "timeseries" if "timeseries" in kinds else "steady"
     fh, writer = _open_csv(path)
     with fh:
         if kind == "timeseries":

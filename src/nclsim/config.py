@@ -76,18 +76,22 @@ def _getbool(section, key, default):
 
 def _parse_values(raw: str) -> tuple:
     raw = raw.strip()
-    for kind in ("geom", "lin"):
-        if raw.startswith(kind + ":"):
-            parts = raw.split(":")
-            if len(parts) != 4:
-                raise ConfigError(f"range spec {raw!r} must be {kind}:lo:hi:n")
-            lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
-            fn = np.geomspace if kind == "geom" else np.linspace
-            return tuple(float(v) for v in fn(lo, hi, n))
+    kind, _, rest = raw.partition(":")
+    if kind not in ("geom", "lin"):
+        try:
+            return tuple(float(v) for v in raw.split(",") if v.strip())
+        except ValueError as exc:
+            raise ConfigError(f"could not parse sweep values {raw!r}") from exc
+    bad = ConfigError(f"range spec {raw!r} must be {kind}:lo:hi:n with n >= 1 (geom: lo·hi > 0)")
     try:
-        return tuple(float(v) for v in raw.split(",") if v.strip())
+        lo, hi, n = rest.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
-        raise ConfigError(f"could not parse sweep values {raw!r}") from exc
+        raise bad from exc
+    if n < 1 or (kind == "geom" and not lo * hi > 0):
+        raise bad
+    fn = np.geomspace if kind == "geom" else np.linspace
+    return tuple(float(v) for v in fn(lo, hi, n))
 
 
 def _parse_grid(raw: str) -> tuple:

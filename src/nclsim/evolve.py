@@ -16,13 +16,15 @@ masked.
 For master equations with no upward coupling (no driving, no thermal
 pumping, every channel operator on a single superdiagonal) population only
 flows down the ladder.  The integrator then tracks a shrinking active block:
-once the top rows of the block fall below 1e-14 they are zeroed and dropped,
-which removes the huge (and empty) decay rates at the cutoff from the
-stability constraint.  This is exact up to the 1e-14 clip and is what makes
-large-cutoff transient runs affordable.
+once the top rows of the block fall below 1e-14 they are dropped, which
+removes the huge (and empty) decay rates at the cutoff from the stability
+constraint.  One rule trims ρ₀ and the state after every accepted step.
+This is exact up to the 1e-14 clip and is what makes large-cutoff transient
+runs affordable.
 
-The step reads DP45's Butcher tableau.  The truncation-breach guard is
-checked after every accepted step.  The stage derivatives are the rows of
+The step reads DP45's tableau from the module arrays ``_A``, ``_B``, ``_E``
+and ``_P``.  The truncation-breach guard is always on, at ``BREACH_TOL``,
+after every accepted step.  The stage derivatives are the rows of
 one array, and every stage input, the new state, the error estimate and
 every grid state is one tableau row times that array.
 
@@ -59,61 +61,46 @@ BREACH_TOL = 1e-6
 _SHRINK_CUT = 1e-14
 
 
-@dataclass(frozen=True)
-class _Tableau:
-    """An explicit Runge-Kutta method whose last stage is evaluated at the
-    new state (first same as last): ``a[i]`` weights the stages before stage
-    i, ``b`` gives the new state and ``e``, over every stage and the last
-    one, the local error estimate.
-    ``p`` is the continuous extension over the same rows: the state at
-    t + θh is y + h·Σ bᵢ(θ)kᵢ with bᵢ(θ) = Σ_j p[i, j]·θ^(j+1)."""
-
-    a: tuple
-    b: np.ndarray
-    e: np.ndarray
-    p: np.ndarray
-
-    @property
-    def stages(self) -> int:
-        return len(self.b)
-
-
 # Dormand & Prince, J. Comput. Appl. Math. 6 (1980): 5th-order solution, error
 # against the embedded 4th-order one; the free 4th-order continuous extension
-# is Dormand & Prince's (Hairer, Nørsett & Wanner, Solving ODEs I, §II.6)
-_DP45 = _Tableau(
-    a=(
-        (),
-        np.array([1 / 5]),
-        np.array([3 / 40, 9 / 40]),
-        np.array([44 / 45, -56 / 15, 32 / 9]),
-        np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-        np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    ),
-    b=np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-    e=np.array(
-        [
-            35 / 384 - 5179 / 57600,
-            0.0,
-            500 / 1113 - 7571 / 16695,
-            125 / 192 - 393 / 640,
-            -2187 / 6784 + 92097 / 339200,
-            11 / 84 - 187 / 2100,
-            -1 / 40,
-        ]
-    ),
-    p=np.array(
-        [
-            [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-            [0, 0, 0, 0],
-            [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-            [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-            [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-            [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-            [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-        ]
-    ),
+# is Dormand & Prince's (Hairer, Nørsett & Wanner, Solving ODEs I, §II.6).
+# The last stage is evaluated at the new state (first same as last): _A[i]
+# weights the stages before stage i, _B gives the new state and _E, over every
+# stage and the last one, the local error estimate.  _P is the continuous
+# extension over the same rows: the state at t + θh is y + h·Σ bᵢ(θ)kᵢ with
+# bᵢ(θ) = Σ_j _P[i, j]·θ^(j+1).
+_A = (
+    (),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
 )
+_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_E = np.array(
+    [
+        35 / 384 - 5179 / 57600,
+        0.0,
+        500 / 1113 - 7571 / 16695,
+        125 / 192 - 393 / 640,
+        -2187 / 6784 + 92097 / 339200,
+        11 / 84 - 187 / 2100,
+        -1 / 40,
+    ]
+)
+_P = np.array(
+    [
+        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+    ]
+)
+_STAGES = len(_B)
 
 
 def _flat(m: np.ndarray) -> np.ndarray:
@@ -153,16 +140,17 @@ class SolverStats:
 
 
 class _Engine:
-    """Adaptive DP45 stepper on the active block, with hermitization,
-    guards, window shrink and grid states from the continuous extension of
-    each accepted step.
+    """Adaptive DP45 stepper on the active block, with hermitization, the
+    breach guard (always on), window shrink and grid states from the
+    continuous extension of each accepted step.
 
     The block is float64 when the generator and ρ₀ are both real, and
     complex128 otherwise.  Stage derivatives are the rows of one
     (stages + 1, m, m) array, reallocated only when the window shrinks; row 0
     holds f(y) and the last row f(y_new), which becomes row 0 of the next
-    step.  Stage combinations are products of a tableau row with the real
-    view of those rows.
+    step.  Stage combinations are products of a row of ``_A``, ``_B``,
+    ``_E`` or ``_P`` with the real view of those rows.  A windowed run
+    starts from the full space and trims ρ₀ by the rule of :meth:`_shrink`.
     """
 
     def __init__(
@@ -172,33 +160,21 @@ class _Engine:
         t0: float,
         tol: float,
         window: bool,
-        breach_guard: bool,
-        breach_tol: float,
         max_steps: int,
     ):
         self.me = me
-        self.tableau = _DP45
         self.dim = me.dim
         self.tol = tol
-        self.breach_guard = breach_guard
-        self.breach_tol = breach_tol
         self.max_steps = int(max_steps)
         self.t = float(t0)
         self.windowed = bool(window) and me.is_pure_lowering()
 
         real = me.generator.dtype == np.float64 and not np.imag(rho0).any()
         y = np.array(np.real(rho0) if real else rho0, dtype=np.float64 if real else complex)
-        y = 0.5 * (y + y.conj().T)
+        self.yb = 0.5 * (y + y.conj().T)
         self.k_active = self.dim
         if self.windowed:
-            rmax = np.abs(y).max(axis=1)
-            nz = np.nonzero(rmax >= _SHRINK_CUT)[0]
-            k0 = max(2, int(nz.max()) + 1 if nz.size else 2)
-            if k0 < self.dim:
-                y[k0:, :] = 0.0
-                y[:, k0:] = 0.0
-            self.k_active = k0
-        self.yb = np.ascontiguousarray(y[: self.k_active, : self.k_active])
+            self._shrink()
         self._allocate()
         self.h = None
         self.err_prev = 1.0
@@ -211,7 +187,7 @@ class _Engine:
         """Block map and stage buffers for the current k_active; row 0 stale."""
         m = self.k_active
         self.rhs = self.me.generator.block(m)
-        self.k = np.empty((self.tableau.stages + 1, m, m), dtype=self.yb.dtype)
+        self.k = np.empty((_STAGES + 1, m, m), dtype=self.yb.dtype)
         self.kflat = self.k.reshape(self.k.shape[0], -1).view(np.float64)
         self.stage = np.empty((m, m), dtype=self.yb.dtype)
         self.k_fresh = False
@@ -233,44 +209,46 @@ class _Engine:
     def _step(self, h: float):
         """One attempt of size h: the new state, its asymmetry, and the
         local error norm in units of the tolerance."""
-        tab, y, k, kflat = self.tableau, self.yb, self.k, self.kflat
+        y, k, kflat = self.yb, self.k, self.kflat
         self.derivative()
         stage_flat = _flat(self.stage)
-        for i in range(1, tab.stages):
-            np.matmul(h * tab.a[i], kflat[:i], out=stage_flat)
+        for i in range(1, _STAGES):
+            np.matmul(h * _A[i], kflat[:i], out=stage_flat)
             self.stage += y
             self.rhs(self.stage, out=k[i])
-        dy = (h * tab.b) @ kflat[: tab.stages]
+        dy = (h * _B) @ kflat[:_STAGES]
         ynew, asym = _hermitized(y + dy.view(y.dtype).reshape(y.shape))
         self.rhs(ynew, out=k[-1])
-        self.rhs_evaluations += tab.stages
-        err = h * _norm(tab.e @ kflat)
+        self.rhs_evaluations += _STAGES
+        err = h * _norm(_E @ kflat)
         return ynew, asym, err / (self.tol * max(1.0, _norm(_flat(y))))
 
     def _dense(self, y: np.ndarray, theta: float, h: float):
         """The hermitized state at t + θh inside the step of size h from y,
         y + h·Σ bᵢ(θ)kᵢ over the stage rows of that step, and its asymmetry."""
-        p = self.tableau.p
-        w = (h * theta) * (p @ theta ** np.arange(p.shape[1]))
+        w = (h * theta) * (_P @ theta ** np.arange(_P.shape[1]))
         dy = w @ self.kflat
         return _hermitized(y + dy.view(y.dtype).reshape(y.shape))
 
-    def _shrink(self):
+    def _shrink(self) -> bool:
+        """Drop the top rows of the block while they are below _SHRINK_CUT
+        (never below 2×2); True when the block shrank."""
         k = self.k_active
         while k > 2 and np.abs(self.yb[k - 1, :k]).max() < _SHRINK_CUT:
             k -= 1
-        if k < self.k_active:
-            self.yb = np.ascontiguousarray(self.yb[:k, :k])
-            self.k_active = k
-            self._allocate()
+        if k == self.k_active:
+            return False
+        self.yb = np.ascontiguousarray(self.yb[:k, :k])
+        self.k_active = k
+        return True
 
     def _guard(self):
-        if not self.breach_guard or self.k_active < self.dim:
+        if self.k_active < self.dim:
             return
         top = float(self.yb[-1, -1].real)
-        if top > self.breach_tol:
+        if top > BREACH_TOL:
             raise TruncationBreachError(
-                f"top Fock level population {top:.3e} exceeds {self.breach_tol:.0e} "
+                f"top Fock level population {top:.3e} exceeds {BREACH_TOL:.0e} "
                 f"at t={self.t:.6g}; increase dim",
                 time=self.t,
             )
@@ -306,8 +284,8 @@ class _Engine:
                     theta = min(1.0, (grid[len(seen)] - t) / h)
                     seen.append(self.observe(*self._dense(y, theta, h)))
                 self.k[0] = self.k[-1]
-                if self.windowed:
-                    self._shrink()
+                if self.windowed and self._shrink():
+                    self._allocate()
                 # PI control for a local error of order h⁵
                 en_c = max(en, 1e-10)
                 fac = 0.9 * en_c ** (-0.7 / 5) * max(self.err_prev, 1e-10) ** (0.4 / 5)
@@ -367,12 +345,6 @@ class Trajectory:
     top_population: np.ndarray
     stats: SolverStats
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size < 1 or (t.size > 1 and not np.all(np.diff(t) > 0)):
-            raise InvalidStateError("trajectory times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-
 
 @dataclass
 class SteadyEvolveResult:
@@ -389,10 +361,7 @@ def propagate(
     rho0: np.ndarray,
     grid,
     tol: float = DEFAULT_TOL,
-    breach_guard: bool = True,
-    breach_tol: float = BREACH_TOL,
     window: bool = True,
-    max_steps: int = 2_000_000,
 ) -> Trajectory:
     """Integrate dρ/dt = rhs(me, ρ) and record the state on a time grid.
 
@@ -411,7 +380,7 @@ def propagate(
     if rho0.shape != (me.dim, me.dim):
         raise InvalidStateError(f"rho0 shape {rho0.shape} != ({me.dim}, {me.dim})")
 
-    eng = _Engine(me, rho0, grid[0], tol, window, breach_guard, breach_tol, max_steps)
+    eng = _Engine(me, rho0, grid[0], tol, window, max_steps=2_000_000)
     states, diags = zip(eng.observe(), *eng.run(float(grid[-1]), grid[1:]))
     tr, he, mi, tp = (np.array(col) for col in zip(*diags))
     return Trajectory(grid.copy(), list(states), tr, he, mi, tp, eng.stats())
@@ -423,10 +392,6 @@ def evolve_to_steady(
     tol: float = STEADY_TOL,
     t_max: float = 1000.0,
     step_tol: float = STEADY_STEP_TOL,
-    breach_guard: bool = True,
-    breach_tol: float = BREACH_TOL,
-    window: bool = True,
-    max_steps: int = 5_000_000,
 ) -> SteadyEvolveResult:
     """Integrate until ||rhs(ρ)||_F < tol or t_max is reached.
 
@@ -442,7 +407,7 @@ def evolve_to_steady(
     rho0 = check_density_matrix(rho0)
     if rho0.shape != (me.dim, me.dim):
         raise InvalidStateError(f"rho0 shape {rho0.shape} != ({me.dim}, {me.dim})")
-    eng = _Engine(me, rho0, 0.0, step_tol, window, breach_guard, breach_tol, max_steps)
+    eng = _Engine(me, rho0, 0.0, step_tol, window=True, max_steps=5_000_000)
     residual = _norm(_flat(eng.derivative()))
     if residual < tol:
         return SteadyEvolveResult(eng.full_state(), True, 0.0, residual)

@@ -124,23 +124,23 @@ def coherent_state(alpha: complex, dim: int, guard: bool = True) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def thermal_density(nbar: float, dim: int, guard: bool = True) -> np.ndarray:
-    """Thermal (Bose-Einstein) density matrix with mean photon number nbar."""
+def thermal_density(nbar: float, dim: int) -> np.ndarray:
+    """Thermal (Bose-Einstein) density matrix with mean photon number nbar;
+    the discarded tail weight must stay below ``COHERENT_TAIL_THRESHOLD``."""
     dim = _check_dim(dim)
     if nbar < 0:
         raise InvalidStateError(f"thermal occupation must be >= 0, got {nbar}")
     if nbar == 0:
         return pure_density(fock_state(0, dim))
     r = nbar / (nbar + 1.0)
-    if guard:
-        tail = r**dim  # exact geometric tail weight
-        if tail >= COHERENT_TAIL_THRESHOLD:
-            need = int(np.ceil(np.log(COHERENT_TAIL_THRESHOLD) / np.log(r))) + 1
-            raise TruncationLeakageError(
-                f"thermal state nbar={nbar}: discarded tail weight {tail:.3e} "
-                f"exceeds {COHERENT_TAIL_THRESHOLD:.0e}; need dim >= {need}",
-                min_dim=need,
-            )
+    tail = r**dim  # exact geometric tail weight
+    if tail >= COHERENT_TAIL_THRESHOLD:
+        need = int(np.ceil(np.log(COHERENT_TAIL_THRESHOLD) / np.log(r))) + 1
+        raise TruncationLeakageError(
+            f"thermal state nbar={nbar}: discarded tail weight {tail:.3e} "
+            f"exceeds {COHERENT_TAIL_THRESHOLD:.0e}; need dim >= {need}",
+            min_dim=need,
+        )
     p = (1 - r) * r ** np.arange(dim)
     p /= p.sum()
     return np.diag(p).astype(complex)
@@ -197,23 +197,19 @@ def check_state_vector(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return psi
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    psd_tol: float = PSD_TOL,
-) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity (to tolerance)."""
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity to ``HERMITICITY_TOL``,
+    ``TRACE_TOL`` and ``PSD_TOL``."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
         raise InvalidStateError("density matrix must be square with dim >= 2")
     herm = np.abs(rho - rho.conj().T).max()
-    if herm > herm_tol:
-        raise InvalidStateError(f"Hermiticity violation {herm:.3e} > {herm_tol:.0e}")
+    if herm > HERMITICITY_TOL:
+        raise InvalidStateError(f"Hermiticity violation {herm:.3e} > {HERMITICITY_TOL:.0e}")
     tr = abs(np.trace(rho) - 1.0)
-    if tr > trace_tol:
-        raise InvalidStateError(f"trace deviates from 1 by {tr:.3e} > {trace_tol:.0e}")
+    if tr > TRACE_TOL:
+        raise InvalidStateError(f"trace deviates from 1 by {tr:.3e} > {TRACE_TOL:.0e}")
     wmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
-    if wmin < -psd_tol:
-        raise InvalidStateError(f"smallest eigenvalue {wmin:.3e} < -{psd_tol:.0e}")
+    if wmin < -PSD_TOL:
+        raise InvalidStateError(f"smallest eigenvalue {wmin:.3e} < -{PSD_TOL:.0e}")
     return rho

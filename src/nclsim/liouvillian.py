@@ -385,15 +385,16 @@ def superoperator_sparse(me: MasterEquation) -> sp.csr_matrix:
     return me.generator.superoperator()
 
 
-def superoperator_matrix(me: MasterEquation, cap: int = SUPEROPERATOR_DIM_CAP) -> np.ndarray:
-    """Dense superoperator matrix; refuses dimensions above ``cap``.
+def superoperator_matrix(me: MasterEquation) -> np.ndarray:
+    """Dense superoperator matrix; refuses dimensions above
+    ``SUPEROPERATOR_DIM_CAP``.
 
     Above the cap the dense D²×D² matrix is too large to be worth
     materializing; use :func:`superoperator_sparse` instead.
     """
-    if me.dim > cap:
+    if me.dim > SUPEROPERATOR_DIM_CAP:
         raise DimensionCapError(
-            f"dim {me.dim} exceeds the dense superoperator cap {cap}; "
+            f"dim {me.dim} exceeds the dense superoperator cap {SUPEROPERATOR_DIM_CAP}; "
             "use the sparse superoperator instead"
         )
     return superoperator_sparse(me).toarray()

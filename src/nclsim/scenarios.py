@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, InvalidStateError, SimulationError
 from .evolve import DEFAULT_TOL, SolverStats, propagate
 from .fock import coherent_state, fock_state, pure_density, thermal_density
 from .gadgets import NonlinearFunction, ProjectorGadget, ncl_lindblad, projector_lindblad
@@ -130,20 +130,44 @@ class ScenarioConfig:
                 raise ConfigError("sweep requested but no values given")
             if not all(np.isfinite(v) for v in self.sweep.values):
                 raise ConfigError("sweep values must be finite")
-        if self.solver.method not in (
+        method = self.solver.method
+        if method not in (
             "propagate",
             "steady",
             "steady_approx",
             "recurrence_ncl",
             "recurrence_thermal",
         ):
-            raise ConfigError(f"unknown solver method {self.solver.method!r}")
+            raise ConfigError(f"unknown solver method {method!r}")
+        # what no sweep value changes is checked here, before any point runs
+        if self.gadget.kind == "ncl":
+            try:
+                self.gadget.nonlinear_function()
+            except InvalidStateError as exc:
+                raise ConfigError(str(exc)) from exc
+        elif method in ("steady_approx", "recurrence_ncl", "recurrence_thermal"):
+            raise ConfigError(f"{method} needs an ncl gadget")
+        if self.gadget.kind == "projector":
+            if self.gadget.target is None or self.gadget.source is None:
+                raise ConfigError("projector gadget needs target and source states")
+            _state_spec(self.gadget.target, _PURE_KINDS)
+            _state_spec(self.gadget.source, _PURE_KINDS)
+        if method == "propagate":
+            _state_spec(self.initial)
+            expand_grid(self.solver.t_grid)
         how = self.output.distribution_at
-        if how is not None and how.startswith("value:"):
+        if how is None:
+            return
+        if method == "propagate":
+            if how not in ("max_fidelity", "min_q", "final"):
+                raise ConfigError(f"distribution_at {how!r} not valid for time series")
+        elif how.startswith("value:"):
             x = _value_target(how)
             values = self.sweep.values if self.sweep.parameter != "none" else ()
             if not any(_value_matches(x, v) for v in values):
                 raise ConfigError(f"distribution_at {how!r} matches no sweep value")
+        elif how != "steady":
+            raise ConfigError(f"distribution_at {how!r} not valid for steady solves")
 
 
 def _value_target(how: str) -> float:
@@ -187,37 +211,40 @@ class ScenarioResult:
 # state and sweep resolution
 
 
-def _parse_state(spec: str, dim: int, guard: bool = True) -> np.ndarray:
-    """State spec -> density matrix: coherent:a | fock:n | thermal:n | vacuum."""
+_PURE_KINDS = ("fock", "coherent")
+
+
+def _state_spec(spec: str, kinds: tuple = _PURE_KINDS + ("thermal",)) -> tuple:
+    """State spec -> (kind, value): vacuum (as fock:0) | fock:n | coherent:a
+    | thermal:n̄, each with a finite number (an integer n); the kind must be
+    in ``kinds``."""
     spec = spec.strip()
-    if spec == "vacuum":
-        return pure_density(fock_state(0, dim))
-    if ":" not in spec:
-        raise ConfigError(f"malformed state spec {spec!r}")
-    kind, _, arg = spec.partition(":")
+    kind, _, arg = ("fock:0" if spec == "vacuum" else spec).partition(":")
     try:
         value = float(arg)
-    except ValueError as exc:
-        raise ConfigError(f"malformed state spec {spec!r}") from exc
-    if kind == "coherent":
-        return pure_density(coherent_state(value, dim, guard=guard))
-    if kind == "fock":
-        return pure_density(fock_state(int(value), dim))
-    if kind == "thermal":
-        return thermal_density(value, dim, guard=guard)
-    raise ConfigError(f"unknown state kind {kind!r}")
+    except ValueError:
+        value = float("nan")
+    if not np.isfinite(value) or (kind == "fock" and not value.is_integer()):
+        raise ConfigError(f"malformed state spec {spec!r}: expected vacuum or <kind>:<number>")
+    if kind not in kinds:
+        raise ConfigError(f"state spec {spec!r}: kind must be vacuum or one of {kinds}")
+    return kind, value
+
+
+def _pure_state(kind: str, value: float, dim: int) -> np.ndarray:
+    return fock_state(value, dim) if kind == "fock" else coherent_state(value, dim)
 
 
 def _parse_pure_state(spec: str, dim: int) -> np.ndarray:
-    spec = spec.strip()
-    if spec == "vacuum":
-        return fock_state(0, dim)
-    kind, _, arg = spec.partition(":")
-    if kind == "fock":
-        return fock_state(int(float(arg)), dim)
-    if kind == "coherent":
-        return coherent_state(float(arg), dim)
-    raise ConfigError(f"gadget states must be pure (fock/coherent/vacuum), got {spec!r}")
+    return _pure_state(*_state_spec(spec, _PURE_KINDS), dim)
+
+
+def _parse_state(spec: str, dim: int) -> np.ndarray:
+    """State spec -> density matrix (see :func:`_state_spec`)."""
+    kind, value = _state_spec(spec)
+    if kind == "thermal":
+        return thermal_density(value, dim)
+    return pure_density(_pure_state(kind, value, dim))
 
 
 def _with_amplitude(spec: str | None, value: float) -> str | None:
@@ -240,9 +267,7 @@ def resolve_point(config: ScenarioConfig, value: float) -> ScenarioConfig:
         return replace(config, omega=value * config.gamma_nonlinear)
     if param == "epsilon":
         return replace(config, gamma_linear=value * config.gamma_nonlinear)
-    if param in ("omega", "nbar", "gamma_linear", "gamma_nonlinear"):
-        return replace(config, **{param: value})
-    raise ConfigError(f"unknown sweep parameter {param!r}")
+    return replace(config, **{param: value})  # omega, nbar, gamma_linear or gamma_nonlinear
 
 
 def build_system(config: ScenarioConfig):
@@ -253,8 +278,6 @@ def build_system(config: ScenarioConfig):
     if config.gadget.kind == "ncl":
         op = ncl_lindblad(f, dim)
     elif config.gadget.kind == "projector":
-        if config.gadget.target is None or config.gadget.source is None:
-            raise ConfigError("projector gadget needs target and source states")
         gadget = ProjectorGadget(
             _parse_pure_state(config.gadget.target, dim),
             _parse_pure_state(config.gadget.source, dim),
@@ -279,12 +302,12 @@ def expand_grid(t_grid: tuple) -> np.ndarray:
     kind = t_grid[0]
     if kind == "log":
         _, lo, hi, n = t_grid
-        if lo <= 0 or hi <= lo or int(n) < 2:
+        if not 0 < lo < hi < np.inf or int(n) < 2:
             raise ConfigError(f"bad log grid {t_grid!r}")
         return np.concatenate([[0.0], np.geomspace(float(lo), float(hi), int(n))])
     if kind == "lin":
         _, lo, hi, n = t_grid
-        if hi <= lo or int(n) < 2:
+        if not -np.inf < lo < hi < np.inf or int(n) < 2:
             raise ConfigError(f"bad linear grid {t_grid!r}")
         return np.linspace(float(lo), float(hi), int(n))
     raise ConfigError(f"unknown grid kind {t_grid[0]!r}")
@@ -294,7 +317,7 @@ def expand_grid(t_grid: tuple) -> np.ndarray:
 # single-point execution
 
 
-def _select_distribution(out: OutputSpec, reports, times, sweep_value):
+def _select_distribution(out: OutputSpec, reports, times):
     how = out.distribution_at
     if how is None:
         return None, None
@@ -306,9 +329,7 @@ def _select_distribution(out: OutputSpec, reports, times, sweep_value):
         qs = [r.mandel_q if np.isfinite(r.mandel_q) else np.inf for r in reports]
         i = int(np.argmin(qs))
         return reports[i].distribution, f"t={float(times[i])!r}"
-    if how == "final":
-        return reports[-1].distribution, f"t={float(times[-1])!r}"
-    raise ConfigError(f"distribution_at {how!r} not valid for time series")
+    return reports[-1].distribution, f"t={float(times[-1])!r}"  # "final"
 
 
 def _steady_distribution_wanted(out: OutputSpec, sweep_value: float) -> bool:
@@ -317,9 +338,7 @@ def _steady_distribution_wanted(out: OutputSpec, sweep_value: float) -> bool:
         return False
     if how == "steady":
         return True
-    if how.startswith("value:"):
-        return _value_matches(_value_target(how), sweep_value)
-    raise ConfigError(f"distribution_at {how!r} not valid for steady solves")
+    return _value_matches(_value_target(how), sweep_value)  # "value:<x>"
 
 
 def run_point(config: ScenarioConfig, value: float) -> PointResult:
@@ -333,7 +352,7 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
         grid = expand_grid(cfg.solver.t_grid)
         traj = propagate(me, rho0, grid, tol=cfg.solver.tol)
         reports = [observable_report(s, target=target) for s in traj.states]
-        dist, label = _select_distribution(cfg.output, reports, traj.times, value)
+        dist, label = _select_distribution(cfg.output, reports, traj.times)
         pois = None
         if dist is not None and cfg.output.poisson_reference:
             pois = poisson_distribution(dist.mean(), dist.dim)
@@ -357,8 +376,6 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
         stats = LUStats()
         if method == "steady":
             rho = steady_state_nullspace(me, stats=stats)
-        elif f is None:
-            raise ConfigError("steady_approx needs an ncl gadget")
         else:
             rho = approximate_steady_state(me, f, stats=stats)
         report = observable_report(rho, target=target)
@@ -375,8 +392,6 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
 
     if method in ("recurrence_ncl", "recurrence_thermal"):
         f = cfg.gadget.nonlinear_function()
-        if f is None:
-            raise ConfigError("recurrence methods need an ncl gadget")
         if method == "recurrence_ncl":
             if cfg.gamma_nonlinear <= 0:
                 raise ConfigError("recurrence_ncl needs gamma_nonlinear > 0")
@@ -420,7 +435,7 @@ def preflight(config: ScenarioConfig) -> None:
 
     Builds the nonlinearity, gadget and master equation for each resolved
     sweep point; for time propagation it also constructs the initial state
-    (which runs the truncation guards) and expands the time grid.
+    (which runs the truncation guards).
     """
     config.validate()
     values = list(config.sweep.values) if config.sweep.parameter != "none" else [float("nan")]
@@ -429,7 +444,6 @@ def preflight(config: ScenarioConfig) -> None:
         build_system(cfg)
         if cfg.solver.method == "propagate":
             _parse_state(cfg.initial, cfg.dim)
-            expand_grid(cfg.solver.t_grid)
 
 
 def _run_point_isolated(args) -> PointResult:

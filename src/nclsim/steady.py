@@ -52,7 +52,6 @@ from .errors import (
 from .fock import annihilation, check_density_matrix
 from .gadgets import ncl_lindblad
 from .liouvillian import (
-    SUPEROPERATOR_DIM_CAP,
     Generator,
     MasterEquation,
     superoperator_matrix,
@@ -86,14 +85,7 @@ class PeakEstimate:
 # exact steady states
 
 
-def _residual_threshold(lop, residual_tol: float) -> float:
-    # absolute tolerance, floored by what double precision can deliver for
-    # the operator's scale (rates ~1e5 leave residuals ~1e-11 after refinement)
-    scale = float(np.abs(lop).sum(axis=1).max())
-    return max(residual_tol, 100.0 * np.finfo(float).eps * scale)
-
-
-def _state_from_null_vector(lop, v: np.ndarray, dim: int, residual_tol: float) -> np.ndarray:
+def _state_from_null_vector(lop, v: np.ndarray, dim: int) -> np.ndarray:
     """Hermitized, unit-trace complex state from a null vector of ``lop``,
     residual-checked."""
     rho = unvec(v, dim)
@@ -103,7 +95,10 @@ def _state_from_null_vector(lop, v: np.ndarray, dim: int, residual_tol: float) -
         raise NonUniqueSteadyStateError("null vector is traceless; no state in the kernel")
     rho = rho / tr
     residual = float(np.linalg.norm(lop @ vec(rho)))
-    thresh = _residual_threshold(lop, residual_tol)
+    # absolute tolerance, floored by what double precision can deliver for
+    # the operator's scale (rates ~1e5 leave residuals ~1e-11 after refinement)
+    scale = float(np.abs(lop).sum(axis=1).max())
+    thresh = max(RESIDUAL_TOL, 100.0 * np.finfo(float).eps * scale)
     if residual > thresh:
         raise SteadyStateResidualError(f"steady-state residual {residual:.3e} above {thresh:.3e}")
     return rho.astype(complex)
@@ -140,11 +135,9 @@ class LUStats:
     lu_solves: int = 0
 
 
-def _nullspace_direct(
-    dim: int, build, residual_tol: float, cap: int = SPARSE_DIM_CAP, stats: LUStats | None = None
-) -> np.ndarray:
+def _nullspace_direct(dim: int, build, stats: LUStats | None = None) -> np.ndarray:
     """Sparse trace-row solve of the superoperator ``build()``, called only
-    after ``dim`` is checked against ``cap``.
+    after ``dim`` is checked against ``SPARSE_DIM_CAP``.
 
     M₁, the superoperator with diagonal row 0 replaced by the trace row, is
     factored once; the state comes from M₁x = e₀.  The diagonal rows of a
@@ -156,9 +149,9 @@ def _nullspace_direct(
     by Hager's method (Higham & Tisseur's block form with one column, so no
     random start), a few solves with M₁ and M₁ᴴ.
     """
-    if dim > cap:
+    if dim > SPARSE_DIM_CAP:
         raise DimensionCapError(
-            f"dim {dim} exceeds the sparse steady-state cap {cap}; lower dim"
+            f"dim {dim} exceeds the sparse steady-state cap {SPARSE_DIM_CAP}; lower dim"
         )
     stats = LUStats() if stats is None else stats
     lop = build()
@@ -189,44 +182,38 @@ def _nullspace_direct(
             f"trace-row system is singular to working precision (condition number "
             f">= {condition:.3e}); null space is degenerate"
         )
-    return _state_from_null_vector(lop, x, dim, residual_tol)
-
-
-def _null_vector_svd(lop_dense: np.ndarray, degeneracy_tol: float) -> np.ndarray:
-    _, s, vh = np.linalg.svd(lop_dense)
-    if s.size >= 2 and s[-2] < degeneracy_tol:
-        raise NonUniqueSteadyStateError(
-            f"second-smallest singular value {s[-2]:.3e} below {degeneracy_tol:.0e}"
-        )
-    return vh[-1].conj()
+    return _state_from_null_vector(lop, x, dim)
 
 
 def steady_state_nullspace(
     me: MasterEquation,
     method: str = "direct",
-    cap: int = SPARSE_DIM_CAP,
-    residual_tol: float = RESIDUAL_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
     stats: LUStats | None = None,
 ) -> np.ndarray:
     """Unique stationary density matrix from the superoperator null space.
 
     method: 'direct' (sparse trace-constrained solve with a condition
-    estimate as the degeneracy test; dims up to ``cap``) or 'svd' (the
-    dense reference route, with an explicit degeneracy check via singular
-    values; dims up to the smaller of ``cap`` and the dense cap of
-    superoperator_matrix).
+    estimate as the degeneracy test; dims up to ``SPARSE_DIM_CAP``) or 'svd'
+    (the dense reference route, with singular values below
+    ``DEGENERACY_TOL`` as the degeneracy test; dims up to the dense cap of
+    :func:`~nclsim.liouvillian.superoperator_matrix`).  Either state must
+    leave a residual below ``RESIDUAL_TOL`` (floored by the operator's scale)
+    and pass :func:`~nclsim.fock.check_density_matrix`.
     ``stats``, when given, counts the sparse LU work of the direct route.
     """
     if method == "direct":
-        rho = _nullspace_direct(me.dim, lambda: superoperator_sparse(me), residual_tol, cap, stats)
+        rho = _nullspace_direct(me.dim, lambda: superoperator_sparse(me), stats)
     elif method == "svd":
-        lop = superoperator_matrix(me, min(cap, SUPEROPERATOR_DIM_CAP))
-        v = _null_vector_svd(lop, degeneracy_tol)
-        rho = _state_from_null_vector(lop, v, me.dim, residual_tol)
+        lop = superoperator_matrix(me)
+        _, s, vh = np.linalg.svd(lop)
+        if s[-2] < DEGENERACY_TOL:  # dim >= 2, so lop has at least 4 singular values
+            raise NonUniqueSteadyStateError(
+                f"second-smallest singular value {s[-2]:.3e} below {DEGENERACY_TOL:.0e}"
+            )
+        rho = _state_from_null_vector(lop, vh[-1].conj(), me.dim)
     else:
         raise InvalidStateError(f"unknown steady-state method {method!r}")
-    return check_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-8, psd_tol=1e-8)
+    return check_density_matrix(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +415,7 @@ def approximate_superoperator(me: MasterEquation, f) -> sp.csr_matrix:
     return _approximate_generator(me, f).superoperator()
 
 
-def approximate_steady_state(
-    me: MasterEquation,
-    f,
-    residual_tol: float = RESIDUAL_TOL,
-    stats: LUStats | None = None,
-) -> np.ndarray:
+def approximate_steady_state(me: MasterEquation, f, stats: LUStats | None = None) -> np.ndarray:
     """Stationary state of the truncated equation, via its null space.
 
     Not of Lindblad form, so positivity is not guaranteed; the diagonal obeys
@@ -441,9 +423,7 @@ def approximate_steady_state(
     Bρ = α₀ρ, ρB† = α₀ρ up to the Fock-cutoff boundary residual.  ``stats``,
     when given, counts the sparse LU work.
     """
-    return _nullspace_direct(
-        me.dim, lambda: approximate_superoperator(me, f), residual_tol, stats=stats
-    )
+    return _nullspace_direct(me.dim, lambda: approximate_superoperator(me, f), stats)
 
 
 def b_eigen_residual(me: MasterEquation, f, rho: np.ndarray) -> float:

@@ -239,6 +239,86 @@ def test_distribution_value_must_match_a_sweep_point(tmp_path, capsys):
     assert {row[0] for row in rows[1:]} == {"2"}
 
 
+STEADY_APPROX_INI = """
+[system]
+dim = 12
+gamma_linear = 1.0
+gamma_nonlinear = 1.0
+
+[gadget]
+kind = ncl
+f = x-1
+
+[solver]
+method = steady_approx
+
+[sweep]
+parameter = alpha0
+values = 1.0,2.0
+
+[output]
+directory = {outdir}
+basename = approx
+distribution_at = value:2.0
+"""
+
+
+def _set_key(text, section, key, value):
+    """``text`` with ``key = value`` as the first line of ``[section]``."""
+    text = re.sub(rf"^{re.escape(key)} = .*\n", "", text, flags=re.M)
+    return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+
+
+def _base_ini(base, outdir):
+    if base == "steady":
+        return STEADY_APPROX_INI.format(outdir=outdir)
+    text = EVOLVE_INI.format(outdir=outdir)
+    if base == "projector":
+        for key, value in (("kind", "projector"), ("target", "fock:2"), ("source", "coherent:1.2")):
+            text = _set_key(text, "gadget", key, value)
+        text = _set_key(text, "system", "dim", "40")
+    return text
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "base, section, key, value",
+    [
+        ("evolve", "gadget", "f", "(x-1)^4"),
+        ("steady", "gadget", "f", "(x-1)^4"),
+        ("steady", "gadget", "kind", "none"),
+        ("projector", "gadget", "target", "fock:x"),
+        ("projector", "gadget", "target", "fock"),
+        ("projector", "gadget", "target", "thermal:1"),
+        ("projector", "gadget", "source", "coherent:"),
+        ("evolve", "initial", "state", "coherent:x"),
+        ("evolve", "initial", "state", "squeezed:1"),
+        ("evolve", "initial", "state", "fock:1.5"),
+        ("evolve", "solver", "t_grid", "log:0:1:3"),
+        ("evolve", "solver", "t_grid", "lin:1:0:3"),
+        ("evolve", "sweep", "values", "geom:1:x:3"),
+        ("evolve", "sweep", "values", "lin:1:2:x"),
+        ("steady", "sweep", "values", "geom:0:1:3"),
+        ("steady", "sweep", "values", "lin:1:2:-3"),
+        ("evolve", "output", "distribution_at", "bogus"),
+        ("evolve", "output", "distribution_at", "steady"),
+        ("steady", "output", "distribution_at", "final"),
+    ],
+)
+def test_bad_input_is_a_config_error_before_any_output(
+    tmp_path, capsys, command, base, section, key, value
+):
+    outdir = tmp_path / "out"
+    good = _write(tmp_path, _base_ini(base, outdir), name="good.ini")
+    assert cli.main(["validate", good]) == 0
+    bad = _write(tmp_path, _set_key(_base_ini(base, outdir), section, key, value))
+    run = "steady" if base == "steady" else "evolve"
+    assert cli.main([run if command == "run" else "validate", bad]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("raw", ["two", "0", "-3"])
 def test_malformed_worker_count_is_config_error(tmp_path, monkeypatch, capsys, raw):
     monkeypatch.setenv("NCLSIM_WORKERS", raw)

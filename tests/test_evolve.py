@@ -129,8 +129,6 @@ def test_truncation_breach_guard():
     with pytest.raises(TruncationBreachError) as err:
         evolve.propagate(me, rho0, np.linspace(0, 2.0, 10))
     assert err.value.time is not None
-    traj = evolve.propagate(me, rho0, np.linspace(0, 0.2, 3), breach_guard=False)
-    assert len(traj.states) == 3
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, np.inf, np.nan])
@@ -171,9 +169,21 @@ def test_preset_propagation_runs_in_real_arithmetic(preset):
     cfg = scenarios.resolve_point(config, config.sweep.values[0])
     me, _, _ = scenarios.build_system(cfg)
     rho0 = scenarios._parse_state(cfg.initial, cfg.dim)
-    eng = evolve._Engine(me, rho0, 0.0, cfg.solver.tol, True, True, evolve.BREACH_TOL, 1)
+    eng = evolve._Engine(me, rho0, 0.0, cfg.solver.tol, window=True, max_steps=1)
     assert eng.yb.dtype == np.float64
     assert eng.full_state().dtype == np.complex128
+
+
+@pytest.mark.parametrize("spec", ["coherent:2", "fock:3", "vacuum"])
+def test_initial_window_drops_the_empty_top_rows(spec):
+    config = scenarios.expand_preset("fig1c")[0][1]  # NCL at dim 130, pure-lowering
+    me, _, _ = scenarios.build_system(config)
+    rho0 = scenarios._parse_state(spec, config.dim)
+    want = next(k for k in range(2, config.dim + 1) if (np.abs(rho0[k:]) < 1e-14).all())
+    eng = evolve._Engine(me, rho0, 0.0, config.solver.tol, window=True, max_steps=1)
+    assert eng.k_active == want < config.dim
+    assert np.array_equal(eng.full_state()[:want, :want], rho0[:want, :want])
+    assert np.abs(eng.full_state() - rho0).max() < 1e-14
 
 
 def test_solver_stats_count_the_work():
