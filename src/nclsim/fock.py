@@ -11,13 +11,17 @@ Conventions shared by every module in the package:
 Truncation guards are on by default: constructors that would silently leak
 weight past the cutoff raise :class:`~nclsim.errors.TruncationLeakageError`
 instead.  Silent leakage is the dominant failure mode of Fock-space
-simulation, so disabling a guard is an explicit per-call decision.
+simulation, so disabling a guard is an explicit per-call decision.  The
+coherent guard decides without scipy where a bound on the Poisson tail
+proves the weight small, and asks ``scipy.special`` for the exact tail only
+where it cannot, so propagating a coherent state imports no scipy.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import pdtr, pdtrc, pdtrik
 
 from .errors import (
     FockIndexError,
@@ -34,13 +38,34 @@ PSD_TOL = 1e-8
 
 def _poisson_sf(k: int, mu: float) -> float:
     """P(N > k) for N ~ Poisson(mu), k >= 0: the value scipy.stats.poisson.sf
-    gives, without importing scipy.stats."""
+    gives, without importing scipy.stats.  The coherent guard calls it only
+    where :func:`_tail_below` cannot decide without scipy."""
+    from scipy.special import pdtrc
+
     return float(pdtrc(k, mu))
+
+
+def _tail_below(k: int, mu: float, threshold: float) -> bool:
+    """True when a bound proves P(N > k) < threshold for N ~ Poisson(mu).
+
+    For j > k the pmf ratio p(j+1)/p(j) = μ/(j+1) is at most μ/(k+2), so the
+    tail is at most p(k+1)/(1 - μ/(k+2)) when μ < k+2.  The bound must stay
+    below threshold/2, a margin far above the rounding of the log-domain pmf,
+    so where it says "below" :func:`_poisson_sf` says so too.
+    """
+    if mu == 0.0:
+        return True
+    if mu >= k + 2:
+        return False
+    log_pmf = (k + 1) * math.log(mu) - mu - math.lgamma(k + 2)
+    return 2.0 * math.exp(log_pmf) / (1.0 - mu / (k + 2)) < threshold
 
 
 def _poisson_isf(q: float, mu: float) -> int:
     """Smallest k with P(N > k) <= q for 0 < q < 1 and mu > 0: the value
     scipy.stats.poisson.isf gives (its ppf of 1 - q, rounded via pdtrik)."""
+    from scipy.special import pdtr, pdtrik
+
     p = 1.0 - q
     k = np.ceil(pdtrik(p, mu))
     below = max(k - 1.0, 0.0)
@@ -102,7 +127,7 @@ def coherent_state(alpha: complex, dim: int, guard: bool = True) -> np.ndarray:
     """
     dim = _check_dim(dim)
     mu = abs(alpha) ** 2
-    if guard:
+    if guard and not _tail_below(dim - 1, mu, COHERENT_TAIL_THRESHOLD):
         tail = _poisson_sf(dim - 1, mu)
         if tail >= COHERENT_TAIL_THRESHOLD:
             need = coherent_min_dim(alpha)

@@ -52,6 +52,15 @@ SWEEPABLE = (
     "gamma_linear",
     "gamma_nonlinear",
 )
+# the system field a sweep parameter sets, where it is not the parameter itself
+_SWEEP_FIELD = {"alpha0": "omega", "epsilon": "gamma_linear"}
+# (method, rate, whether the method needs the rate zero rather than positive)
+_RATE_NEEDS = (
+    ("recurrence_ncl", "gamma_nonlinear", False),
+    ("recurrence_thermal", "gamma_linear", False),
+    ("steady_approx", "gamma_nonlinear", False),
+    ("steady_approx", "nbar", True),
+)
 
 
 @dataclass(frozen=True)
@@ -139,7 +148,14 @@ class ScenarioConfig:
             "recurrence_thermal",
         ):
             raise ConfigError(f"unknown solver method {method!r}")
-        # what no sweep value changes is checked here, before any point runs
+        # what no sweep value changes is checked here, before any point runs;
+        # a swept rate is checked at each point
+        swept = _SWEEP_FIELD.get(self.sweep.parameter, self.sweep.parameter)
+        for needs, name, zero in _RATE_NEEDS:
+            value = getattr(self, name)
+            if method == needs and name != swept and (value == 0) != zero:
+                need = "= 0" if zero else "> 0"
+                raise ConfigError(f"{method} needs {name} {need}, got {value}")
         if self.gadget.kind == "ncl":
             try:
                 self.gadget.nonlinear_function()
@@ -473,6 +489,9 @@ def run_sweep(config: ScenarioConfig, workers: int | None = None) -> ScenarioRes
     jobs = [(config, float(v)) for v in values]
     n = _worker_count(len(jobs), workers)
     if n > 1 and len(jobs) > 1:
+        if config.solver.method in ("steady", "steady_approx"):
+            # imported once here, before the fork, not once in every worker
+            import scipy.sparse.linalg  # noqa: F401
         with ProcessPoolExecutor(max_workers=n) as pool:
             points = list(pool.map(_run_point_isolated, jobs))
     else:

@@ -29,16 +29,18 @@ whose ratio Δ²n/n₀ - 1 estimates Mandel Q (→ -4k/(4k+1) for f(n)=n^k).
 
 All recurrences run in the log domain: driving amplitudes like α₀ = 10⁴
 overflow naive floating-point products long before the peak.
+
+Only the sparse solve needs scipy; ``scipy.sparse`` and
+``scipy.sparse.linalg`` are imported at the first stationary solve, so the
+recurrences and every propagation run without them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, onenormest, splu
-from scipy.special import logsumexp
 
 from .errors import (
     BlockedRecurrenceError,
@@ -60,6 +62,9 @@ from .liouvillian import (
     vec,
 )
 from .observables import DiagonalDistribution
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 TAIL_GUARD = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -106,6 +111,8 @@ def _state_from_null_vector(lop, v: np.ndarray, dim: int) -> np.ndarray:
 
 def _with_trace_row(lop: sp.csr_matrix, dim: int) -> sp.csc_matrix:
     """``lop`` with row 0 replaced by the trace row."""
+    import scipy.sparse as sp
+
     n = dim * dim
     m = lop.copy()
     m.data[m.indptr[0] : m.indptr[1]] = 0.0
@@ -149,6 +156,8 @@ def _nullspace_direct(dim: int, build, stats: LUStats | None = None) -> np.ndarr
     by Hager's method (Higham & Tisseur's block form with one column, so no
     random start), a few solves with M₁ and M₁ᴴ.
     """
+    from scipy.sparse.linalg import LinearOperator, onenormest, splu
+
     if dim > SPARSE_DIM_CAP:
         raise DimensionCapError(
             f"dim {dim} exceeds the sparse steady-state cap {SPARSE_DIM_CAP}; lower dim"
@@ -220,6 +229,17 @@ def steady_state_nullspace(
 # diagonal recurrences
 
 
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """log Σ exp(a) for a 1-d array with a finite maximum, in the form of
+    ``scipy.special.logsumexp`` (1.17) and bitwise its value: the m maxima are
+    kept out of the sum, log1p(Σ_{a < max} exp(a - max)/m) + log(m) + max."""
+    top = a.max()
+    is_max = a == top
+    m = float(np.count_nonzero(is_max))
+    rest = np.exp(np.where(is_max, -np.inf, a) - top).sum()
+    return np.log1p(rest / m) + np.log(m) + top
+
+
 def ncl_recurrence(
     f,
     alpha0: float,
@@ -256,7 +276,7 @@ def ncl_recurrence(
                 n=n,
             )
         logp[n] = logp[n - 1] + log_amp - np.log(n) - 2.0 * np.log(den)
-    norm = logsumexp(logp)
+    norm = _logsumexp(logp)
     p = np.exp(logp - norm)
     p /= p.sum()
     if p[dim - 1] >= TAIL_GUARD:
@@ -284,7 +304,7 @@ def thermal_recurrence(
     for n in range(1, dim):
         den = (nbar + 1.0) + gamma_over_gamma_linear * float(f(n)) ** 2
         logp[n] = logp[n - 1] + np.log(nbar) - np.log(den)
-    norm = logsumexp(logp)
+    norm = _logsumexp(logp)
     p = np.exp(logp - norm)
     p /= p.sum()
     if p[dim - 1] >= TAIL_GUARD:

@@ -272,6 +272,12 @@ def _set_key(text, section, key, value):
 def _base_ini(base, outdir):
     if base == "steady":
         return STEADY_APPROX_INI.format(outdir=outdir)
+    if base in ("recurrence", "thermal"):
+        text = SWEPT_RECURRENCE_INI.format(outdir=outdir, at="steady")
+        if base == "thermal":
+            text = _set_key(text, "solver", "method", "recurrence_thermal")
+            text = _set_key(text, "system", "nbar", "1.0")
+        return text
     text = EVOLVE_INI.format(outdir=outdir)
     if base == "projector":
         for key, value in (("kind", "projector"), ("target", "fock:2"), ("source", "coherent:1.2")):
@@ -303,6 +309,10 @@ def _base_ini(base, outdir):
         ("evolve", "output", "distribution_at", "bogus"),
         ("evolve", "output", "distribution_at", "steady"),
         ("steady", "output", "distribution_at", "final"),
+        ("recurrence", "system", "gamma_nonlinear", "0"),
+        ("thermal", "system", "gamma_linear", "0"),
+        ("steady", "system", "nbar", "0.5"),
+        ("steady", "system", "gamma_nonlinear", "0"),
     ],
 )
 def test_bad_input_is_a_config_error_before_any_output(
@@ -312,11 +322,33 @@ def test_bad_input_is_a_config_error_before_any_output(
     good = _write(tmp_path, _base_ini(base, outdir), name="good.ini")
     assert cli.main(["validate", good]) == 0
     bad = _write(tmp_path, _set_key(_base_ini(base, outdir), section, key, value))
-    run = "steady" if base == "steady" else "evolve"
+    run = {"steady": "steady", "recurrence": "recurrence", "thermal": "recurrence"}.get(
+        base, "evolve"
+    )
     assert cli.main([run if command == "run" else "validate", bad]) == 1
     err = capsys.readouterr().err
     assert "config error:" in err and "Traceback" not in err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "base, parameter, values, at",
+    [
+        ("recurrence", "gamma_nonlinear", "0.0,1.0", "steady"),
+        ("thermal", "gamma_linear", "0.0,1.0", "steady"),
+        ("steady", "nbar", "0.0,0.5", "value:0.0"),
+    ],
+)
+def test_swept_rate_fails_only_its_point(tmp_path, capsys, base, parameter, values, at):
+    outdir = tmp_path / "out"
+    text = _set_key(_base_ini(base, outdir), "sweep", "parameter", parameter)
+    text = _set_key(_set_key(text, "sweep", "values", values), "output", "distribution_at", at)
+    path = _write(tmp_path, text)
+    assert cli.main(["validate", path]) == 0
+    run = "steady" if base == "steady" else "recurrence"
+    assert cli.main([run, path]) == 3  # the rate condition fails one point, not the config
+    bad = values.split(",")[1 if base == "steady" else 0]
+    assert f"point {bad} failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw", ["two", "0", "-3"])

@@ -1,9 +1,11 @@
+import json
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nclsim import fock
 from nclsim.errors import (
@@ -103,6 +105,130 @@ def test_cli_import_skips_scipy_stats():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+_LIST_SCIPY_AFTER_RUN = """
+import json, sys
+from nclsim import cli
+status = cli.main(sys.argv[1:])
+print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+_SYSTEM = """
+[system]
+dim = {dim}
+gamma_linear = 1.0
+gamma_nonlinear = 0.2
+
+[gadget]
+kind = ncl
+f = x-1
+
+[output]
+directory = {outdir}
+basename = run
+"""
+
+_SOLVER = {
+    "evolve": """
+[initial]
+state = coherent:1.2
+
+[solver]
+method = propagate
+t_grid = log:1e-3:0.5:20
+
+[sweep]
+parameter = alpha
+values = 1.0,1.2
+""",
+    "recurrence": """
+[solver]
+method = recurrence_ncl
+
+[sweep]
+parameter = alpha0
+values = 1.0,2.0
+""",
+    "steady": """
+[solver]
+method = steady
+
+[sweep]
+parameter = alpha0
+values = 1.0,2.0
+""",
+}
+
+
+def _scipy_modules_after(tmp_path, command):
+    """scipy modules loaded in an interpreter that ran ``nclsim <command>`` on
+    a two-point sweep with two workers."""
+    dim = {"evolve": 20, "recurrence": 30, "steady": 12}[command]
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        _SYSTEM.format(dim=dim, outdir=tmp_path / "out") + _SOLVER[command], encoding="utf-8"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fock.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, NCLSIM_WORKERS="2")
+    out = subprocess.run(
+        [sys.executable, "-c", _LIST_SCIPY_AFTER_RUN, command, str(ini)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    status, modules = json.loads(out.stdout.splitlines()[-1])
+    assert status == 0
+    return modules
+
+
+@pytest.mark.parametrize("command", ["evolve", "recurrence"])
+def test_propagate_and_recurrence_runs_import_no_scipy(tmp_path, command):
+    assert _scipy_modules_after(tmp_path, command) == []
+
+
+def test_pooled_steady_sweep_imports_scipy_before_the_fork(tmp_path):
+    # the workers solve every point, so only the import before the fork loads
+    # scipy.sparse.linalg in the parent
+    assert "scipy.sparse.linalg" in _scipy_modules_after(tmp_path, "steady")
+
+
+@st.composite
+def _poisson_tails(draw):
+    """(k, μ) with μ in [1e-6, 5e3] and k in [0, μ + 20√μ + 60], dense
+    around the mean where the tail crosses the guard's threshold."""
+    mu = 10.0 ** draw(st.floats(-6.0, np.log10(5e3)))
+    k = int(mu + draw(st.floats(-1.0, 20.0)) * np.sqrt(mu)) + draw(st.integers(0, 60))
+    return max(k, 0), mu
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_poisson_tails())
+def test_scipy_free_tail_bound_says_below_only_where_scipy_does(tail):
+    from scipy.stats import poisson
+
+    k, mu = tail
+    if fock._tail_below(k, mu, fock.COHERENT_TAIL_THRESHOLD):
+        assert poisson.sf(k, mu) < fock.COHERENT_TAIL_THRESHOLD
+
+
+def test_coherent_guard_decides_as_the_scipy_tail_does():
+    # amplitudes of the figure presets (2-5 at dim 90, 2-8 at dim 130), the
+    # benchmark workloads and the tests' states, at every dim up to 140
+    alphas = (0.0, 0.5, 1.0, 1.2, 1.5, 2.0, 2.5, 2.98, 3.0, 4.0, 5.0, 6.0, 8.0, -2.0, 1.0 + 1.0j)
+    for alpha in alphas:
+        for dim in range(2, 141):
+            leaks = fock._poisson_sf(dim - 1, abs(alpha) ** 2) >= fock.COHERENT_TAIL_THRESHOLD
+            try:
+                fock.coherent_state(alpha, dim)
+            except TruncationLeakageError as exc:
+                assert leaks and exc.min_dim == fock.coherent_min_dim(alpha)
+            else:
+                assert not leaks
+    # the presets' states pass without asking scipy
+    for alpha, dim in ((2.0, 90), (5.0, 90), (2.0, 130), (8.0, 130)):
+        assert fock._tail_below(dim - 1, alpha**2, fock.COHERENT_TAIL_THRESHOLD)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0, -2.0, 1.0 + 1.0j])

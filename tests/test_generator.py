@@ -7,10 +7,11 @@ occupation, and an NCL, projector, random low-rank or no engineered channel.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_density
-from nclsim import fock, gadgets, liouvillian as lv, steady
+from nclsim import fock, gadgets, liouvillian as lv, scenarios, steady
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 RTOL = 1e-12
@@ -77,6 +78,36 @@ def test_rhs_matches_dense_reference(drawn):
     assert _close(out, ref, scale)
     assert abs(np.trace(out)) <= RTOL * max(1.0, scale)
     assert _close(out, out.conj().T, scale)
+
+
+def _sparse_gram(x):
+    x = sp.csr_matrix(x)
+    return (x.conj().T @ x).toarray()
+
+
+@SETTINGS
+@given(equations(), st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+def test_gram_is_bitwise_the_sparse_product(drawn, offsets):
+    me, rng = drawn
+    dim = me.dim
+    # the equation's channels and a complex operator on up to three diagonals
+    banded = np.zeros((dim, dim), dtype=complex)
+    for s in (s for s in offsets if abs(s) < dim):
+        banded += np.diag(rng.normal(size=dim - abs(s)) + 1j * rng.normal(size=dim - abs(s)), s)
+    for x in [ch.op for ch in me.channels] + [banded]:
+        assert lv._gram(x).tobytes() == _sparse_gram(x).tobytes()
+
+
+def test_gram_of_every_preset_channel_is_bitwise_the_sparse_product():
+    # ladder operators, NCL x-1, (x-1)^2, (x-1)^3 and the fig1a/fig1b projector
+    ops = {}
+    for name in scenarios.PRESET_NAMES:
+        for _, config in scenarios.expand_preset(name):
+            for value in config.sweep.values:
+                me, _, _ = scenarios.build_system(scenarios.resolve_point(config, value))
+                ops.update((ch.op.tobytes(), ch.op) for ch in me.channels)
+    for op in ops.values():
+        assert lv._gram(op).tobytes() == _sparse_gram(op).tobytes()
 
 
 @SETTINGS

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_density
@@ -137,7 +140,8 @@ def _record(monkeypatch, module, name):
 @pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
 def test_one_factorization_per_point(monkeypatch, approx):
     me, f = _driven_ncl(32, 12.0, 1.0)
-    calls = _record(monkeypatch, steady, "splu")
+    # steady imports splu inside the solve, so it reads the patched name
+    calls = _record(monkeypatch, scipy.sparse.linalg, "splu")
     stats = steady.LUStats()
     if approx:
         steady.approximate_steady_state(me, f, stats=stats)
@@ -147,6 +151,22 @@ def test_one_factorization_per_point(monkeypatch, approx):
     # the first solve, at most three refinement steps, then at least three
     # solves of the condition estimate; 5 (exact) and 6 (approx) here
     assert 4 <= stats.lu_solves <= 8
+
+
+@pytest.mark.parametrize(
+    "preset, method", [("fig2b", "recurrence_ncl"), ("fig2d", "recurrence_thermal")]
+)
+def test_logsumexp_is_bitwise_scipy_on_preset_recurrences(monkeypatch, preset, method):
+    from scipy.special import logsumexp
+
+    calls = _record(monkeypatch, steady, "_logsumexp")
+    config = sc.expand_preset(preset)[0][1]
+    config = replace(config, solver=replace(config.solver, method=method))
+    assert all(p.error is None for p in sc.run_sweep(config, workers=1).points)
+    assert len(calls) == len(config.sweep.values)
+    ties = np.array([-np.inf, 0.0, -3.0, 0.0, -700.0])
+    for logp, norm in calls + [((ties,), steady._logsumexp(ties))]:
+        assert np.float64(norm).tobytes() == np.float64(logsumexp(logp[0])).tobytes()
 
 
 @pytest.mark.parametrize(
