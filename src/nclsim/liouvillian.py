@@ -22,18 +22,26 @@ arrays C computed in advance.  Any other operator (the projector channel
 A = |φ⟩⟨χ| and its rank-1 A†A) is kept as exact low-rank factors U·Vᵀ from
 one SVD, so its terms cost O(rank·dim²) and no dense product.
 
-The term list has three readers:
+The term list has these readers:
 
 * :func:`rhs`, the matrix-free right-hand side (the block below at m = dim);
 * :meth:`Generator.block`, the map on the leading m×m block of a state that
   vanishes outside it, made by slicing the coefficient arrays and the rows of
   the factors; the integrator's shrinking window uses it, writing each
   derivative into a preallocated stage buffer (``out=``);
-* :func:`superoperator_sparse` (:meth:`Generator.superoperator`), the sparse
-  matrix under column-stacking vectorization: vec(ρ)[i + dim*j] = ρ[i, j],
-  so vec(AρB) = (Bᵀ ⊗ A) vec(ρ).  :func:`superoperator_matrix` densifies it.
-  It is the one reader that needs ``scipy.sparse``, which it imports on its
-  first call, so propagation imports no scipy.
+* :attr:`Generator.triplets`, the COO entries of the D²×D² matrix under
+  column-stacking vectorization: vec(ρ)[i + dim*j] = ρ[i, j], so
+  vec(AρB) = (Bᵀ ⊗ A) vec(ρ).  Two readers build on them:
+
+  * :func:`superoperator_sparse` (:meth:`Generator.superoperator`), the sparse
+    matrix, which :func:`superoperator_matrix` densifies for the SVD route
+    and the tests;
+  * :meth:`Generator.hermitian_blocks`, the map on Hermitian matrices in the
+    real coordinates of :func:`hermitian_coordinates`, which the stationary
+    solves of :mod:`steady` factor.
+
+  Both import ``scipy.sparse`` when called, so propagation imports
+  no scipy.
 
 The generator decides its dtype once, ``Generator.dtype``: float64 when no
 band coefficient and no factored operator has an imaginary part, as for
@@ -45,7 +53,7 @@ integrator keeps its state in it when ρ₀ is real too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -251,27 +259,110 @@ class Generator:
         factor for each product (dim 130 NCL, one thread: 100 against 115 µs)."""
         return self.apply if self.dtype == np.complex128 else _Block(self, self.dim, np.complex128)
 
+    @cached_property
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of the D²×D² matrix of the map under column
+        stacking, in ``dtype``: one entry per band coefficient and per product
+        of two nonzero factor entries, with duplicates left unsummed.
+        Computed on first use and kept, for the superoperator, the Hermitian
+        blocks and the residual scale of a stationary solve."""
+        dim = self.dim
+        index = np.arange(dim * dim, dtype=np.int32).reshape((dim, dim), order="F")
+        parts = [
+            (index[dr, dc].ravel(), index[sr, sc].ravel(), coef.ravel())
+            for dr, dc, sr, sc, coef in self.apply.shifts
+        ]
+        for c, left, right in self.products:
+            # vec(LρR) = (Rᵀ ⊗ L) vec(ρ): row i + dim·j, column k + dim·l,
+            # value c·L[i, k]·R[l, j]
+            (li, lk), lv = _entries(left, dim)
+            (rl, rj), rv = _entries(right, dim)
+            parts.append(
+                (
+                    np.add.outer(li, dim * rj).ravel(),
+                    np.add.outer(lk, dim * rl).ravel(),
+                    (c * np.outer(lv, rv)).ravel(),
+                )
+            )
+        if not parts:
+            return np.zeros(0, int), np.zeros(0, int), np.zeros(0, self.dtype)
+        rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+        return rows, cols, vals.astype(self.dtype, copy=False)
+
     def superoperator(self) -> sp.csr_matrix:
         """Sparse D²×D² matrix of the map under column stacking, in ``dtype``."""
         import scipy.sparse as sp
 
-        dim = self.dim
-        index = np.arange(dim * dim).reshape((dim, dim), order="F")
-        parts = [
-            (coef.ravel(), index[dr, dc].ravel(), index[sr, sc].ravel())
-            for dr, dc, sr, sc, coef in self.apply.shifts
-        ]
-        vals, rows, cols = (np.concatenate(p) for p in zip(*parts)) if parts else ([], [], [])
-        total = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(dim * dim, dim * dim), dtype=self.dtype
-        )
+        rows, cols, vals = self.triplets
+        n = self.dim * self.dim
+        total = sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=self.dtype)
         total.eliminate_zeros()
-        eye = sp.identity(dim, dtype=self.dtype, format="csr")
-        for c, left, right in self.products:
-            lo = eye if left is None else sp.csr_matrix(left[0] @ left[1].T)
-            ro = eye if right is None else sp.csr_matrix(right[0] @ right[1].T)
-            total = total + c * sp.kron(ro.T, lo, format="csr")
         return total
+
+    def hermitian_blocks(self):
+        """The map on Hermitian ρ = S + iA (S real symmetric, A real
+        antisymmetric) in the real coordinates (vech S, strict-vech A) of
+        :func:`hermitian_coordinates`: ((SS, SA), (AS, AA)), sparse COO
+        matrices with duplicates unsummed, where the rows give vech Re L(ρ)
+        and strict-vech Im L(ρ).
+
+        A Hermiticity-preserving map with real entries commutes with
+        transposition, so it sends S to a symmetric and A to an antisymmetric
+        matrix: the coupling blocks SA and AS come only from imaginary
+        entries and are empty for every real generator.
+        """
+        import scipy.sparse as sp
+
+        dim = self.dim
+        rows, cols, vals = self.triplets
+        sym, anti, sign = hermitian_coordinates(dim)
+        ns, na = dim * (dim + 1) // 2, dim * (dim - 1) // 2
+        # row (i, j) is a row of S when i >= j and of A when i > j; column
+        # (k, l) folds onto (max, min), for A with the sign of k - l, which is
+        # 0 on the diagonal, where A vanishes
+        lower = np.flatnonzero(sign[rows] >= 0)
+        rows, cols, vals = rows[lower], cols[lower], vals[lower]
+        arow, col_sign = sign[rows] > 0, sign[cols]
+        re, im = np.real(vals), np.imag(vals)
+
+        def block(on_row, row_map, col_map, v, shape):
+            keep = np.flatnonzero(on_row & (v != 0))
+            return sp.coo_matrix((v[keep], (row_map[rows[keep]], col_map[cols[keep]])), shape)
+
+        ss = block(True, sym, sym, re, (ns, ns))  # every row left is a row of S
+        sa = block(True, sym, anti, -col_sign * im, (ns, na))
+        as_ = block(arow, anti, sym, im, (na, ns))
+        aa = block(arow, anti, anti, col_sign * re, (na, na))
+        return (ss, sa), (as_, aa)
+
+
+def _entries(factors, dim: int):
+    """((rows, cols), values) of the nonzero entries of U·Vᵀ, or of the
+    identity for None."""
+    if factors is None:
+        return (np.arange(dim), np.arange(dim)), np.ones(dim)
+    op = factors[0] @ factors[1].T
+    return np.nonzero(op), op[op != 0]
+
+
+@lru_cache(maxsize=4)
+def hermitian_coordinates(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sym, anti, sign), each over the column-stacked positions i + dim·j:
+    the vech coordinate of (max(i, j), min(i, j)) among the dim(dim+1)/2
+    entries of a lower triangle stacked by columns, its coordinate among the
+    dim(dim-1)/2 entries below the diagonal (0 on the diagonal), and the sign
+    of i - j.  A Hermitian ρ = S + iA has vec(ρ) = s[sym] + i·sign·a[anti]
+    for s = vech S and a = strict-vech A.  The last few dims are kept,
+    read-only."""
+    p = np.arange(dim * dim, dtype=np.int32)
+    i, j = p % dim, p // dim
+    hi, lo = np.maximum(i, j), np.minimum(i, j)
+    sym = lo * dim - lo * (lo - 1) // 2 + hi - lo
+    anti = np.maximum(lo * (dim - 1) - lo * (lo - 1) // 2 + hi - lo - 1, 0)
+    out = sym, anti, np.sign(i - j)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 class MasterEquation:

@@ -58,6 +58,7 @@ _SWEEP_FIELD = {"alpha0": "omega", "epsilon": "gamma_linear"}
 _RATE_NEEDS = (
     ("recurrence_ncl", "gamma_nonlinear", False),
     ("recurrence_thermal", "gamma_linear", False),
+    ("recurrence_thermal", "nbar", False),
     ("steady_approx", "gamma_nonlinear", False),
     ("steady_approx", "nbar", True),
 )
@@ -491,6 +492,7 @@ def run_sweep(config: ScenarioConfig, workers: int | None = None) -> ScenarioRes
     if n > 1 and len(jobs) > 1:
         if config.solver.method in ("steady", "steady_approx"):
             # imported once here, before the fork, not once in every worker
+            import scipy.sparse.csgraph  # noqa: F401
             import scipy.sparse.linalg  # noqa: F401
         with ProcessPoolExecutor(max_workers=n) as pool:
             points = list(pool.map(_run_point_isolated, jobs))

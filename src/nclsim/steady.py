@@ -1,18 +1,29 @@
 """Stationary states: exact null-space solving and analytic diagonal theory.
 
-Exact steady states come from the null space of the vectorized Liouvillian,
-by one sparse LU solve in which the first diagonal row of the superoperator
-is replaced by the trace constraint.  The replaced row is a *diagonal* row
-because trace preservation makes exactly the diagonal rows linearly
-dependent, so no information is lost; the system is then singular exactly
-when the null space is degenerate, which a 1-norm condition estimate from
-the same factors detects.  The solve runs in the superoperator's own dtype:
-float64 whenever the equation is real (every preset and config equation),
-complex128 otherwise; SuperLU orders the columns by minimum degree on Aᵀ+A.
-States are returned as complex128 either way.  The full equation and the
-truncated equation below share this solve and its dimension cap.  A dense
-SVD of the superoperator (method 'svd', capped much lower) is kept as a
-reference.
+Every equation solved here preserves Hermiticity, so it is a real-linear map
+on the Hermitian matrices, and exact steady states are solved there: in the
+real coordinates (vech S, strict-vech A) of ρ = S + iA, with S real
+symmetric and A real antisymmetric (vech and duplication matrices: Magnus &
+Neudecker, *Matrix Differential Calculus*).  A generator with real entries
+(every preset and config equation) maps S to a symmetric and A to an
+antisymmetric matrix, so it splits into a symmetric block of D(D+1)/2 and an
+antisymmetric block of D(D-1)/2, and the state, being real, lies in the
+first.  Both blocks are assembled straight from the generator's bands
+(:meth:`~nclsim.liouvillian.Generator.hermitian_blocks`), without the D²×D²
+superoperator.  The state comes from one sparse LU solve of the symmetric
+block with its diagonal row (0, 0) replaced by the trace constraint.  The
+replaced row is a *diagonal* row because trace preservation makes exactly
+the diagonal rows linearly dependent, so no information is lost; that
+system is then singular exactly when the null space holds a traceless
+symmetric element, and the antisymmetric block exactly when it holds an
+antisymmetric one.  Both blocks are factored, and a
+structural-rank test and a 1-norm condition estimate from the same factors
+detect either.  A generator with complex entries couples the blocks, and the
+whole real system of dimension D² is factored instead.  SuperLU orders the columns by
+minimum degree on Aᵀ+A; states are returned as complex128.  The full
+equation and the truncated equation below share this solve and its
+dimension cap.  A dense SVD of the superoperator (method 'svd', capped much
+lower) is kept as an independent reference.
 
 The analytic side implements the detailed-balance recurrences for the
 diagonal of the stationary state:
@@ -56,10 +67,9 @@ from .gadgets import ncl_lindblad
 from .liouvillian import (
     Generator,
     MasterEquation,
+    hermitian_coordinates,
     superoperator_matrix,
-    superoperator_sparse,
     unvec,
-    vec,
 )
 from .observables import DiagonalDistribution
 
@@ -70,10 +80,10 @@ TAIL_GUARD = 1e-12
 RESIDUAL_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
 # Largest dim the sparse trace-row solve takes.  Driven NCL (α₀ = 150, ε = 1,
-# one float64 factorization with the condition estimate, one BLAS thread,
-# 2-core x86 VM, process peak RSS, two runs): 0.14-0.16 s and 90 MB at dim
-# 128, 0.37-0.45 s and 127 MB at 200, 0.78-0.86 s and 174 MB at 256,
-# 1.4-1.5 s and 239 MB at 320.
+# both Hermitian-basis blocks factored with their condition estimates, one
+# BLAS thread, 2-core x86 VM, process peak RSS, two runs): 0.12 s and 84 MB
+# at dim 128, 0.35-0.37 s and 117 MB at 200, 0.71-0.76 s and 154 MB at 256,
+# 1.2-1.4 s and 209 MB at 320.
 SPARSE_DIM_CAP = 256
 
 
@@ -90,44 +100,31 @@ class PeakEstimate:
 # exact steady states
 
 
-def _state_from_null_vector(lop, v: np.ndarray, dim: int) -> np.ndarray:
-    """Hermitized, unit-trace complex state from a null vector of ``lop``,
-    residual-checked."""
-    rho = unvec(v, dim)
-    rho = 0.5 * (rho + rho.conj().T)
+def _unit_trace_state(gen: Generator, rho: np.ndarray) -> np.ndarray:
+    """``rho`` scaled to unit trace as a complex state, residual-checked
+    against ``gen``."""
     tr = float(np.real(np.trace(rho)))
     if abs(tr) < 1e-10:
         raise NonUniqueSteadyStateError("null vector is traceless; no state in the kernel")
     rho = rho / tr
-    residual = float(np.linalg.norm(lop @ vec(rho)))
+    residual = float(np.linalg.norm(gen.apply(rho)))
     # absolute tolerance, floored by what double precision can deliver for
-    # the operator's scale (rates ~1e5 leave residuals ~1e-11 after refinement)
-    scale = float(np.abs(lop).sum(axis=1).max())
+    # the operator's scale (rates ~1e5 leave residuals ~1e-11)
+    rows, _, vals = gen.triplets
+    scale = float(np.bincount(rows, np.abs(vals), minlength=1).max())
     thresh = max(RESIDUAL_TOL, 100.0 * np.finfo(float).eps * scale)
     if residual > thresh:
         raise SteadyStateResidualError(f"steady-state residual {residual:.3e} above {thresh:.3e}")
     return rho.astype(complex)
 
 
-def _with_trace_row(lop: sp.csr_matrix, dim: int) -> sp.csc_matrix:
-    """``lop`` with row 0 replaced by the trace row."""
-    import scipy.sparse as sp
-
-    n = dim * dim
-    m = lop.copy()
-    m.data[m.indptr[0] : m.indptr[1]] = 0.0
-    m.eliminate_zeros()
-    trace_row = sp.csr_matrix(
-        (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(dim) * (dim + 1))), shape=(n, n)
-    )
-    return (m + trace_row).tocsc()
-
-
-def _refined(x: np.ndarray, b: np.ndarray, apply, solve) -> np.ndarray:
-    """``x`` after up to three steps of iterative refinement of apply(x) = b."""
+def _refined(x: np.ndarray, b: np.ndarray, apply, solve, norm: float) -> np.ndarray:
+    """``x`` after up to three steps of iterative refinement of apply(x) = b,
+    stopping once ‖b - apply(x)‖₁ is within a few rounding errors of the
+    product, 4·eps·‖M‖₁·‖x‖₁, where ``norm`` is ‖M‖₁."""
     for _ in range(3):
         r = b - apply(x)
-        if np.linalg.norm(r) <= 1e-14 * max(1.0, np.linalg.norm(x)):
+        if np.abs(r).sum() <= 4.0 * np.finfo(float).eps * norm * np.abs(x).sum():
             break
         x = x + solve(r)
     return x
@@ -142,56 +139,101 @@ class LUStats:
     lu_solves: int = 0
 
 
-def _nullspace_direct(dim: int, build, stats: LUStats | None = None) -> np.ndarray:
-    """Sparse trace-row solve of the superoperator ``build()``, called only
-    after ``dim`` is checked against ``SPARSE_DIM_CAP``.
-
-    M₁, the superoperator with diagonal row 0 replaced by the trace row, is
-    factored once; the state comes from M₁x = e₀.  The diagonal rows of a
-    trace-preserving generator sum to zero, so M₁x = 0 exactly when x is a
-    traceless element of the null space: M₁ is singular exactly when the
-    null space is degenerate, whichever diagonal row holds the trace.  A
-    factorization that fails, or a 1-norm condition number of M₁ of at
-    least 1/eps, raises NonUniqueSteadyStateError.  ‖M₁⁻¹‖₁ is estimated
-    by Hager's method (Higham & Tisseur's block form with one column, so no
-    random start), a few solves with M₁ and M₁ᴴ.
-    """
+def _factored(m: sp.csc_matrix, name: str, stats: LUStats):
+    """(solve, ‖m‖₁) from one LU of ``m``, once ``m`` has passed the
+    degeneracy test: a structurally singular ``m``, a failed factorization,
+    or a 1-norm condition number of at least 1/eps raises
+    NonUniqueSteadyStateError.  ‖m⁻¹‖₁ is estimated by Hager's method
+    (Higham & Tisseur's block form with one column, so no random start), a
+    few solves with m and mᵀ."""
+    from scipy.sparse.csgraph import structural_rank
     from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-    if dim > SPARSE_DIM_CAP:
-        raise DimensionCapError(
-            f"dim {dim} exceeds the sparse steady-state cap {SPARSE_DIM_CAP}; lower dim"
+    # SuperLU's supernodal kernels can fail, and corrupt the heap, on a
+    # matrix without a perfect matching before any zero pivot shows (the
+    # antisymmetric block of a Hamiltonian-only equation at dim 8)
+    if structural_rank(m) < m.shape[0]:
+        raise NonUniqueSteadyStateError(
+            f"{name} is structurally singular; null space is degenerate"
         )
-    stats = LUStats() if stats is None else stats
-    lop = build()
-    m = _with_trace_row(lop, dim)
     stats.lu_factorizations += 1
     try:
         # minimum degree on Aᵀ+A: less fill than the default COLAMD on these
-        # structurally near-symmetric matrices (at dim 128, L+U 1.06M against 1.59M)
+        # structurally near-symmetric matrices (driven NCL at dim 64: L+U 80k
+        # against 124k for the symmetric block, 73k against 94k for the other)
         lu = splu(m, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise NonUniqueSteadyStateError(
-            f"trace-row system is exactly singular ({exc}); null space is degenerate"
+            f"{name} is exactly singular ({exc}); null space is degenerate"
         ) from exc
 
     def solve(b, trans="N"):
         stats.lu_solves += 1
         return lu.solve(b, trans=trans)
 
-    b = np.zeros(dim * dim, dtype=lop.dtype)
-    b[0] = 1.0
-    x = _refined(solve(b), b, m.dot, solve)
+    # every column holds an entry, since the structural rank is full
+    norm = float(np.add.reduceat(np.abs(m.data), m.indptr[:-1]).max())
+    transposed = lambda y: solve(y, "T")  # noqa: E731
+    # the blocks of columns go to SuperLU whole, not column by column
     inverse = LinearOperator(
-        m.shape, matvec=solve, rmatvec=lambda y: solve(y, "H"), dtype=m.dtype
+        m.shape, matvec=solve, rmatvec=transposed, matmat=solve, rmatmat=transposed,
+        dtype=m.dtype,
     )
-    condition = float(np.abs(m).sum(axis=0).max()) * onenormest(inverse, t=1)
+    condition = norm * onenormest(inverse, t=1)
     if not condition < 1.0 / np.finfo(float).eps:  # NaN from overflowed solves too
         raise NonUniqueSteadyStateError(
-            f"trace-row system is singular to working precision (condition number "
+            f"{name} is singular to working precision (condition number "
             f">= {condition:.3e}); null space is degenerate"
         )
-    return _state_from_null_vector(lop, x, dim)
+    return solve, norm
+
+
+def _nullspace_direct(gen: Generator, stats: LUStats | None = None) -> np.ndarray:
+    """Trace-row solve of ``gen`` on the Hermitian matrices, in the real
+    coordinates of :meth:`~nclsim.liouvillian.Generator.hermitian_blocks`,
+    called only after the dimension is checked against ``SPARSE_DIM_CAP``.
+
+    The state comes from the trace-row system: the symmetric block of a real
+    generator, or the whole real system when imaginary entries couple the
+    blocks, with row 0, the diagonal coordinate (0, 0), replaced by the
+    trace row.  The diagonal rows of a trace-preserving generator sum to
+    zero, so that system maps x to 0 exactly when x is a traceless element
+    of the null space.  A real generator's antisymmetric block holds the
+    rest of the null space and is factored as it stands.  So the null space
+    is degenerate exactly when one of the factored systems is singular,
+    which :func:`_factored` tests.
+    """
+    import scipy.sparse as sp
+
+    dim = gen.dim
+    if dim > SPARSE_DIM_CAP:
+        raise DimensionCapError(
+            f"dim {dim} exceeds the sparse steady-state cap {SPARSE_DIM_CAP}; lower dim"
+        )
+    stats = LUStats() if stats is None else stats
+    sym, anti, sign = hermitian_coordinates(dim)
+    (ss, sa), (as_, aa) = gen.hermitian_blocks()
+    coupled = bool(sa.nnz or as_.nnz)
+    m = sp.bmat([[ss, sa], [as_, aa]], format="coo") if coupled else ss
+    keep = m.row != 0
+    m = sp.csc_matrix(
+        (
+            np.concatenate([m.data[keep], np.ones(dim)]),
+            (
+                np.concatenate([m.row[keep], np.zeros(dim, int)]),
+                np.concatenate([m.col[keep], sym[:: dim + 1]]),  # the diagonal (k, k)
+            ),
+        ),
+        shape=m.shape,
+    )
+    solve, norm = _factored(m, "trace-row system", stats)
+    if not coupled:
+        _factored(aa.tocsc(), "antisymmetric block", stats)
+    b = np.zeros(m.shape[0])
+    b[0] = 1.0
+    x = _refined(solve(b), b, m.dot, solve, norm)
+    rho = x[sym] + 1j * sign * x[ss.shape[0] + anti] if coupled else x[sym]
+    return _unit_trace_state(gen, unvec(rho, dim))
 
 
 def steady_state_nullspace(
@@ -201,8 +243,9 @@ def steady_state_nullspace(
 ) -> np.ndarray:
     """Unique stationary density matrix from the superoperator null space.
 
-    method: 'direct' (sparse trace-constrained solve with a condition
-    estimate as the degeneracy test; dims up to ``SPARSE_DIM_CAP``) or 'svd'
+    method: 'direct' (sparse trace-constrained solve on the Hermitian
+    matrices with a condition estimate as the degeneracy test; dims up to
+    ``SPARSE_DIM_CAP``) or 'svd'
     (the dense reference route, with singular values below
     ``DEGENERACY_TOL`` as the degeneracy test; dims up to the dense cap of
     :func:`~nclsim.liouvillian.superoperator_matrix`).  Either state must
@@ -211,7 +254,7 @@ def steady_state_nullspace(
     ``stats``, when given, counts the sparse LU work of the direct route.
     """
     if method == "direct":
-        rho = _nullspace_direct(me.dim, lambda: superoperator_sparse(me), stats)
+        rho = _nullspace_direct(me.generator, stats)
     elif method == "svd":
         lop = superoperator_matrix(me)
         _, s, vh = np.linalg.svd(lop)
@@ -219,7 +262,8 @@ def steady_state_nullspace(
             raise NonUniqueSteadyStateError(
                 f"second-smallest singular value {s[-2]:.3e} below {DEGENERACY_TOL:.0e}"
             )
-        rho = _state_from_null_vector(lop, vh[-1].conj(), me.dim)
+        rho = unvec(vh[-1].conj(), me.dim)
+        rho = _unit_trace_state(me.generator, 0.5 * (rho + rho.conj().T))
     else:
         raise InvalidStateError(f"unknown steady-state method {method!r}")
     return check_density_matrix(rho)
@@ -443,7 +487,7 @@ def approximate_steady_state(me: MasterEquation, f, stats: LUStats | None = None
     Bρ = α₀ρ, ρB† = α₀ρ up to the Fock-cutoff boundary residual.  ``stats``,
     when given, counts the sparse LU work.
     """
-    return _nullspace_direct(me.dim, lambda: approximate_superoperator(me, f), stats)
+    return _nullspace_direct(_approximate_generator(me, f), stats)
 
 
 def b_eigen_residual(me: MasterEquation, f, rho: np.ndarray) -> float:

@@ -311,6 +311,7 @@ def _base_ini(base, outdir):
         ("steady", "output", "distribution_at", "final"),
         ("recurrence", "system", "gamma_nonlinear", "0"),
         ("thermal", "system", "gamma_linear", "0"),
+        ("thermal", "system", "nbar", "0"),
         ("steady", "system", "nbar", "0.5"),
         ("steady", "system", "gamma_nonlinear", "0"),
     ],
@@ -336,6 +337,7 @@ def test_bad_input_is_a_config_error_before_any_output(
     [
         ("recurrence", "gamma_nonlinear", "0.0,1.0", "steady"),
         ("thermal", "gamma_linear", "0.0,1.0", "steady"),
+        ("thermal", "nbar", "0.0,1.0", "steady"),
         ("steady", "nbar", "0.0,0.5", "value:0.0"),
     ],
 )
@@ -528,8 +530,8 @@ def test_provenance_records_lu_counts_of_steady_points(tmp_path, monkeypatch, me
     assert [s["sweep_value"] for s in stats] == [1.0, 5.0]
     for s in stats:
         assert set(s) == {"sweep_value", "lu_factorizations", "lu_solves"}
-        assert s["lu_factorizations"] == 1
-        assert 4 <= s["lu_solves"] <= 8
+        assert s["lu_factorizations"] == 2  # the two Hermitian-basis blocks
+        assert 7 <= s["lu_solves"] <= 12
 
 
 def test_svg_content(tmp_path):

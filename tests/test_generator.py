@@ -1,9 +1,10 @@
 """Differential properties of the compiled generator.
 
-The fused band terms, the factored terms, the block restriction and the sparse
-superoperator are checked against the dense reference -i[H, ρ] + Σ r·L(x)ρ
-on randomly drawn equations: dim 2-12, random rates, drive and thermal
-occupation, and an NCL, projector, random low-rank or no engineered channel.
+The fused band terms, the factored terms, the block restriction, the sparse
+superoperator and the Hermitian-basis blocks are checked against the dense
+reference -i[H, ρ] + Σ r·L(x)ρ on randomly drawn equations: dim 2-12, random
+rates, drive and thermal occupation, and an NCL, projector, random low-rank or
+no engineered channel.
 """
 
 import numpy as np
@@ -117,6 +118,43 @@ def test_superoperator_matches_rhs(drawn):
     rho = random_density(me.dim, rng)
     out = lv.vec(lv.rhs(me, rho))
     assert _close(lv.superoperator_sparse(me) @ lv.vec(rho), out, np.abs(out).max())
+
+
+def _vech(m, k=0):
+    """Entries of ``m`` on and below its k-th subdiagonal, stacked by columns."""
+    return np.concatenate([m[j + k :, j] for j in range(m.shape[0])])
+
+
+def _check_hermitian_blocks(me, rng):
+    """The blocks map (vech S, strict-vech A) of a random Hermitian ρ = S + iA
+    to the same coordinates of rhs(ρ); returns the coupling blocks."""
+    rho = random_density(me.dim, rng)
+    s, a = _vech(rho.real), _vech(rho.imag, 1)
+    (ss, sa), (as_, aa) = me.generator.hermitian_blocks()
+    out = lv.rhs(me, rho)
+    scale = np.abs(out).max()
+    assert _close(ss @ s + sa @ a, _vech(out.real), scale)
+    assert _close(as_ @ s + aa @ a, _vech(out.imag, 1), scale)
+    return sa, as_
+
+
+@SETTINGS
+@given(equations())
+def test_hermitian_blocks_match_rhs(drawn):
+    me, rng = drawn
+    sa, as_ = _check_hermitian_blocks(me, rng)
+    if me.generator.dtype == np.float64:  # a real equation keeps S and A apart
+        assert sa.nnz == as_.nnz == 0
+
+
+def test_complex_generator_couples_the_hermitian_blocks():
+    dim = 10
+    f = gadgets.NonlinearFunction.from_name("x-1")
+    op = np.exp(0.7j) * gadgets.ncl_lindblad(f, dim)
+    me = lv.MasterEquation(dim, gamma_linear=0.5, gamma_nonlinear=1.0, omega=3.0, nonlinear_op=op)
+    assert me.generator.dtype == np.complex128
+    sa, as_ = _check_hermitian_blocks(me, np.random.default_rng(7))
+    assert sa.nnz and as_.nnz
 
 
 @SETTINGS
