@@ -64,7 +64,8 @@ STEADY_HEADER = ["sweep_value", "mandel_q", "mean_n", "purity", "converged"]
 
 
 def emit_csv(result: ScenarioResult, path: str, kind: str) -> str:
-    """Write one CSV of the given kind (timeseries | steady | distribution)."""
+    """Write one CSV of the given kind (timeseries | steady | distribution |
+    poisson, the Poisson reference of each distribution)."""
     fh, writer = _open_csv(path)
     with fh:
         if kind == "timeseries":
@@ -101,27 +102,16 @@ def emit_csv(result: ScenarioResult, path: str, kind: str) -> str:
                         "true" if point.converged else "false",
                     ]
                 )
-        elif kind == "distribution":
+        elif kind in ("distribution", "poisson"):
             writer.writerow(DISTRIBUTION_HEADER)
             for point in result.points:
-                if point.error is not None or point.distribution is None:
+                dist = point.distribution if kind == "distribution" else point.poisson_reference
+                if point.error is not None or dist is None:
                     continue
-                for n, p in enumerate(point.distribution.probabilities):
+                for n, p in enumerate(dist.probabilities):
                     writer.writerow([_f(point.sweep_value), str(n), _f(p)])
         else:
             raise ConfigError(f"unknown csv kind {kind!r}")
-    return path
-
-
-def _emit_poisson_csv(result: ScenarioResult, path: str) -> str:
-    fh, writer = _open_csv(path)
-    with fh:
-        writer.writerow(DISTRIBUTION_HEADER)
-        for point in result.points:
-            if point.error is not None or point.poisson_reference is None:
-                continue
-            for n, p in enumerate(point.poisson_reference.probabilities):
-                writer.writerow([_f(point.sweep_value), str(n), _f(p)])
     return path
 
 
@@ -249,7 +239,7 @@ def _emit_config_outputs(result: ScenarioResult, fileout: FileOutput) -> tuple:
     if has_dist:
         files.append(emit_csv(result, base + "_distribution.csv", kind="distribution"))
     if has_pois:
-        files.append(_emit_poisson_csv(result, base + "_poisson.csv"))
+        files.append(emit_csv(result, base + "_poisson.csv", kind="poisson"))
     if fileout.svg and (has_ts or has_steady):
         files.append(emit_svg(result, base + ".svg"))
     if fileout.svg and has_dist:
@@ -282,7 +272,7 @@ def _figure_files(name: str, results: dict, outdir: str, want_svg: bool) -> tupl
         result = results["main"]
         files.append(emit_csv(result, path(f"{name}_distribution.csv"), kind="distribution"))
         if name == "fig1d":
-            files.append(_emit_poisson_csv(result, path(f"{name}_poisson.csv")))
+            files.append(emit_csv(result, path(f"{name}_poisson.csv"), kind="poisson"))
         if want_svg:
             files.append(emit_svg(result, path(f"{name}.svg"), which="distribution"))
     elif name in ("fig2a", "fig2b", "fig2c"):

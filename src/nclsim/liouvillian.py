@@ -36,12 +36,12 @@ The term list has these readers:
   * :func:`superoperator_sparse` (:meth:`Generator.superoperator`), the sparse
     matrix, which :func:`superoperator_matrix` densifies for the SVD route
     and the tests;
-  * :meth:`Generator.hermitian_blocks`, the map on Hermitian matrices in the
-    real coordinates of :func:`hermitian_coordinates`, which the stationary
-    solves of :mod:`steady` factor.
+  * :meth:`Generator.hermitian_map`, the real triplets of the map on
+    Hermitian matrices in the coordinates of :func:`hermitian_coordinates`,
+    which the stationary solves of :mod:`steady` factor.
 
-  Both import ``scipy.sparse`` when called, so propagation imports
-  no scipy.
+  Only the first imports ``scipy.sparse``, when called, so propagation
+  imports no scipy.
 
 The generator decides its dtype once, ``Generator.dtype``: float64 when no
 band coefficient and no factored operator has an imaginary part, as for
@@ -265,7 +265,7 @@ class Generator:
         stacking, in ``dtype``: one entry per band coefficient and per product
         of two nonzero factor entries, with duplicates left unsummed.
         Computed on first use and kept, for the superoperator, the Hermitian
-        blocks and the residual scale of a stationary solve."""
+        map and the residual scale of a stationary solve."""
         dim = self.dim
         index = np.arange(dim * dim, dtype=np.int32).reshape((dim, dim), order="F")
         parts = [
@@ -299,41 +299,41 @@ class Generator:
         total.eliminate_zeros()
         return total
 
-    def hermitian_blocks(self):
-        """The map on Hermitian ρ = S + iA (S real symmetric, A real
-        antisymmetric) in the real coordinates (vech S, strict-vech A) of
-        :func:`hermitian_coordinates`: ((SS, SA), (AS, AA)), sparse COO
-        matrices with duplicates unsummed, where the rows give vech Re L(ρ)
-        and strict-vech Im L(ρ).
+    def hermitian_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of the map on Hermitian ρ = S + iA (S real
+        symmetric, A real antisymmetric) in the real coordinates of
+        :func:`hermitian_coordinates`: vech S, then strict-vech A from
+        D(D+1)/2 on.  Rows give vech Re L(ρ), then strict-vech Im L(ρ);
+        values are float64, zeros dropped, duplicates unsummed.
 
         A Hermiticity-preserving map with real entries commutes with
         transposition, so it sends S to a symmetric and A to an antisymmetric
-        matrix: the coupling blocks SA and AS come only from imaginary
-        entries and are empty for every real generator.
+        matrix: entries between S and A come only from imaginary entries, and
+        a real generator has none.
         """
-        import scipy.sparse as sp
-
         dim = self.dim
         rows, cols, vals = self.triplets
         sym, anti, sign = hermitian_coordinates(dim)
-        ns, na = dim * (dim + 1) // 2, dim * (dim - 1) // 2
+        ns = dim * (dim + 1) // 2
         # row (i, j) is a row of S when i >= j and of A when i > j; column
         # (k, l) folds onto (max, min), for A with the sign of k - l, which is
         # 0 on the diagonal, where A vanishes
-        lower = np.flatnonzero(sign[rows] >= 0)
+        lower = sign[rows] >= 0
         rows, cols, vals = rows[lower], cols[lower], vals[lower]
         arow, col_sign = sign[rows] > 0, sign[cols]
         re, im = np.real(vals), np.imag(vals)
-
-        def block(on_row, row_map, col_map, v, shape):
-            keep = np.flatnonzero(on_row & (v != 0))
-            return sp.coo_matrix((v[keep], (row_map[rows[keep]], col_map[cols[keep]])), shape)
-
-        ss = block(True, sym, sym, re, (ns, ns))  # every row left is a row of S
-        sa = block(True, sym, anti, -col_sign * im, (ns, na))
-        as_ = block(arow, anti, sym, im, (na, ns))
-        aa = block(arow, anti, anti, col_sign * re, (na, na))
-        return (ss, sa), (as_, aa)
+        srow, scol, arows, acol = sym[rows], sym[cols], ns + anti[rows], ns + anti[cols]
+        parts = []
+        for r, c, v, on_row in (
+            (srow, scol, re, True),
+            (srow, acol, -col_sign * im, True),
+            (arows, scol, im, arow),
+            (arows, acol, col_sign * re, arow),
+        ):
+            keep = on_row & (v != 0)
+            parts.append((r[keep], c[keep], v[keep]))
+        rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+        return rows, cols, vals
 
 
 def _entries(factors, dim: int):

@@ -4,26 +4,23 @@ Every equation solved here preserves Hermiticity, so it is a real-linear map
 on the Hermitian matrices, and exact steady states are solved there: in the
 real coordinates (vech S, strict-vech A) of ρ = S + iA, with S real
 symmetric and A real antisymmetric (vech and duplication matrices: Magnus &
-Neudecker, *Matrix Differential Calculus*).  A generator with real entries
-(every preset and config equation) maps S to a symmetric and A to an
-antisymmetric matrix, so it splits into a symmetric block of D(D+1)/2 and an
-antisymmetric block of D(D-1)/2, and the state, being real, lies in the
-first.  Both blocks are assembled straight from the generator's bands
-(:meth:`~nclsim.liouvillian.Generator.hermitian_blocks`), without the D²×D²
-superoperator.  The state comes from one sparse LU solve of the symmetric
-block with its diagonal row (0, 0) replaced by the trace constraint.  The
+Neudecker, *Matrix Differential Calculus*).  The map, a real system of
+dimension D², is assembled straight from the generator's terms
+(:meth:`~nclsim.liouvillian.Generator.hermitian_map`), without the complex
+D²×D² superoperator.  The state comes from one sparse LU solve of that
+system with its diagonal row (0, 0) replaced by the trace constraint.  The
 replaced row is a *diagonal* row because trace preservation makes exactly
-the diagonal rows linearly dependent, so no information is lost; that
-system is then singular exactly when the null space holds a traceless
-symmetric element, and the antisymmetric block exactly when it holds an
-antisymmetric one.  Both blocks are factored, and a
+the diagonal rows linearly dependent, so no information is lost; the system
+is then singular exactly when the null space is degenerate, and a
 structural-rank test and a 1-norm condition estimate from the same factors
-detect either.  A generator with complex entries couples the blocks, and the
-whole real system of dimension D² is factored instead.  SuperLU orders the columns by
-minimum degree on Aᵀ+A; states are returned as complex128.  The full
-equation and the truncated equation below share this solve and its
-dimension cap.  A dense SVD of the superoperator (method 'svd', capped much
-lower) is kept as an independent reference.
+detect that.  A generator with real entries (every preset and config
+equation) has no entries between S and A, so its system is block diagonal:
+SuperLU's fill is that of the two blocks factored apart, the A part of the
+solution is exactly 0, and the condition estimate covers both blocks.
+SuperLU orders the columns by minimum degree on Aᵀ+A; states are returned as
+complex128.  The full equation and the truncated equation below share this
+solve and its dimension cap.  A dense SVD of the superoperator (method
+'svd', capped much lower) is kept as an independent reference.
 
 The analytic side implements the detailed-balance recurrences for the
 diagonal of the stationary state:
@@ -80,10 +77,10 @@ TAIL_GUARD = 1e-12
 RESIDUAL_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
 # Largest dim the sparse trace-row solve takes.  Driven NCL (α₀ = 150, ε = 1,
-# both Hermitian-basis blocks factored with their condition estimates, one
-# BLAS thread, 2-core x86 VM, process peak RSS, two runs): 0.12 s and 84 MB
-# at dim 128, 0.35-0.37 s and 117 MB at 200, 0.71-0.76 s and 154 MB at 256,
-# 1.2-1.4 s and 209 MB at 320.
+# solve with its condition estimate after scipy is imported, one BLAS
+# thread, 2-core x86 VM, process peak RSS, two runs): 0.07 s and 88 MB at
+# dim 128, 0.29-0.30 s and 126 MB at 200, 0.51 s and 171 MB at 256,
+# 0.81-0.85 s and 235 MB at 320.
 SPARSE_DIM_CAP = 256
 
 
@@ -139,10 +136,10 @@ class LUStats:
     lu_solves: int = 0
 
 
-def _factored(m: sp.csc_matrix, name: str, stats: LUStats):
-    """(solve, ‖m‖₁) from one LU of ``m``, once ``m`` has passed the
-    degeneracy test: a structurally singular ``m``, a failed factorization,
-    or a 1-norm condition number of at least 1/eps raises
+def _factored(m: sp.csc_matrix, stats: LUStats):
+    """(solve, ‖m‖₁) from one LU of the trace-row system ``m``, once ``m``
+    has passed the degeneracy test: a structurally singular ``m``, a failed
+    factorization, or a 1-norm condition number of at least 1/eps raises
     NonUniqueSteadyStateError.  ‖m⁻¹‖₁ is estimated by Hager's method
     (Higham & Tisseur's block form with one column, so no random start), a
     few solves with m and mᵀ."""
@@ -150,21 +147,21 @@ def _factored(m: sp.csc_matrix, name: str, stats: LUStats):
     from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
     # SuperLU's supernodal kernels can fail, and corrupt the heap, on a
-    # matrix without a perfect matching before any zero pivot shows (the
-    # antisymmetric block of a Hamiltonian-only equation at dim 8)
+    # matrix without a perfect matching before any zero pivot shows (a
+    # Hamiltonian-only equation at dim 8)
     if structural_rank(m) < m.shape[0]:
         raise NonUniqueSteadyStateError(
-            f"{name} is structurally singular; null space is degenerate"
+            "trace-row system is structurally singular; null space is degenerate"
         )
     stats.lu_factorizations += 1
     try:
         # minimum degree on Aᵀ+A: less fill than the default COLAMD on these
-        # structurally near-symmetric matrices (driven NCL at dim 64: L+U 80k
-        # against 124k for the symmetric block, 73k against 94k for the other)
+        # structurally near-symmetric matrices (driven NCL at dim 64, α₀ = 150:
+        # L+U 153k against 218k)
         lu = splu(m, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise NonUniqueSteadyStateError(
-            f"{name} is exactly singular ({exc}); null space is degenerate"
+            f"trace-row system is exactly singular ({exc}); null space is degenerate"
         ) from exc
 
     def solve(b, trans="N"):
@@ -182,7 +179,7 @@ def _factored(m: sp.csc_matrix, name: str, stats: LUStats):
     condition = norm * onenormest(inverse, t=1)
     if not condition < 1.0 / np.finfo(float).eps:  # NaN from overflowed solves too
         raise NonUniqueSteadyStateError(
-            f"{name} is singular to working precision (condition number "
+            "trace-row system is singular to working precision (condition number "
             f">= {condition:.3e}); null space is degenerate"
         )
     return solve, norm
@@ -190,18 +187,15 @@ def _factored(m: sp.csc_matrix, name: str, stats: LUStats):
 
 def _nullspace_direct(gen: Generator, stats: LUStats | None = None) -> np.ndarray:
     """Trace-row solve of ``gen`` on the Hermitian matrices, in the real
-    coordinates of :meth:`~nclsim.liouvillian.Generator.hermitian_blocks`,
+    coordinates of :meth:`~nclsim.liouvillian.Generator.hermitian_map`,
     called only after the dimension is checked against ``SPARSE_DIM_CAP``.
 
-    The state comes from the trace-row system: the symmetric block of a real
-    generator, or the whole real system when imaginary entries couple the
-    blocks, with row 0, the diagonal coordinate (0, 0), replaced by the
-    trace row.  The diagonal rows of a trace-preserving generator sum to
-    zero, so that system maps x to 0 exactly when x is a traceless element
-    of the null space.  A real generator's antisymmetric block holds the
-    rest of the null space and is factored as it stands.  So the null space
-    is degenerate exactly when one of the factored systems is singular,
-    which :func:`_factored` tests.
+    The trace-row system is the whole real map with row 0, the diagonal
+    coordinate (0, 0), replaced by the trace row.  The diagonal rows of a
+    trace-preserving generator sum to zero, so that system maps x to 0
+    exactly when x is a traceless element of the null space: the null space
+    is degenerate exactly when the system is singular, which
+    :func:`_factored` tests.
     """
     import scipy.sparse as sp
 
@@ -212,27 +206,24 @@ def _nullspace_direct(gen: Generator, stats: LUStats | None = None) -> np.ndarra
         )
     stats = LUStats() if stats is None else stats
     sym, anti, sign = hermitian_coordinates(dim)
-    (ss, sa), (as_, aa) = gen.hermitian_blocks()
-    coupled = bool(sa.nnz or as_.nnz)
-    m = sp.bmat([[ss, sa], [as_, aa]], format="coo") if coupled else ss
-    keep = m.row != 0
+    rows, cols, vals = gen.hermitian_map()
+    keep = rows != 0
+    n = dim * dim
     m = sp.csc_matrix(
         (
-            np.concatenate([m.data[keep], np.ones(dim)]),
+            np.concatenate([vals[keep], np.ones(dim)]),
             (
-                np.concatenate([m.row[keep], np.zeros(dim, int)]),
-                np.concatenate([m.col[keep], sym[:: dim + 1]]),  # the diagonal (k, k)
+                np.concatenate([rows[keep], np.zeros(dim, int)]),
+                np.concatenate([cols[keep], sym[:: dim + 1]]),  # the diagonal (k, k)
             ),
         ),
-        shape=m.shape,
+        shape=(n, n),
     )
-    solve, norm = _factored(m, "trace-row system", stats)
-    if not coupled:
-        _factored(aa.tocsc(), "antisymmetric block", stats)
-    b = np.zeros(m.shape[0])
+    solve, norm = _factored(m, stats)
+    b = np.zeros(n)
     b[0] = 1.0
     x = _refined(solve(b), b, m.dot, solve, norm)
-    rho = x[sym] + 1j * sign * x[ss.shape[0] + anti] if coupled else x[sym]
+    rho = x[sym] + 1j * sign * x[dim * (dim + 1) // 2 + anti]
     return _unit_trace_state(gen, unvec(rho, dim))
 
 

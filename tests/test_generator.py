@@ -1,7 +1,7 @@
 """Differential properties of the compiled generator.
 
 The fused band terms, the factored terms, the block restriction, the sparse
-superoperator and the Hermitian-basis blocks are checked against the dense
+superoperator and the Hermitian-basis map are checked against the dense
 reference -i[H, ρ] + Σ r·L(x)ρ on randomly drawn equations: dim 2-12, random
 rates, drive and thermal occupation, and an NCL, projector, random low-rank or
 no engineered channel.
@@ -125,26 +125,29 @@ def _vech(m, k=0):
     return np.concatenate([m[j + k :, j] for j in range(m.shape[0])])
 
 
-def _check_hermitian_blocks(me, rng):
-    """The blocks map (vech S, strict-vech A) of a random Hermitian ρ = S + iA
-    to the same coordinates of rhs(ρ); returns the coupling blocks."""
+def _check_hermitian_map(me, rng):
+    """The map sends (vech S, strict-vech A) of a random Hermitian ρ = S + iA
+    to the same coordinates of rhs(ρ); returns its number of entries between
+    S and A."""
     rho = random_density(me.dim, rng)
-    s, a = _vech(rho.real), _vech(rho.imag, 1)
-    (ss, sa), (as_, aa) = me.generator.hermitian_blocks()
+    x = np.concatenate([_vech(rho.real), _vech(rho.imag, 1)])
+    rows, cols, vals = me.generator.hermitian_map()
+    assert vals.dtype == np.float64 and vals.all()
+    n = me.dim * me.dim
+    m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
     out = lv.rhs(me, rho)
-    scale = np.abs(out).max()
-    assert _close(ss @ s + sa @ a, _vech(out.real), scale)
-    assert _close(as_ @ s + aa @ a, _vech(out.imag, 1), scale)
-    return sa, as_
+    assert _close(m @ x, np.concatenate([_vech(out.real), _vech(out.imag, 1)]), np.abs(out).max())
+    ns = me.dim * (me.dim + 1) // 2
+    return np.count_nonzero((rows < ns) != (cols < ns))
 
 
 @SETTINGS
 @given(equations())
 def test_hermitian_blocks_match_rhs(drawn):
     me, rng = drawn
-    sa, as_ = _check_hermitian_blocks(me, rng)
+    coupling = _check_hermitian_map(me, rng)
     if me.generator.dtype == np.float64:  # a real equation keeps S and A apart
-        assert sa.nnz == as_.nnz == 0
+        assert coupling == 0
 
 
 def test_complex_generator_couples_the_hermitian_blocks():
@@ -153,8 +156,7 @@ def test_complex_generator_couples_the_hermitian_blocks():
     op = np.exp(0.7j) * gadgets.ncl_lindblad(f, dim)
     me = lv.MasterEquation(dim, gamma_linear=0.5, gamma_nonlinear=1.0, omega=3.0, nonlinear_op=op)
     assert me.generator.dtype == np.complex128
-    sa, as_ = _check_hermitian_blocks(me, np.random.default_rng(7))
-    assert sa.nnz and as_.nnz
+    assert _check_hermitian_map(me, np.random.default_rng(7))
 
 
 @SETTINGS
