@@ -31,7 +31,6 @@ from .config import FileOutput, parse_config
 from .scenarios import (
     PRESET_NAMES,
     ScenarioResult,
-    expand_preset,
     preflight,
     run_preset,
     run_sweep,
@@ -63,6 +62,18 @@ DISTRIBUTION_HEADER = ["sweep_value", "n", "p_n"]
 STEADY_HEADER = ["sweep_value", "mandel_q", "mean_n", "purity", "converged"]
 
 
+# the point field holding the data of each distribution CSV kind
+_DIST_FIELD = {"distribution": "distribution", "poisson": "poisson_reference"}
+
+
+def _points_with(result: ScenarioResult, kind: str) -> list:
+    """The points holding data for one CSV kind; a failed point has kind
+    "error" and no distribution, so it never qualifies."""
+    if kind in _DIST_FIELD:
+        return [p for p in result.points if getattr(p, _DIST_FIELD[kind]) is not None]
+    return [p for p in result.points if p.kind == kind]
+
+
 def emit_csv(result: ScenarioResult, path: str, kind: str) -> str:
     """Write one CSV of the given kind (timeseries | steady | distribution |
     poisson, the Poisson reference of each distribution)."""
@@ -70,9 +81,7 @@ def emit_csv(result: ScenarioResult, path: str, kind: str) -> str:
     with fh:
         if kind == "timeseries":
             writer.writerow(TIMESERIES_HEADER)
-            for point in result.points:
-                if point.error is not None or point.kind != "timeseries":
-                    continue
+            for point in _points_with(result, kind):
                 for i, t in enumerate(point.times):
                     r = point.reports[i]
                     writer.writerow(
@@ -89,9 +98,7 @@ def emit_csv(result: ScenarioResult, path: str, kind: str) -> str:
                     )
         elif kind == "steady":
             writer.writerow(STEADY_HEADER)
-            for point in result.points:
-                if point.error is not None or point.kind != "steady":
-                    continue
+            for point in _points_with(result, kind):
                 r = point.steady_report
                 writer.writerow(
                     [
@@ -99,102 +106,96 @@ def emit_csv(result: ScenarioResult, path: str, kind: str) -> str:
                         _f(r.mandel_q),
                         _f(r.mean_n),
                         _f(r.purity),
-                        "true" if point.converged else "false",
+                        "true",  # every steady point is solved exactly or analytically
                     ]
                 )
-        elif kind in ("distribution", "poisson"):
+        elif kind in _DIST_FIELD:
             writer.writerow(DISTRIBUTION_HEADER)
-            for point in result.points:
-                dist = point.distribution if kind == "distribution" else point.poisson_reference
-                if point.error is not None or dist is None:
-                    continue
-                for n, p in enumerate(dist.probabilities):
+            for point in _points_with(result, kind):
+                for n, p in enumerate(getattr(point, _DIST_FIELD[kind]).probabilities):
                     writer.writerow([_f(point.sweep_value), str(n), _f(p)])
         else:
             raise ConfigError(f"unknown csv kind {kind!r}")
     return path
 
 
-def _emit_curve_csv(result: ScenarioResult, path: str, x_name: str, sweep_name: str, field: str) -> str:
-    """Per-figure convenience CSV: (x, sweep label, one observable)."""
+def _timeseries_field(result: ScenarioResult) -> str:
+    """The observable a time series is drawn by: fidelity when the reports
+    carry one (a projector target), Mandel Q otherwise."""
+    points = _points_with(result, "timeseries")
+    has_fid = any(p.reports and p.reports[0].fidelity is not None for p in points)
+    return "fidelity" if has_fid else "mandel_q"
+
+
+def _emit_curve_csv(result: ScenarioResult, path: str, field: str) -> str:
+    """Per-figure convenience CSV: (time, sweep value, one observable)."""
     fh, writer = _open_csv(path)
     with fh:
-        writer.writerow([x_name, sweep_name, field])
-        for point in result.points:
-            if point.error is not None or point.kind != "timeseries":
-                continue
+        writer.writerow(["t_Gamma", result.config.sweep.parameter, field])
+        for point in _points_with(result, "timeseries"):
             for i, t in enumerate(point.times):
                 writer.writerow([_f(t), _f(point.sweep_value), _f(getattr(point.reports[i], field))])
     return path
 
 
-def _timeseries_series(result: ScenarioResult, field: str, sweep_name: str):
+def _timeseries_series(result: ScenarioResult, field: str):
     series = []
-    for point in result.points:
-        if point.error is not None or point.kind != "timeseries":
-            continue
+    for point in _points_with(result, "timeseries"):
         ys = [getattr(r, field) for r in point.reports]
         ys = [float("nan") if y is None else y for y in ys]
-        series.append((f"{sweep_name}={point.sweep_value:g}", point.times, ys))
+        series.append((f"{result.config.sweep.parameter}={point.sweep_value:g}", point.times, ys))
     return series
 
 
 def _steady_series(result: ScenarioResult, label: str):
-    xs, ys = [], []
-    for point in result.points:
-        if point.error is not None or point.kind != "steady":
-            continue
-        xs.append(point.sweep_value)
-        ys.append(point.steady_report.mandel_q)
-    return (label, xs, ys)
+    points = _points_with(result, "steady")
+    return (label, [p.sweep_value for p in points], [p.steady_report.mandel_q for p in points])
+
+
+def _steady_chart(path: str, series: list, parameter: str, title: str) -> str:
+    """Q against the sweep parameter, one line per series."""
+    svg.line_chart(
+        path,
+        series,
+        xlabel={"alpha0": "α₀", "nbar": "n̄"}.get(parameter, parameter),
+        ylabel="Q",
+        logx=parameter == "alpha0",
+        title=title,
+        mark_min=parameter == "nbar",
+    )
+    return path
 
 
 def emit_svg(result: ScenarioResult, path: str, which: str = "auto") -> str:
     """One chart per call: curve of the result's main observable, or bars."""
     if which == "auto":
-        kinds = {p.kind for p in result.points if p.error is None}
-        which = "timeseries" if "timeseries" in kinds else "steady"
+        which = "timeseries" if _points_with(result, "timeseries") else "steady"
     if which == "timeseries":
-        has_fid = any(
-            p.kind == "timeseries" and p.reports and p.reports[0].fidelity is not None
-            for p in result.points
-            if p.error is None
-        )
-        field = "fidelity" if has_fid else "mandel_q"
-        logx = result.config.solver.t_grid[0] == "log"
+        field = _timeseries_field(result)
         svg.line_chart(
             path,
-            _timeseries_series(result, field, result.config.sweep.parameter),
+            _timeseries_series(result, field),
             xlabel="Γt",
-            ylabel="fidelity" if has_fid else "Q",
-            logx=logx,
+            ylabel="fidelity" if field == "fidelity" else "Q",
+            logx=result.config.solver.t_grid[0] == "log",
             title=result.config.name,
         )
     elif which == "steady":
-        xl = {"alpha0": "α₀", "nbar": "n̄"}.get(result.config.sweep.parameter, result.config.sweep.parameter)
-        svg.line_chart(
-            path,
-            [_steady_series(result, result.config.name)],
-            xlabel=xl,
-            ylabel="Q",
-            logx=result.config.sweep.parameter == "alpha0",
-            title=result.config.name,
-            mark_min=result.config.sweep.parameter == "nbar",
-        )
+        name = result.config.name
+        _steady_chart(path, [_steady_series(result, name)], result.config.sweep.parameter, name)
     elif which == "distribution":
         groups = []
         ref = None
-        for point in result.points:
-            if point.error is None and point.distribution is not None:
-                groups.append(
-                    (
-                        f"{result.config.sweep.parameter}={point.sweep_value:g}",
-                        point.distribution.probabilities,
-                    )
+        for point in _points_with(result, "distribution"):
+            groups.append(
+                (
+                    f"{result.config.sweep.parameter}={point.sweep_value:g}",
+                    point.distribution.probabilities,
                 )
-                if point.poisson_reference is not None and ref is None:
-                    pr = point.poisson_reference.probabilities
-                    ref = ("Poisson (same mean)", list(range(pr.size)), pr)
+            )
+            if point.poisson_reference is not None and ref is None:
+                pr = point.poisson_reference.probabilities
+                ref = ("Poisson (same mean)", list(range(pr.size)), pr)
         if not groups:
             raise ConfigError("no distributions to plot")
         svg.bar_chart(path, groups, xlabel="n", ylabel="p_n", title=result.config.name, reference=ref)
@@ -207,11 +208,14 @@ def emit_svg(result: ScenarioResult, path: str, which: str = "auto") -> str:
 # emission plans
 
 
-def _write_provenance(path: str, payload: dict) -> str:
+def _write_provenance(base: str, payload: dict, files: list) -> list:
+    """Write <base>_provenance.json listing the emitted files, then itself."""
+    path = base + "_provenance.json"
+    listed = sorted(os.path.basename(f) for f in files) + [os.path.basename(path)]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(dict(payload, files=listed), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    return files + [path]
 
 
 def _result_status(results) -> int:
@@ -224,86 +228,61 @@ def _result_status(results) -> int:
     return 0
 
 
+def _emit_csvs(result: ScenarioResult, base: str) -> list:
+    """The CSVs of one result: one per kind some point holds data for (time
+    series only when the config records them), named <base>_<kind>.csv."""
+    return [
+        emit_csv(result, f"{base}_{kind}.csv", kind)
+        for kind in ("timeseries", "steady", "distribution", "poisson")
+        if _points_with(result, kind) and (kind != "timeseries" or result.config.output.timeseries)
+    ]
+
+
 def _emit_config_outputs(result: ScenarioResult, fileout: FileOutput) -> tuple:
     os.makedirs(fileout.directory, exist_ok=True)
     base = os.path.join(fileout.directory, fileout.basename)
-    files = []
-    has_ts = any(p.kind == "timeseries" and p.error is None for p in result.points)
-    has_steady = any(p.kind == "steady" and p.error is None for p in result.points)
-    has_dist = any(p.distribution is not None and p.error is None for p in result.points)
-    has_pois = any(p.poisson_reference is not None and p.error is None for p in result.points)
-    if has_ts and result.config.output.timeseries:
-        files.append(emit_csv(result, base + "_timeseries.csv", kind="timeseries"))
-    if has_steady:
-        files.append(emit_csv(result, base + "_steady.csv", kind="steady"))
-    if has_dist:
-        files.append(emit_csv(result, base + "_distribution.csv", kind="distribution"))
-    if has_pois:
-        files.append(emit_csv(result, base + "_poisson.csv", kind="poisson"))
-    if fileout.svg and (has_ts or has_steady):
+    files = _emit_csvs(result, base)
+    status = _result_status([result])
+    if fileout.svg and status != 2:
         files.append(emit_svg(result, base + ".svg"))
-    if fileout.svg and has_dist:
+    if fileout.svg and _points_with(result, "distribution"):
         files.append(emit_svg(result, base + "_distribution.svg", which="distribution"))
-    payload = dict(result.provenance)
-    payload["files"] = sorted(os.path.basename(f) for f in files) + [
-        fileout.basename + "_provenance.json"
-    ]
-    files.append(_write_provenance(base + "_provenance.json", payload))
-    return files, _result_status([result])
+    return _write_provenance(base, result.provenance, files), status
+
+
+def _figure_chart(name: str, results: dict, path: str) -> str:
+    """A preset's one chart: Q of every family when there are several, else
+    the family's distributions when it has some, else its main curve."""
+    if len(results) > 1:
+        series = [_steady_series(result, label) for label, result in results.items()]
+        parameter = next(iter(results.values())).config.sweep.parameter
+        return _steady_chart(path, series, parameter, name)
+    (result,) = results.values()
+    which = "distribution" if _points_with(result, "distribution") else "auto"
+    return emit_svg(result, path, which=which)
 
 
 def _figure_files(name: str, results: dict, outdir: str, want_svg: bool) -> tuple:
+    """Each family's config-run CSVs under <name> (one family) or
+    <name>_<label>, a curve CSV beside each time series, and <name>.svg."""
     os.makedirs(outdir, exist_ok=True)
     files = []
-
-    def path(stem):
-        return os.path.join(outdir, stem)
-
-    if name in ("fig1a", "fig1c"):
-        result = results["main"]
-        field = "fidelity" if name == "fig1a" else "mandel_q"
-        files.append(emit_csv(result, path(f"{name}_timeseries.csv"), kind="timeseries"))
-        files.append(
-            _emit_curve_csv(result, path(f"{name}_{field}.csv"), "t_Gamma", "alpha", field)
-        )
-        if want_svg:
-            files.append(emit_svg(result, path(f"{name}.svg"), which="timeseries"))
-    elif name in ("fig1b", "fig1d"):
-        result = results["main"]
-        files.append(emit_csv(result, path(f"{name}_distribution.csv"), kind="distribution"))
-        if name == "fig1d":
-            files.append(emit_csv(result, path(f"{name}_poisson.csv"), kind="poisson"))
-        if want_svg:
-            files.append(emit_svg(result, path(f"{name}.svg"), which="distribution"))
-    elif name in ("fig2a", "fig2b", "fig2c"):
-        series = []
-        for label, result in results.items():
-            files.append(emit_csv(result, path(f"{name}_{label}_steady.csv"), kind="steady"))
-            files.append(
-                emit_csv(result, path(f"{name}_{label}_distribution.csv"), kind="distribution")
-            )
-            series.append(_steady_series(result, label))
-        if want_svg:
-            svg.line_chart(
-                path(f"{name}.svg"), series, xlabel="α₀", ylabel="Q", logx=True, title=name
-            )
-            files.append(path(f"{name}.svg"))
-    elif name == "fig2d":
-        result = results["main"]
-        files.append(emit_csv(result, path(f"{name}_steady.csv"), kind="steady"))
-        if want_svg:
-            files.append(emit_svg(result, path(f"{name}.svg"), which="steady"))
-    else:
-        raise ConfigError(f"unknown preset {name!r}")
-
+    for label, result in results.items():
+        base = os.path.join(outdir, name if len(results) == 1 else f"{name}_{label}")
+        csvs = _emit_csvs(result, base)
+        files.extend(csvs)
+        if base + "_timeseries.csv" in csvs:
+            field = _timeseries_field(result)
+            files.append(_emit_curve_csv(result, f"{base}_{field}.csv", field))
+    status = _result_status(results.values())
+    if want_svg and status != 2:
+        files.append(_figure_chart(name, results, os.path.join(outdir, f"{name}.svg")))
     payload = {
         "version": __version__,
         "preset": name,
         "families": {label: result.provenance for label, result in results.items()},
-        "files": sorted(os.path.basename(f) for f in files) + [f"{name}_provenance.json"],
     }
-    files.append(_write_provenance(path(f"{name}_provenance.json"), payload))
-    return files, _result_status(list(results.values()))
+    return _write_provenance(os.path.join(outdir, name), payload, files), status
 
 
 # ---------------------------------------------------------------------------
@@ -381,25 +360,21 @@ def main(argv=None) -> int:
             print(f"OK: {args.config} (dim={config.dim}, method={config.solver.method})")
             return 0
         if args.command == "figure":
-            overrides = _parse_overrides(args.override)
-            results = run_preset(args.preset, overrides=overrides)
-            files, status = _figure_files(args.preset, results, args.out, not args.no_svg)
-            for f in files:
-                print(f)
-            _report_failed_points(results.values())
-            return status
-        # config-driven runs
-        config, fileout = parse_config(args.config)
-        if config.solver.method not in _METHODS_FOR[args.command]:
-            raise ConfigError(
-                f"subcommand {args.command!r} expects solver method in "
-                f"{_METHODS_FOR[args.command]}, config says {config.solver.method!r}"
-            )
-        result = run_sweep(config)
-        files, status = _emit_config_outputs(result, fileout)
+            families = run_preset(args.preset, overrides=_parse_overrides(args.override))
+            files, status = _figure_files(args.preset, families, args.out, not args.no_svg)
+            results = list(families.values())
+        else:  # config-driven runs
+            config, fileout = parse_config(args.config)
+            if config.solver.method not in _METHODS_FOR[args.command]:
+                raise ConfigError(
+                    f"subcommand {args.command!r} expects solver method in "
+                    f"{_METHODS_FOR[args.command]}, config says {config.solver.method!r}"
+                )
+            results = [run_sweep(config)]
+            files, status = _emit_config_outputs(results[0], fileout)
         for f in files:
             print(f)
-        _report_failed_points([result])
+        _report_failed_points(results)
         return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -11,10 +11,8 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
-from .scenarios import GadgetSpec, OutputSpec, ScenarioConfig, SolverSpec, SweepSpec
+from .scenarios import GadgetSpec, OutputSpec, ScenarioConfig, SolverSpec, SweepSpec, parse_values
 
 _KNOWN = {
     "system": {"dim", "gamma_linear", "gamma_nonlinear", "nbar", "omega"},
@@ -72,26 +70,6 @@ def _getbool(section, key, default):
     if low in ("false", "no", "0", "off"):
         return False
     raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
-
-
-def _parse_values(raw: str) -> tuple:
-    raw = raw.strip()
-    kind, _, rest = raw.partition(":")
-    if kind not in ("geom", "lin"):
-        try:
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        except ValueError as exc:
-            raise ConfigError(f"could not parse sweep values {raw!r}") from exc
-    bad = ConfigError(f"range spec {raw!r} must be {kind}:lo:hi:n with n >= 1 (geom: lo·hi > 0)")
-    try:
-        lo, hi, n = rest.split(":")
-        lo, hi, n = float(lo), float(hi), int(n)
-    except ValueError as exc:
-        raise bad from exc
-    if n < 1 or (kind == "geom" and not lo * hi > 0):
-        raise bad
-    fn = np.geomspace if kind == "geom" else np.linspace
-    return tuple(float(v) for v in fn(lo, hi, n))
 
 
 def _parse_grid(raw: str) -> tuple:
@@ -154,7 +132,7 @@ def parse_config(path: str) -> tuple:
     )
     sweep = SweepSpec(
         parameter=sweep_sec.get("parameter", "none").strip(),
-        values=_parse_values(sweep_sec["values"]) if sweep_sec.get("values") else (),
+        values=parse_values(sweep_sec["values"]) if sweep_sec.get("values") else (),
     )
     output = OutputSpec(
         timeseries=_getbool(output_sec, "timeseries", True),

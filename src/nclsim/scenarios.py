@@ -210,7 +210,6 @@ class PointResult:
     min_eigenvalue: np.ndarray | None = None
     top_population: np.ndarray | None = None
     steady_report: ObservableReport | None = None
-    converged: bool | None = None
     distribution: DiagonalDistribution | None = None
     distribution_label: str | None = None
     poisson_reference: DiagonalDistribution | None = None
@@ -315,6 +314,27 @@ def build_system(config: ScenarioConfig):
     return me, f, target
 
 
+def parse_values(raw: str) -> tuple:
+    """Sweep values: comma-separated numbers, or geom:lo:hi:n / lin:lo:hi:n."""
+    raw = raw.strip()
+    kind, _, rest = raw.partition(":")
+    if kind not in ("geom", "lin"):
+        try:
+            return tuple(float(v) for v in raw.split(",") if v.strip())
+        except ValueError as exc:
+            raise ConfigError(f"could not parse sweep values {raw!r}") from exc
+    bad = ConfigError(f"range spec {raw!r} must be {kind}:lo:hi:n with n >= 1 (geom: lo·hi > 0)")
+    try:
+        lo, hi, n = rest.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError as exc:
+        raise bad from exc
+    if n < 1 or (kind == "geom" and not lo * hi > 0):
+        raise bad
+    fn = np.geomspace if kind == "geom" else np.linspace
+    return tuple(float(v) for v in fn(lo, hi, n))
+
+
 def expand_grid(t_grid: tuple) -> np.ndarray:
     kind = t_grid[0]
     if kind == "log":
@@ -401,7 +421,6 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
             sweep_value=value,
             kind="steady",
             steady_report=report,
-            converged=True,
             distribution=dist,
             distribution_label="steady" if dist is not None else None,
             solver_stats=stats,
@@ -439,7 +458,6 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
             sweep_value=value,
             kind="steady",
             steady_report=report,
-            converged=True,
             distribution=dist if wanted else None,
             distribution_label="recurrence" if wanted else None,
         )
@@ -645,9 +663,10 @@ def apply_overrides(config: ScenarioConfig, overrides: dict | None) -> ScenarioC
         elif key == "tol":
             cfg = replace(cfg, solver=replace(cfg.solver, tol=_override_value(key, raw, float)))
         elif key == "values":
-            vals = tuple(
-                _override_value(key, v, float) for v in str(raw).split(",") if v.strip()
-            )
+            try:
+                vals = parse_values(str(raw))
+            except ConfigError as exc:
+                raise ConfigError(f"override {key}={raw!r}: {exc}") from exc
             cfg = replace(cfg, sweep=replace(cfg.sweep, values=vals))
             how = cfg.output.distribution_at
             if vals and how is not None and how.startswith("value:"):

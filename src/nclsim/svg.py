@@ -152,9 +152,12 @@ def line_chart(
     allx = np.concatenate([s[1] for s in finite if s[1].size] or [np.array([0.0, 1.0])])
     ally = np.concatenate([s[2] for s in finite if s[2].size] or [np.array([0.0, 1.0])])
     ypad = 0.05 * (ally.max() - ally.min() or 1.0)
+    xlo, xhi = (allx.min() if not logx else max(allx.min(), 1e-300)), allx.max()
+    if xlo == xhi:  # one x value: pad as y is padded, in decades on a log axis
+        xlo, xhi = (xlo / 10**0.05, xhi * 10**0.05) if logx else (xlo - 0.05, xhi + 0.05)
     frame = _Frame(
-        allx.min() if not logx else max(allx.min(), 1e-300),
-        allx.max(),
+        xlo,
+        xhi,
         ally.min() - ypad,
         ally.max() + ypad,
         logx=logx,

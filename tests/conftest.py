@@ -1,10 +1,32 @@
 import numpy as np
 import pytest
 
+from nclsim import evolve, fock, gadgets, liouvillian as lv, steady
+
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def driven_ncl_steady():
+    """Driven dim-20 NCL (f = x-1): its null-space steady state and a long
+    integration from vacuum towards it, shared by the cross-solver checks."""
+    dim = 20
+    f = gadgets.NonlinearFunction.from_name("x-1")
+    me = lv.MasterEquation(
+        dim,
+        gamma_linear=0.2,
+        gamma_nonlinear=1.0,
+        omega=3.0,
+        nonlinear_op=gadgets.ncl_lindblad(f, dim),
+    )
+    rho_ns = steady.steady_state_nullspace(me)
+    res = evolve.evolve_to_steady(
+        me, fock.pure_density(fock.fock_state(0, dim)), tol=1e-9, t_max=60.0
+    )
+    return rho_ns, res
 
 
 def random_density(dim, rng):

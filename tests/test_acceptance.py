@@ -241,7 +241,7 @@ def test_criterion_10_thermal_rescue():
     )
 
 
-def test_criterion_11_invariant_suite(fig1a_result, fig1c_result, gadget_run):
+def test_criterion_11_invariant_suite(fig1a_result, fig1c_result, gadget_run, driven_ncl_steady):
     worst = {"trace": 0.0, "herm": 0.0, "mineig": 0.0, "top": 0.0}
     for res, _ in (fig1a_result, fig1c_result):
         for point in res.points:
@@ -256,12 +256,7 @@ def test_criterion_11_invariant_suite(fig1a_result, fig1c_result, gadget_run):
     worst["top"] = max(worst["top"], float(traj.top_population.max()))
 
     # cross-solver agreement where both solvers apply
-    f = gadgets.NonlinearFunction.from_name("x-1")
-    me = _ncl_me(20, f, gamma_linear=0.2, gamma_nonlinear=1.0, omega=3.0)
-    rho_ns = steady.steady_state_nullspace(me)
-    res = evolve.evolve_to_steady(
-        me, fock.pure_density(fock.fock_state(0, 20)), tol=1e-9, t_max=60.0
-    )
+    rho_ns, res = driven_ncl_steady
     dist = trace_distance(res.rho, rho_ns)
 
     ok = (

@@ -605,3 +605,121 @@ def test_figure_names_failed_points(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "point 2.0 failed: TruncationLeakageError" in err
     assert "point 0.5" not in err
+
+
+# per preset: small overrides and the files `figure` prints, in order, with SVG on
+FIGURE_FILES = {
+    "fig1a": (
+        ("dim=30", "values=1.5"),
+        ["fig1a_timeseries.csv", "fig1a_fidelity.csv", "fig1a.svg"],
+    ),
+    "fig1b": (("dim=30", "values=1.5"), ["fig1b_distribution.csv", "fig1b.svg"]),
+    "fig1c": (
+        ("dim=30", "values=2"),
+        ["fig1c_timeseries.csv", "fig1c_mandel_q.csv", "fig1c.svg"],
+    ),
+    "fig1d": (
+        ("dim=30", "values=2"),
+        ["fig1d_distribution.csv", "fig1d_poisson.csv", "fig1d.svg"],
+    ),
+    "fig2a": (
+        ("dim=16", "values=1,2"),
+        [
+            "fig2a_eps1_steady.csv",
+            "fig2a_eps1_distribution.csv",
+            "fig2a_eps5_steady.csv",
+            "fig2a_eps5_distribution.csv",
+            "fig2a_eps10_steady.csv",
+            "fig2a_eps10_distribution.csv",
+            "fig2a.svg",
+        ],
+    ),
+    "fig2b": (
+        ("dim=16", "values=1,2"),
+        [
+            "fig2b_exact_steady.csv",
+            "fig2b_exact_distribution.csv",
+            "fig2b_approx_steady.csv",
+            "fig2b_approx_distribution.csv",
+            "fig2b.svg",
+        ],
+    ),
+    "fig2c": (
+        ("dim=16", "values=1,2"),
+        [
+            "fig2c_exact_steady.csv",
+            "fig2c_exact_distribution.csv",
+            "fig2c_approx_steady.csv",
+            "fig2c_approx_distribution.csv",
+            "fig2c.svg",
+        ],
+    ),
+    "fig2d": (("dim=24", "values=0.5,1"), ["fig2d_steady.csv", "fig2d.svg"]),
+}
+
+
+@pytest.mark.parametrize("want_svg", [True, False], ids=["svg", "no-svg"])
+@pytest.mark.parametrize("preset", sc.PRESET_NAMES)
+def test_figure_file_set(tmp_path, capsys, monkeypatch, preset, want_svg):
+    monkeypatch.setenv("NCLSIM_WORKERS", "1")
+    overrides, names = FIGURE_FILES[preset]
+    args = ["figure", preset, "--out", str(tmp_path)]
+    for override in overrides:
+        args += ["--override", override]
+    if not want_svg:
+        args.append("--no-svg")
+        names = [n for n in names if not n.endswith(".svg")]
+    names = names + [f"{preset}_provenance.json"]
+    assert cli.main(args) == 0
+    printed = capsys.readouterr().out.split()
+    assert [os.path.basename(p) for p in printed] == names
+    assert sorted(os.listdir(tmp_path)) == sorted(names)
+    with open(tmp_path / f"{preset}_provenance.json", encoding="utf-8") as fh:
+        assert json.load(fh)["files"] == sorted(names[:-1]) + names[-1:]
+
+
+@pytest.mark.parametrize("preset, point", [("fig1b", "2.0"), ("fig1d", "8.0")])
+def test_figure_with_every_point_failed_is_numerical_failure(tmp_path, capsys, preset, point):
+    # no point fits dim=10: no CSV, no chart, but provenance and exit 2
+    out = tmp_path / preset
+    assert cli.main(["figure", preset, "--out", str(out), "--override", "dim=10"]) == 2
+    err = capsys.readouterr().err
+    assert f"point {point} failed: TruncationLeakageError" in err
+    assert "Traceback" not in err
+    assert os.listdir(out) == [f"{preset}_provenance.json"]
+
+
+ONE_VALUE_INI = """
+[system]
+dim = 32
+gamma_linear = 1.0
+gamma_nonlinear = 1.0
+
+[gadget]
+kind = ncl
+f = x-1
+
+[solver]
+method = steady
+
+[sweep]
+parameter = alpha0
+values = 10
+
+[output]
+directory = {outdir}
+basename = one
+timeseries = false
+svg = true
+"""
+
+
+def test_one_value_sweep_charts_without_nan(tmp_path):
+    # one x value on a log (alpha0) and a linear (nbar) axis: the range is padded
+    outdir = tmp_path / "one"
+    assert cli.main(["steady", _write(tmp_path, ONE_VALUE_INI.format(outdir=outdir))]) == 0
+    assert "nan" not in (outdir / "one.svg").read_text(encoding="utf-8")
+    fig = tmp_path / "fig2d"
+    args = ["figure", "fig2d", "--out", str(fig), "--override", "dim=24", "--override", "values=1"]
+    assert cli.main(args) == 0
+    assert "nan" not in (fig / "fig2d.svg").read_text(encoding="utf-8")

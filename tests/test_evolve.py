@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import trace_distance
-from nclsim import evolve, fock, gadgets, liouvillian as lv, scenarios, steady
+from nclsim import evolve, fock, gadgets, liouvillian as lv, scenarios
 from nclsim.errors import (
     InsufficientDecayError,
     InvalidStateError,
@@ -237,14 +237,9 @@ def test_evolve_to_steady_unconverged_flag():
     assert res.residual > 1e-12
 
 
-def test_cross_solver_agreement():
+def test_cross_solver_agreement(driven_ncl_steady):
     # driven NCL: long-time integration against the null-space solution
-    dim = 20
-    me = _ncl_me(dim, gamma_linear=0.2, gamma_nonlinear=1.0, omega=3.0)
-    rho_ns = steady.steady_state_nullspace(me)
-    res = evolve.evolve_to_steady(
-        me, fock.pure_density(fock.fock_state(0, dim)), tol=1e-9, t_max=60.0
-    )
+    rho_ns, res = driven_ncl_steady
     assert res.converged
     assert trace_distance(res.rho, rho_ns) <= 1e-7
 
