@@ -30,8 +30,9 @@ every grid state is one tableau row times that array.
 
 The active block is float64 when the generator (see
 :class:`~nclsim.liouvillian.Generator`) and ρ₀ are both real, as for every
-preset and INI equation, and complex128 otherwise; recorded states are
-complex128 either way.  Norms are summed by numpy, not by a BLAS dot, whose
+preset and INI equation, and complex128 otherwise.  A trajectory keeps each
+grid state as that block, read-only, and pads it to a complex128 dim×dim
+array when it is read.  Norms are summed by numpy, not by a BLAS dot, whose
 value changes with the BLAS thread count on long vectors.
 :class:`SolverStats` counts accepted and rejected steps, rhs evaluations and
 the smallest active block.
@@ -40,6 +41,7 @@ the smallest active block.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,38 +309,66 @@ class _Engine:
     # -- observation ------------------------------------------------------
 
     def full_state(self, y: np.ndarray | None = None) -> np.ndarray:
-        """A block of the current size (the current state by default),
-        padded with zeros to dim×dim, complex128."""
-        full = np.zeros((self.dim, self.dim), dtype=complex)
-        full[: self.k_active, : self.k_active] = self.yb if y is None else y
-        return full
+        """A block (the current state by default) padded by :func:`_padded`."""
+        return _padded(self.yb if y is None else y, self.dim)
 
     def observe(self, y: np.ndarray | None = None, asym: float | None = None):
-        """(full state, diagnostics) of a block of the current size, the
+        """(block, diagnostics) of a hermitized block of the current size, the
         current state by default; the diagnostics are the trace error, the
         asymmetry removed by its hermitization, the smallest eigenvalue and
-        the top Fock population."""
+        the top Fock population.  The block is recorded as it is, read-only:
+        nothing writes a state in place, and a later write raises."""
         if y is None:
             y, asym = self.yb, self.last_asym
+        y.flags.writeable = False
         tr_err = abs(float(np.real(np.trace(y))) - 1.0)
         min_eig = float(np.linalg.eigvalsh(y).min())
         if self.k_active < self.dim:
             min_eig = min(min_eig, 0.0)
         top = float(y[-1, -1].real) if self.k_active == self.dim else 0.0
-        return self.full_state(y), (tr_err, asym, min_eig, top)
+        return y, (tr_err, asym, min_eig, top)
 
     def stats(self) -> SolverStats:
         # the window only shrinks, so the current block is the smallest
         return SolverStats(self.accepted, self.rejected, self.rhs_evaluations, self.k_active)
 
 
+def _padded(block: np.ndarray, dim: int) -> np.ndarray:
+    """A leading m×m block padded with zeros to a fresh dim×dim complex128
+    array."""
+    full = np.zeros((dim, dim), dtype=complex)
+    m = block.shape[0]
+    full[:m, :m] = block
+    return full
+
+
+class _States(Sequence):
+    """The recorded states of a trajectory: a read-only sequence over the
+    blocks the integrator observed, each item padded by :func:`_padded` when
+    it is read."""
+
+    def __init__(self, blocks, dim: int):
+        self.blocks = tuple(blocks)
+        self.dim = dim
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _States(self.blocks[i], self.dim)
+        return _padded(self.blocks[i], self.dim)
+
+
 @dataclass
 class Trajectory:
-    """Recorded propagation: states (complex128), per-point integrity
-    diagnostics, and what the stepper did."""
+    """Recorded propagation: states, per-point integrity diagnostics, and
+    what the stepper did.  ``states`` keeps each state as the active block
+    the integrator observed (float64 for a real equation) and returns it
+    padded to a fresh complex128 dim×dim array on every read."""
 
     times: np.ndarray
-    states: list
+    states: Sequence
     trace_error: np.ndarray
     herm_error: np.ndarray
     min_eigenvalue: np.ndarray
@@ -368,7 +398,9 @@ def propagate(
     ``grid`` must be ascending; ``rho0`` is the state at ``grid[0]``.  ``tol``
     is the local error tolerance per step, relative to max(1, ‖ρ‖), finite
     and > 0.  The grid does not clip the steps: each grid state comes from
-    the continuous extension of the step that covers it.
+    the continuous extension of the step that covers it.  The states are
+    kept as the integrator's active blocks and padded to complex128
+    dim×dim arrays on each read (see :class:`Trajectory`).
     """
     tol = _check_tol("tol", tol)
     rho0 = check_density_matrix(rho0)
@@ -383,7 +415,7 @@ def propagate(
     eng = _Engine(me, rho0, grid[0], tol, window, max_steps=2_000_000)
     states, diags = zip(eng.observe(), *eng.run(float(grid[-1]), grid[1:]))
     tr, he, mi, tp = (np.array(col) for col in zip(*diags))
-    return Trajectory(grid.copy(), list(states), tr, he, mi, tp, eng.stats())
+    return Trajectory(grid.copy(), _States(states, me.dim), tr, he, mi, tp, eng.stats())
 
 
 def evolve_to_steady(

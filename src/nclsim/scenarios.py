@@ -42,6 +42,10 @@ from .steady import (
 
 # relative tolerance for matching distribution_at = value:<x> to a sweep value
 VALUE_MATCH_RTOL = 1e-9
+# largest n of a range spec (t_grid and sweep values): each grid point records
+# a state and each sweep value is a solve, so a larger n is a typo, not a run;
+# 450× the largest preset grid (fig1a and fig1b, 221 points)
+MAX_RANGE_POINTS = 100_000
 
 SWEEPABLE = (
     "alpha",
@@ -331,12 +335,20 @@ def parse_values(raw: str) -> tuple:
         raise bad from exc
     if n < 1 or (kind == "geom" and not lo * hi > 0):
         raise bad
+    _check_range_count(raw, n)
     fn = np.geomspace if kind == "geom" else np.linspace
     return tuple(float(v) for v in fn(lo, hi, n))
 
 
+def _check_range_count(spec, n: int):
+    if n > MAX_RANGE_POINTS:
+        raise ConfigError(f"range spec {spec!r}: n must be at most {MAX_RANGE_POINTS}")
+
+
 def expand_grid(t_grid: tuple) -> np.ndarray:
     kind = t_grid[0]
+    if kind in ("log", "lin"):
+        _check_range_count(t_grid, int(t_grid[3]))
     if kind == "log":
         _, lo, hi, n = t_grid
         if not 0 < lo < hi < np.inf or int(n) < 2:

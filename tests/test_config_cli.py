@@ -302,8 +302,10 @@ def _base_ini(base, outdir):
         ("evolve", "initial", "state", "fock:1.5"),
         ("evolve", "solver", "t_grid", "log:0:1:3"),
         ("evolve", "solver", "t_grid", "lin:1:0:3"),
+        ("evolve", "solver", "t_grid", "lin:0:1:100000000000"),
         ("evolve", "sweep", "values", "geom:1:x:3"),
         ("evolve", "sweep", "values", "lin:1:2:x"),
+        ("evolve", "sweep", "values", "lin:1:2:100000000000"),
         ("steady", "sweep", "values", "geom:0:1:3"),
         ("steady", "sweep", "values", "lin:1:2:-3"),
         ("evolve", "output", "distribution_at", "bogus"),

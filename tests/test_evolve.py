@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,55 @@ def test_window_matches_full_integration():
     t_full = evolve.propagate(me, rho0, grid, window=False)
     for a, b in zip(t_win.states, t_full.states):
         assert np.abs(a - b).max() <= 1e-9
+
+
+def test_trajectory_states_are_recorded_blocks_padded_on_read():
+    dim = 24
+    me = _ncl_me(dim, gamma_linear=1.0, gamma_nonlinear=0.2)
+    rho0 = fock.pure_density(fock.coherent_state(1.5, dim))
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, 3.0, 12)])
+    traj = evolve.propagate(me, rho0, grid)
+    blocks = traj.states.blocks
+    sizes = [b.shape[0] for b in blocks]
+    assert sizes[-1] < sizes[0]  # the window shrank during the run
+    assert len(traj.states) == len(blocks) == grid.size
+    eng = evolve._Engine(me, rho0, 0.0, evolve.DEFAULT_TOL, window=True, max_steps=1)
+    for i, state in enumerate(traj.states):
+        m = sizes[i]
+        assert state.dtype == np.complex128 and state.shape == (dim, dim)
+        assert not state[m:].any() and not state[:, m:].any()
+        assert np.array_equal(state, eng.full_state(blocks[i]))
+        assert np.array_equal(state, traj.states[i - grid.size])
+    last = traj.states[-1]
+    assert last.dtype == np.complex128 and last.shape == (dim, dim)
+    assert not last[sizes[-1]:].any() and not last[:, sizes[-1]:].any()
+    with pytest.raises(IndexError):
+        traj.states[grid.size]
+    for block in blocks:
+        assert block.dtype == np.float64 and not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 2.0
+    # every read is a fresh array, so writing to one leaves the record as it was
+    traj.states[0][0, 0] = 2.0
+    assert traj.states[0][0, 0] == eng.full_state(blocks[0])[0, 0] != 2.0
+
+
+def test_transient_point_memory_stays_far_below_padded_states():
+    # The bench's transient_ncl equation (NCL f = x-1, dim 130, Γ = 1, γ = 0.2,
+    # log grid 1e-5..1 with 200 points) at α = 4.  Its 201 states padded to
+    # complex dim×dim would take 54 MB; kept as active blocks (3.5 MB) and
+    # padded one at a time for the reports, the point peaks near 7 MB.
+    config = scenarios.expand_preset("fig1c")[0][1]
+    assert (config.dim, config.gamma_linear, config.gamma_nonlinear) == (130, 1.0, 0.2)
+    assert config.solver.t_grid == ("log", 1e-5, 1.0, 200)
+    tracemalloc.start()
+    try:
+        point = scenarios.run_point(config, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(point.reports) == 201
+    assert peak < 16e6
 
 
 def test_step_tolerance_control():
