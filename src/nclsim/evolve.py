@@ -1,41 +1,34 @@
 """Time propagation of density matrices and convergence to stationarity.
 
-The integrator is an embedded Dormand-Prince 4(5) pair with PI step-size
-control, applied directly to the D×D density matrix (no vectorization).
-The error is controlled per step: the local error estimate of a step,
-h·‖Σ eᵢkᵢ‖, must stay below ``tol``·max(1, ‖ρ‖) (Frobenius norms), and the
-PI controller uses the exponents of an error of order h⁵ (Hairer, Nørsett &
-Wanner, *Solving ODEs I*, §II.4).  Steps are clipped only at the final time:
-a grid time inside an accepted step is read from the pair's free 4th-order
-continuous extension over the stage derivatives of that step (§II.6).
-After every accepted step, and for every grid state, the state is
+Every equation here is linear and autonomous, dρ/dt = Lρ, so a substep τ maps
+ρ to exp(τL)ρ.  The integrator approximates that action in a Krylov subspace,
+as Expokit does (Saad, SIAM J. Numer. Anal. 29 (1992); Sidje, ACM TOMS 24
+(1998)): Arnoldi builds an orthonormal basis V of span{ρ, Lρ, …} with
+``KRYLOV_DIM`` vectors and the Hessenberg matrix H of L in it, and the state
+after τ is β·V·exp(τH̄)e₁ (β = ‖ρ‖, H̄ is H augmented by two rows and
+columns).  Expokit's two-term estimate of the local error must stay below
+``tol``·τ (Frobenius norm), so ``tol`` bounds the local error per unit time.
+The small exponentials are a numpy Padé scaling and squaring (Higham, SIAM
+J. Matrix Anal. Appl. 26 (2005)), so propagation imports no scipy.  Substeps
+are clipped only at the final time: a grid time inside a substep is read
+from its basis the same way.  Every new state and grid state is
 re-Hermitized, ρ ← (ρ+ρ†)/2; positivity is monitored but never projected,
-so integrator bugs surface in the recorded diagnostics instead of being
-masked.
+so integrator bugs surface in the recorded diagnostics.
 
 For master equations with no upward coupling (no driving, no thermal
 pumping, every channel operator on a single superdiagonal) population only
-flows down the ladder.  The integrator then tracks a shrinking active block:
-once the top rows of the block fall below 1e-14 they are dropped, which
-removes the huge (and empty) decay rates at the cutoff from the stability
-constraint.  One rule trims ρ₀ and the state after every accepted step.
-This is exact up to the 1e-14 clip and is what makes large-cutoff transient
-runs affordable.
+flows down the ladder, and the integrator tracks a shrinking active block:
+top rows below 1e-14 are dropped, from ρ₀ and after every substep, and the
+next basis is built on the smaller block.  The truncation-breach guard is
+always on, at ``BREACH_TOL``, after every substep.
 
-The step reads DP45's tableau from the module arrays ``_A``, ``_B``, ``_E``
-and ``_P``.  The truncation-breach guard is always on, at ``BREACH_TOL``,
-after every accepted step.  The stage derivatives are the rows of
-one array, and every stage input, the new state, the error estimate and
-every grid state is one tableau row times that array.
-
-The active block is float64 when the generator (see
+The block is float64 when the generator (see
 :class:`~nclsim.liouvillian.Generator`) and ρ₀ are both real, as for every
-preset and INI equation, and complex128 otherwise.  A trajectory keeps each
-grid state as that block, read-only, and pads it to a complex128 dim×dim
-array when it is read.  Norms are summed by numpy, not by a BLAS dot, whose
-value changes with the BLAS thread count on long vectors.
-:class:`SolverStats` counts accepted and rejected steps, rhs evaluations and
-the smallest active block.
+preset and INI equation, and complex128 otherwise; Arnoldi runs on its real
+view either way.  A trajectory keeps each grid state as that block,
+read-only, and pads it to a complex128 dim×dim array when it is read.  Inner
+products and norms are summed by einsum, not by a BLAS dot, whose value
+changes with the BLAS thread count on long vectors.
 """
 
 from __future__ import annotations
@@ -58,51 +51,41 @@ from .liouvillian import MasterEquation
 
 DEFAULT_TOL = 1e-12
 STEADY_TOL = 1e-10
-STEADY_STEP_TOL = 1e-13
 BREACH_TOL = 1e-6
+KRYLOV_DIM = 20
 _SHRINK_CUT = 1e-14
+# an Arnoldi residual this far below ‖L v₀‖ means the basis spans an
+# invariant subspace (to round-off): the exponential in it is exact for every τ
+_BREAKDOWN = 1e-13
 
 
-# Dormand & Prince, J. Comput. Appl. Math. 6 (1980): 5th-order solution, error
-# against the embedded 4th-order one; the free 4th-order continuous extension
-# is Dormand & Prince's (Hairer, Nørsett & Wanner, Solving ODEs I, §II.6).
-# The last stage is evaluated at the new state (first same as last): _A[i]
-# weights the stages before stage i, _B gives the new state and _E, over every
-# stage and the last one, the local error estimate.  _P is the continuous
-# extension over the same rows: the state at t + θh is y + h·Σ bᵢ(θ)kᵢ with
-# bᵢ(θ) = Σ_j _P[i, j]·θ^(j+1).
-_A = (
-    (),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-)
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array(
-    [
-        35 / 384 - 5179 / 57600,
-        0.0,
-        500 / 1113 - 7571 / 16695,
-        125 / 192 - 393 / 640,
-        -2187 / 6784 + 92097 / 339200,
-        11 / 84 - 187 / 2100,
-        -1 / 40,
-    ]
-)
-_P = np.array(
-    [
-        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
-)
-_STAGES = len(_B)
+# Higham (2005), Table 2.3: the largest ‖A‖₁ for which the [m/m] Padé
+# approximant of exp meets double precision; above θ₁₃, A is scaled by 2⁻ˢ.
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+          9: 2.097847961257068e0, 13: 5.371920351148152e0}
+_PADE = {m: [math.factorial(2 * m - j) * math.factorial(m)
+             / (math.factorial(2 * m) * math.factorial(j) * math.factorial(m - j))
+             for j in range(m + 1)] for m in _THETA}
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a small square matrix by Padé scaling and squaring (Higham
+    2005): the lowest degree m whose θ bounds ‖a‖₁, else degree 13 on a/2ˢ,
+    squared s times.  The numerator is Σ bⱼaʲ with bⱼ = (2m-j)!·m! /
+    ((2m)!·j!·(m-j)!), the denominator Σ (-1)ʲbⱼaʲ."""
+    norm = float(np.abs(a).sum(axis=0).max())
+    m = min(d for d, theta in _THETA.items() if norm <= theta or d == 13)
+    s = math.ceil(math.log2(norm / _THETA[13])) if norm > _THETA[13] else 0
+    a, b = a * 2.0**-s, _PADE[m]
+    powers = [np.eye(a.shape[0]), a @ a]  # the even powers up to a^(m-1)
+    while len(powers) < (m + 1) // 2:
+        powers.append(powers[-1] @ powers[1])
+    u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+    v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def _flat(m: np.ndarray) -> np.ndarray:
@@ -115,6 +98,12 @@ def _norm(v: np.ndarray) -> float:
     dot splits long vectors among threads, and its value then depends on
     the thread count."""
     return math.sqrt(np.einsum("i,i->", v, v))
+
+
+def _rounded(t: float) -> float:
+    """A substep size rounded up to two significant digits (Expokit)."""
+    s = 10.0 ** (math.floor(math.log10(t)) - 1)
+    return math.ceil(t / s) * s
 
 
 def _check_tol(name: str, value: float) -> float:
@@ -132,38 +121,26 @@ def _hermitized(y: np.ndarray):
 
 @dataclass(frozen=True)
 class SolverStats:
-    """What the stepper did: step attempts accepted and rejected, right-hand
-    side evaluations, and the smallest active-block size reached."""
+    """What the stepper did: substeps taken and rejected, products with the
+    generator, the largest Krylov dimension of a substep and the smallest
+    active-block size reached."""
 
-    accepted_steps: int
-    rejected_steps: int
-    rhs_evaluations: int
+    substeps: int
+    rejected_substeps: int
+    matvecs: int
+    max_krylov_dim: int
     min_k_active: int
 
 
 class _Engine:
-    """Adaptive DP45 stepper on the active block, with hermitization, the
-    breach guard (always on), window shrink and grid states from the
-    continuous extension of each accepted step.
+    """Krylov exponential stepper on the active block, with hermitization,
+    the breach guard, window shrink (ρ₀ included) and grid states read from
+    the basis of the substep that covers them.  The basis is one
+    (KRYLOV_DIM + 2, m, m) array in the block's dtype, allocated for each
+    block size: the orthonormal vectors, then L v_{m+1}."""
 
-    The block is float64 when the generator and ρ₀ are both real, and
-    complex128 otherwise.  Stage derivatives are the rows of one
-    (stages + 1, m, m) array, reallocated only when the window shrinks; row 0
-    holds f(y) and the last row f(y_new), which becomes row 0 of the next
-    step.  Stage combinations are products of a row of ``_A``, ``_B``,
-    ``_E`` or ``_P`` with the real view of those rows.  A windowed run
-    starts from the full space and trims ρ₀ by the rule of :meth:`_shrink`.
-    """
-
-    def __init__(
-        self,
-        me: MasterEquation,
-        rho0: np.ndarray,
-        t0: float,
-        tol: float,
-        window: bool,
-        max_steps: int,
-    ):
+    def __init__(self, me: MasterEquation, rho0: np.ndarray, t0: float, tol: float,
+                 window: bool, max_steps: int):
         self.me = me
         self.dim = me.dim
         self.tol = tol
@@ -179,58 +156,100 @@ class _Engine:
             self._shrink()
         self._allocate()
         self.h = None
-        self.err_prev = 1.0
         self.last_asym = 0.0
-        self.accepted = 0
-        self.rejected = 0
-        self.rhs_evaluations = 0
+        self.substeps = self.rejected = self.matvecs = self.max_krylov = 0
 
     def _allocate(self):
-        """Block map and stage buffers for the current k_active; row 0 stale."""
+        """Block map and Krylov basis for the current k_active."""
         m = self.k_active
         self.rhs = self.me.generator.block(m)
-        self.k = np.empty((_STAGES + 1, m, m), dtype=self.yb.dtype)
-        self.kflat = self.k.reshape(self.k.shape[0], -1).view(np.float64)
-        self.stage = np.empty((m, m), dtype=self.yb.dtype)
-        self.k_fresh = False
-
-    def derivative(self) -> np.ndarray:
-        """f(y) at the current state (stage row 0)."""
-        if not self.k_fresh:
-            self.rhs(self.yb, out=self.k[0])
-            self.rhs_evaluations += 1
-            self.k_fresh = True
-        return self.k[0]
+        self.kdim = min(KRYLOV_DIM, _flat(self.yb).size)
+        self.v = np.empty((self.kdim + 2, m, m), dtype=self.yb.dtype)
+        self.vflat = self.v.reshape(self.kdim + 2, -1).view(np.float64)
 
     # -- stepping ---------------------------------------------------------
 
-    def _seed_step(self, span: float) -> float:
-        scale = max(self.me.decay_scale(self.k_active), 1e-12)
-        return min(abs(span), 0.1 / scale)
+    def _arnoldi(self):
+        """The Krylov basis of the current state and ‖L y‖_F, which its
+        first product gives.  Each new vector is orthogonalized against the
+        basis twice (classical Gram–Schmidt, coefficients summed by einsum)."""
+        v, vf = self.v, self.vflat
+        beta = _norm(_flat(self.yb))
+        np.multiply(self.yb, 1.0 / beta, out=v[0])
+        m = self.kdim
+        hbar = np.zeros((m + 2, m + 2))
+        residual = avnorm = None
+        for j in range(m):
+            self.rhs(v[j], out=v[j + 1])
+            self.matvecs += 1
+            w, basis = vf[j + 1], vf[: j + 1]
+            if j == 0:
+                residual = beta * _norm(w)
+            c = np.einsum("ij,j->i", basis, w)
+            w -= np.einsum("i,ij->j", c, basis)
+            c2 = np.einsum("ij,j->i", basis, w)
+            w -= np.einsum("i,ij->j", c2, basis)
+            hbar[: j + 1, j] = c + c2
+            s = _norm(w)
+            if s <= _BREAKDOWN * residual / beta:
+                hbar = hbar[: j + 1, : j + 1]
+                break
+            hbar[j + 1, j] = s
+            w /= s
+        else:
+            self.rhs(v[m], out=v[m + 1])
+            self.matvecs += 1
+            avnorm = _norm(vf[m + 1])
+            hbar[m + 1, m] = 1.0
+        self.max_krylov = max(self.max_krylov, j + 1)
+        return (beta, hbar, avnorm), residual
 
-    def _step(self, h: float):
-        """One attempt of size h: the new state, its asymmetry, and the
-        local error norm in units of the tolerance."""
-        y, k, kflat = self.yb, self.k, self.kflat
-        self.derivative()
-        stage_flat = _flat(self.stage)
-        for i in range(1, _STAGES):
-            np.matmul(h * _A[i], kflat[:i], out=stage_flat)
-            self.stage += y
-            self.rhs(self.stage, out=k[i])
-        dy = (h * _B) @ kflat[:_STAGES]
-        ynew, asym = _hermitized(y + dy.view(y.dtype).reshape(y.shape))
-        self.rhs(ynew, out=k[-1])
-        self.rhs_evaluations += _STAGES
-        err = h * _norm(_E @ kflat)
-        return ynew, asym, err / (self.tol * max(1.0, _norm(_flat(y))))
+    def _weights(self, kry, tau: float):
+        """β·exp(τH̄)e₁, the weights of the basis vectors after τ, and
+        Expokit's local error estimate with its step exponent; a basis that
+        broke down (``avnorm`` None) is exact for every τ."""
+        beta, hbar, avnorm = kry
+        f = beta * _expm(tau * hbar)[:, 0]
+        if avnorm is None:
+            return f, 0.0, 1.0
+        m = hbar.shape[0] - 2
+        phi1, phi2 = abs(f[m]), abs(f[m + 1]) * avnorm
+        if phi1 > 10.0 * phi2:
+            return f[: m + 1], phi2, 1.0 / m
+        if phi1 > phi2:
+            return f[: m + 1], phi1 * phi2 / (phi1 - phi2), 1.0 / m
+        return f[: m + 1], phi1, 1.0 / (m - 1)
 
-    def _dense(self, y: np.ndarray, theta: float, h: float):
-        """The hermitized state at t + θh inside the step of size h from y,
-        y + h·Σ bᵢ(θ)kᵢ over the stage rows of that step, and its asymmetry."""
-        w = (h * theta) * (_P @ theta ** np.arange(_P.shape[1]))
-        dy = w @ self.kflat
-        return _hermitized(y + dy.view(y.dtype).reshape(y.shape))
+    def _state(self, w):
+        """The hermitized block Σ wᵢvᵢ over the basis and its asymmetry."""
+        y = np.einsum("i,ij->j", w, self.vflat[: w.size])
+        return _hermitized(y.view(self.yb.dtype).reshape(self.yb.shape))
+
+    def _substep(self, kry, span: float):
+        """A substep up to ``span`` whose local error estimate is at most
+        δ·τ·tol, and its weights.  From the proposed size, each rejection
+        shrinks τ on the same basis, and the next proposal grows from the
+        error met, by Expokit's heuristic with δ = 1.2 and γ = 0.9."""
+        if kry[2] is None:
+            return span, self._weights(kry, span)[0]
+        if self.h is None:  # Expokit's first substep, from an estimate of ‖L‖
+            anorm, m = max(self.me.decay_scale(self.k_active), 1e-12), self.kdim
+            fact = ((m + 1) / math.e) ** (m + 1) * math.sqrt(2.0 * math.pi * (m + 1))
+            self.h = _rounded((fact * self.tol / (4.0 * kry[0] * anorm)) ** (1.0 / m) / anorm)
+        tau = min(self.h, span)
+        while True:
+            w, err, xm = self._weights(kry, tau)
+            if err <= 1.2 * tau * self.tol:
+                break
+            self.rejected += 1
+            tau = 0.9 * tau * (tau * self.tol / err) ** xm
+            if not tau >= 1e-15 * max(1.0, abs(self.t)):  # a NaN estimate too
+                raise StepSizeUnderflowError(
+                    f"step size underflow at t={self.t:.6g} (h={tau:.3e})"
+                )
+            tau = _rounded(tau)
+        self.h = _rounded(0.9 * tau * (tau * self.tol / max(err, 1e-300)) ** xm)
+        return tau, w
 
     def _shrink(self) -> bool:
         """Drop the top rows of the block while they are below _SHRINK_CUT
@@ -255,54 +274,38 @@ class _Engine:
                 time=self.t,
             )
 
-    def run(self, t_end: float, grid=(), on_accept=None) -> list:
+    def run(self, t_end: float, grid=(), on_residual=None) -> list:
         """Advance to t_end and observe the state at each time of the
         ascending ``grid`` inside (t, t_end].
 
-        Steps are clipped only at t_end; a grid time inside an accepted step
-        is observed from that step's continuous extension.  on_accept(residual)
-        may return True to stop, where residual is ||f(y)||_F at the accepted
-        state.  Returns the observations (see :meth:`observe`).
+        Substeps are clipped only at t_end; a grid time inside a substep is
+        read from that substep's basis.  Before each substep,
+        on_residual(‖L y‖_F) may return True to stop at the current state.
+        Returns the observations (see :meth:`observe`).
         """
         seen = []
-        if self.h is None:
-            self.h = self._seed_step(t_end - self.t)
         done = 1e-14 * max(1.0, abs(t_end))
         while self.t < t_end - done:
-            if self.accepted + self.rejected >= self.max_steps:
-                raise SimulationError(
-                    f"integration exceeded {self.max_steps} step attempts"
-                )
-            h = min(self.h, t_end - self.t)
-            ynew, asym, en = self._step(h)
-            if en <= 1.0:
-                y, t = self.yb, self.t
-                self.accepted += 1
-                self.yb = ynew
-                self.t = t_end if t + h >= t_end - done else t + h
-                self.last_asym = asym
-                self._guard()
-                while len(seen) < len(grid) and grid[len(seen)] <= self.t:
-                    theta = min(1.0, (grid[len(seen)] - t) / h)
-                    seen.append(self.observe(*self._dense(y, theta, h)))
-                self.k[0] = self.k[-1]
-                if self.windowed and self._shrink():
-                    self._allocate()
-                # PI control for a local error of order h⁵
-                en_c = max(en, 1e-10)
-                fac = 0.9 * en_c ** (-0.7 / 5) * max(self.err_prev, 1e-10) ** (0.4 / 5)
-                self.h = h * min(10.0, max(0.2, fac))
-                self.err_prev = en_c
-                if on_accept is not None and on_accept(_norm(_flat(self.derivative()))):
-                    return seen
-            else:
-                self.rejected += 1
-                self.h = h * max(0.1, 0.9 * en ** (-1 / 5))
-            if self.h < 1e-15 * max(1.0, abs(self.t)):
-                raise StepSizeUnderflowError(
-                    f"step size underflow at t={self.t:.6g} (h={self.h:.3e})"
-                )
-        # only a span within round-off of t_end is left without a step
+            if self.substeps + self.rejected >= self.max_steps:
+                raise SimulationError(f"integration exceeded {self.max_steps} substeps")
+            kry, residual = self._arnoldi()
+            if on_residual is not None and on_residual(residual):
+                return seen
+            t = self.t
+            tau, w = self._substep(kry, t_end - t)
+            self.yb, self.last_asym = self._state(w)
+            self.substeps += 1
+            self.t = t_end if t + tau >= t_end - done else t + tau
+            self._guard()
+            while len(seen) < len(grid) and grid[len(seen)] <= self.t:
+                tg = grid[len(seen)]
+                if tg < self.t:
+                    seen.append(self.observe(*self._state(self._weights(kry, tg - t)[0])))
+                else:
+                    seen.append(self.observe())
+            if self.windowed and self._shrink():
+                self._allocate()
+        # only a span within round-off of t_end is left without a substep
         seen += [self.observe() for _ in grid[len(seen):]]
         return seen
 
@@ -330,7 +333,9 @@ class _Engine:
 
     def stats(self) -> SolverStats:
         # the window only shrinks, so the current block is the smallest
-        return SolverStats(self.accepted, self.rejected, self.rhs_evaluations, self.k_active)
+        return SolverStats(
+            self.substeps, self.rejected, self.matvecs, self.max_krylov, self.k_active
+        )
 
 
 def _padded(block: np.ndarray, dim: int) -> np.ndarray:
@@ -396,9 +401,9 @@ def propagate(
     """Integrate dρ/dt = rhs(me, ρ) and record the state on a time grid.
 
     ``grid`` must be ascending; ``rho0`` is the state at ``grid[0]``.  ``tol``
-    is the local error tolerance per step, relative to max(1, ‖ρ‖), finite
-    and > 0.  The grid does not clip the steps: each grid state comes from
-    the continuous extension of the step that covers it.  The states are
+    bounds the local error per unit time (Frobenius norm), finite and > 0.
+    The grid does not clip the substeps: each grid state is read from the
+    Krylov basis of the substep that covers it.  The states are
     kept as the integrator's active blocks and padded to complex128
     dim×dim arrays on each read (see :class:`Trajectory`).
     """
@@ -423,16 +428,18 @@ def evolve_to_steady(
     rho0: np.ndarray,
     tol: float = STEADY_TOL,
     t_max: float = 1000.0,
-    step_tol: float = STEADY_STEP_TOL,
+    step_tol: float = DEFAULT_TOL,
 ) -> SteadyEvolveResult:
     """Integrate until ||rhs(ρ)||_F < tol or t_max is reached.
 
-    ``tol`` and the per-step error tolerance ``step_tol`` must be finite and
-    > 0.  Every step may leave a local error of about ``step_tol``, so the
-    residual cannot fall much below the fastest rate times ``step_tol``;
-    tighten both together.  The
-    returned result is explicitly tagged converged/unconverged; callers must
-    not treat an unconverged state as stationary.
+    ``tol`` and ``step_tol``, the integrator's local error bound per unit
+    time, must be finite and > 0.  The residual of each substep's start is
+    the norm of its first Arnoldi product, so checking it costs nothing.  It
+    cannot fall far below the error a substep leaves, fastest rate × τ ×
+    ``step_tol``: the driven dim-20 NCL case (fastest rate 1.2e4) reaches
+    8e-12 at the default.  The returned result is explicitly tagged
+    converged/unconverged; callers must not treat an unconverged state as
+    stationary.
     """
     tol = _check_tol("tol", tol)
     step_tol = _check_tol("step_tol", step_tol)
@@ -440,18 +447,9 @@ def evolve_to_steady(
     if rho0.shape != (me.dim, me.dim):
         raise InvalidStateError(f"rho0 shape {rho0.shape} != ({me.dim}, {me.dim})")
     eng = _Engine(me, rho0, 0.0, step_tol, window=True, max_steps=5_000_000)
-    residual = _norm(_flat(eng.derivative()))
-    if residual < tol:
-        return SteadyEvolveResult(eng.full_state(), True, 0.0, residual)
-
-    state = {"res": residual}
-
-    def check(res):
-        state["res"] = res
-        return res < tol
-
-    eng.run(float(t_max), on_accept=check)
-    residual = state["res"]
+    seen = []
+    eng.run(float(t_max), on_residual=lambda res: seen.append(res) or res < tol)
+    residual = seen[-1] if seen and seen[-1] < tol else _norm(_flat(eng.rhs(eng.yb)))
     return SteadyEvolveResult(eng.full_state(), residual < tol, eng.t, residual)
 
 

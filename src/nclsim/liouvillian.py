@@ -28,7 +28,7 @@ The term list has these readers:
 * :meth:`Generator.block`, the map on the leading m×m block of a state that
   vanishes outside it, made by slicing the coefficient arrays and the rows of
   the factors; the integrator's shrinking window uses it, writing each
-  derivative into a preallocated stage buffer (``out=``);
+  product into a preallocated Krylov basis vector (``out=``);
 * :attr:`Generator.triplets`, the COO entries of the D²×D² matrix under
   column-stacking vectorization: vec(ρ)[i + dim*j] = ρ[i, j], so
   vec(AρB) = (Bᵀ ⊗ A) vec(ρ).  Two readers build on them:
@@ -456,19 +456,26 @@ class MasterEquation:
                 scale += 2.0 * ch.rate * (np.abs(ch.op[:, :m]) ** 2).sum(axis=0).max()
         return float(scale)
 
+    def _channel_offsets(self) -> list:
+        """The offsets of the nonzero diagonals of each active channel operator."""
+        return [_diagonal_offsets(ch.op) for ch in self.channels if ch.rate != 0.0]
+
     def is_pure_lowering(self) -> bool:
         """True when nothing couples population upward: no driving, no
         thermal pumping, and every active channel operator lives on a single
         superdiagonal (a one-step-lowering band)."""
         if self.omega != 0.0 or self.nbar != 0.0:
             return False
-        for ch in self.channels:
-            if ch.rate == 0.0:
-                continue
-            offsets = _diagonal_offsets(ch.op)
-            if offsets.size > 1 or (offsets.size == 1 and offsets[0] < 1):
-                return False
-        return True
+        return all(o.size == 0 or (o.size == 1 and o[0] >= 1) for o in self._channel_offsets())
+
+    def pumps_a_ladder(self) -> bool:
+        """True when driving or thermal pumping moves population up a ladder:
+        every active channel operator lives on a single off-diagonal band, so
+        each jump moves population a fixed number of levels and the cutoff
+        truncates an unbounded ladder."""
+        if self.omega == 0.0 and self.gamma_linear * self.nbar == 0.0:
+            return False
+        return all(o.size == 0 or (o.size == 1 and o[0] != 0) for o in self._channel_offsets())
 
 
 def dissipator(x: np.ndarray, rho: np.ndarray) -> np.ndarray:

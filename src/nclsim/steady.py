@@ -59,6 +59,7 @@ from .errors import (
     SteadyStateResidualError,
     TailGuardError,
 )
+from .evolve import BREACH_TOL
 from .fock import annihilation, check_density_matrix
 from .gadgets import ncl_lindblad
 from .liouvillian import (
@@ -74,6 +75,15 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 TAIL_GUARD = 1e-12
+# The stationary states of an equation that pumps a ladder (driving or
+# thermal pumping, with every channel on one off-diagonal band; see
+# MasterEquation.pumps_a_ladder) are truncations of an unbounded ladder, so
+# their top level may hold at most what propagation allows, BREACH_TOL;
+# more raises TailGuardError.  Other equations are not guarded: a dense
+# channel (a projector gadget) or a diagonal one (parity) can make the whole
+# space the model, and their tested states hold up to 0.5 at the top.  A
+# thermal ladder's top holds 3.4e-11 at dim 30 and n̄ = 0.8, so the
+# recurrences' TAIL_GUARD would trip where this guard does not.
 RESIDUAL_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
 # Largest dim the sparse trace-row solve takes.  Driven NCL (α₀ = 150, ε = 1,
@@ -240,8 +250,9 @@ def steady_state_nullspace(
     (the dense reference route, with singular values below
     ``DEGENERACY_TOL`` as the degeneracy test; dims up to the dense cap of
     :func:`~nclsim.liouvillian.superoperator_matrix`).  Either state must
-    leave a residual below ``RESIDUAL_TOL`` (floored by the operator's scale)
-    and pass :func:`~nclsim.fock.check_density_matrix`.
+    leave a residual below ``RESIDUAL_TOL`` (floored by the operator's scale),
+    pass the top-level guard of a pumped ladder (see ``TAIL_GUARD``) and pass
+    :func:`~nclsim.fock.check_density_matrix`.
     ``stats``, when given, counts the sparse LU work of the direct route.
     """
     if method == "direct":
@@ -257,7 +268,19 @@ def steady_state_nullspace(
         rho = _unit_trace_state(me.generator, 0.5 * (rho + rho.conj().T))
     else:
         raise InvalidStateError(f"unknown steady-state method {method!r}")
-    return check_density_matrix(rho)
+    return check_density_matrix(_guarded(me, rho))
+
+
+def _guarded(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
+    """``rho``, once its top-level population passes the stationary guard
+    (see ``TAIL_GUARD``)."""
+    top = float(rho[-1, -1].real)
+    if top > BREACH_TOL and me.pumps_a_ladder():
+        raise TailGuardError(
+            f"stationary top Fock level population p[{me.dim - 1}] = {top:.3e} exceeds "
+            f"{BREACH_TOL:.0e} on a pumped ladder; increase dim"
+        )
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +498,11 @@ def approximate_steady_state(me: MasterEquation, f, stats: LUStats | None = None
 
     Not of Lindblad form, so positivity is not guaranteed; the diagonal obeys
     the driven recurrence exactly and the state satisfies the eigen-relations
-    Bρ = α₀ρ, ρB† = α₀ρ up to the Fock-cutoff boundary residual.  ``stats``,
+    Bρ = α₀ρ, ρB† = α₀ρ up to the Fock-cutoff boundary residual.  The state
+    passes the top-level guard of ``me`` (see ``TAIL_GUARD``).  ``stats``,
     when given, counts the sparse LU work.
     """
-    return _nullspace_direct(_approximate_generator(me, f), stats)
+    return _guarded(me, _nullspace_direct(_approximate_generator(me, f), stats))
 
 
 def b_eigen_residual(me: MasterEquation, f, rho: np.ndarray) -> float:

@@ -502,10 +502,12 @@ def test_provenance_records_solver_stats(tmp_path, monkeypatch):
     assert [s["sweep_value"] for s in stats[0]] == [1.0, 1.2]
     for s in stats[0]:
         assert set(s) == {
-            "sweep_value", "accepted_steps", "rejected_steps", "rhs_evaluations", "min_k_active"
+            "sweep_value", "substeps", "rejected_substeps", "matvecs", "max_krylov_dim",
+            "min_k_active",
         }
-        assert s["accepted_steps"] >= 25 and s["rejected_steps"] >= 0
-        assert s["rhs_evaluations"] > 6 * s["accepted_steps"]
+        assert s["substeps"] >= 10 and s["rejected_substeps"] >= 0
+        assert s["max_krylov_dim"] == evolve.KRYLOV_DIM
+        assert s["matvecs"] == s["substeps"] * (evolve.KRYLOV_DIM + 1)
         assert 2 <= s["min_k_active"] <= 20
 
 
@@ -534,6 +536,20 @@ def test_provenance_records_lu_counts_of_steady_points(tmp_path, monkeypatch, me
         assert set(s) == {"sweep_value", "lu_factorizations", "lu_solves"}
         assert s["lu_factorizations"] == 1
         assert 4 <= s["lu_solves"] <= 8
+
+
+@pytest.mark.parametrize("method", ["steady", "steady_approx"])
+def test_truncated_stationary_point_fails_by_name(tmp_path, capsys, method):
+    ini = (
+        "[system]\ndim = 20\ngamma_linear = 5.0\ngamma_nonlinear = 1.0\n"
+        "[gadget]\nkind = ncl\nf = x-1\n"
+        f"[solver]\nmethod = {method}\n"
+        "[sweep]\nparameter = alpha0\nvalues = 1.0,1e6\n"
+        f"[output]\ndirectory = {tmp_path / 'out'}\nbasename = st\n"
+    )
+    assert cli.main(["steady", _write(tmp_path, ini)]) == 3
+    err = capsys.readouterr().err
+    assert "point 1000000.0 failed: TailGuardError" in err and "point 1.0" not in err
 
 
 def test_svg_content(tmp_path):

@@ -5,12 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import trace_distance
 from nclsim import evolve, fock, gadgets, liouvillian as lv, scenarios
 from nclsim.errors import (
     InsufficientDecayError,
     InvalidStateError,
+    StepSizeUnderflowError,
     TruncationBreachError,
 )
 
@@ -181,6 +183,18 @@ def test_truncation_breach_guard():
     assert err.value.time is not None
 
 
+def test_unusable_error_estimate_stops_by_name():
+    # a NaN error estimate is rejected, and the shrunken substep size must
+    # end the run with the integrator's own error, not fail in its rounding
+    me = lv.MasterEquation(6, gamma_linear=1.0, omega=0.3)
+    eng = evolve._Engine(
+        me, fock.pure_density(fock.fock_state(0, 6)), 0.0, 1e-12, window=True, max_steps=10
+    )
+    (beta, hbar, avnorm), _ = eng._arnoldi()
+    with pytest.raises(StepSizeUnderflowError, match="h=nan"):
+        eng._substep((beta, hbar * np.nan, avnorm), 1.0)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-9, np.inf, np.nan])
 def test_tolerance_validation(tol):
     me = lv.MasterEquation(4, gamma_linear=1.0)
@@ -241,9 +255,11 @@ def test_solver_stats_count_the_work():
     rho0 = fock.pure_density(fock.coherent_state(1.0, 16))
     grid = np.linspace(0.0, 1.0, 5)
     stats = evolve.propagate(me, rho0, grid).stats
-    steps = stats.accepted_steps + stats.rejected_steps
-    # six stage evaluations per attempt, plus f(ρ) at the start and after each shrink
-    assert stats.accepted_steps >= 4 and steps * 6 < stats.rhs_evaluations <= steps * 7 + 1
+    # a full basis costs KRYLOV_DIM products and ‖L v_{m+1}‖ one more; a
+    # rejected substep retries on the same basis and costs none
+    assert stats.max_krylov_dim == evolve.KRYLOV_DIM
+    assert stats.substeps >= 4 and stats.rejected_substeps >= 0
+    assert stats.matvecs == stats.substeps * (evolve.KRYLOV_DIM + 1)
     assert 2 <= stats.min_k_active < 16
 
 
@@ -381,3 +397,89 @@ def test_decay_fit_needs_window(gadget_trajectory):
     traj, g = gadget_trajectory
     with pytest.raises(InsufficientDecayError):
         evolve.decay_rate_fit(traj, g, window=(1e-30, 1e-28))
+
+
+# -- the Krylov stepper's parts against scipy --------------------------------
+
+
+def _arnoldi_hessenberg():
+    # the augmented Hessenberg matrix of one substep of a dim-24 NCL equation
+    me = _ncl_me(24, gamma_linear=1.0, gamma_nonlinear=0.2, omega=0.5)
+    rho0 = fock.pure_density(fock.coherent_state(2.0, 24))
+    eng = evolve._Engine(me, rho0, 0.0, evolve.DEFAULT_TOL, window=True, max_steps=1)
+    (_, hbar, _), _ = eng._arnoldi()
+    return hbar
+
+
+# (‖A‖₁, the Padé degree it takes): one inside the range of each degree, and
+# two above θ₁₃, where A is scaled by 2⁻ˢ and the result squared s times
+PADE_CASES = ((0.01, 3), (0.2, 5), (0.9, 7), (2.0, 9), (5.0, 13), (40.0, 13), (700.0, 13))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "arnoldi"])
+@pytest.mark.parametrize("norm, degree", PADE_CASES)
+def test_pade_exponential_matches_scipy(kind, norm, degree):
+    from scipy.linalg import expm
+
+    theta = evolve._THETA
+    assert degree == min(m for m in theta if norm <= theta[m] or m == 13)
+    squared = norm > theta[13]
+    rng = np.random.default_rng(int(norm * 100))
+    if kind == "arnoldi":
+        a = _arnoldi_hessenberg()
+    else:
+        a = rng.normal(size=(22, 22))
+        if kind == "complex":
+            a = a + 1j * rng.normal(size=(22, 22))
+        a = np.triu(a, -1)
+    a = a * (norm / np.abs(a).sum(axis=0).max())
+    want = expm(a)
+    # squaring multiplies the rounding of the scaled exponential by up to ‖e^A‖
+    bound = 1e-11 if squared else 1e-14
+    assert np.abs(evolve._expm(a) - want).max() <= bound * np.abs(want).max()
+
+
+@st.composite
+def _propagation_cases(draw):
+    """(equation, ρ₀, grid) at dim 16-30: NCL (pure-lowering, so windowed),
+    driven NCL, thermal, projector and phase-rotated NCL (a complex
+    generator) equations, from a coherent state whose amplitude may be
+    complex (a complex ρ₀)."""
+    dim = draw(st.integers(16, 30))
+    kind = draw(st.sampled_from(["ncl", "driven", "thermal", "projector", "rotated"]))
+    gamma_linear = draw(st.floats(0.1, 2.0))
+    gamma_nonlinear = draw(st.floats(0.02, 0.2))
+    if kind == "thermal":
+        me = lv.MasterEquation(dim, gamma_linear=gamma_linear, nbar=draw(st.floats(0.01, 0.3)))
+    elif kind == "projector":
+        me = _projector_me(dim, 2, draw(st.floats(0.3, 1.0)), 2, gamma_linear)
+    else:
+        op = gadgets.ncl_lindblad(gadgets.NonlinearFunction.from_name("x-1"), dim)
+        me = lv.MasterEquation(
+            dim,
+            gamma_linear=gamma_linear,
+            gamma_nonlinear=gamma_nonlinear,
+            omega=draw(st.floats(-1.0, 1.0)) if kind == "driven" else 0.0,
+            nonlinear_op=np.exp(0.7j) * op if kind == "rotated" else op,
+        )
+    alpha = draw(st.floats(0.2, 1.0)) * np.exp(1j * draw(st.sampled_from([0.0, 0.9])))
+    rho0 = fock.pure_density(fock.coherent_state(alpha, dim))
+    return me, rho0, np.linspace(0.0, draw(st.floats(0.05, 0.3)), 4)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_propagation_cases())
+def test_propagation_matches_expm_multiply_on_the_superoperator(case):
+    # an independent path: Al-Mohy & Higham's truncated Taylor action of the
+    # sparse column-stacked superoperator (scipy), on the full space
+    from scipy.sparse.linalg import expm_multiply
+
+    me, rho0, grid = case
+    traj = evolve.propagate(me, rho0, grid)
+    want = expm_multiply(
+        lv.superoperator_sparse(me).tocsc(), lv.vec(rho0),
+        start=grid[0], stop=grid[-1], num=grid.size, endpoint=True,
+    )
+    for state, v in zip(traj.states, want):
+        # the local error bound, 1.2·tol per unit time over at most 0.3, and rounding
+        assert np.abs(state - lv.unvec(v, me.dim)).max() <= 1e-12

@@ -144,6 +144,21 @@ def test_parity_channel_at_dim_2_has_a_unique_state():
     assert np.abs(rho - np.eye(2) / 2).max() <= 1e-12
 
 
+def test_stationary_guard_trips_on_a_truncated_driven_ladder():
+    # driven NCL f = x-1 at dim 20, Γ = 5, γ = 1, α₀ = 1e6: both routes put
+    # 5 % of the population on the top level, a truncation artefact
+    me = _ncl_me(20, gamma_linear=5.0, gamma_nonlinear=1.0, omega=1e6)
+    assert me.pumps_a_ladder()
+    with pytest.raises(TailGuardError, match=r"p\[19\] = 5\.000e-02"):
+        steady.steady_state_nullspace(me)
+    with pytest.raises(TailGuardError, match=r"p\[19\] = 5\.000e-02"):
+        steady.approximate_steady_state(me, gadgets.NonlinearFunction.from_name("x-1"))
+    # the projector and parity channels are not ladders, so their driven
+    # states may fill the top level (see the two tests above)
+    assert not _projector_me(20, gamma_linear=0.3, gamma_nonlinear=1.0, omega=0.8).pumps_a_ladder()
+    assert not _parity_me(2).pumps_a_ladder()
+
+
 def _dephasing_me(dim):
     # a Hermitian jump operator x = a + a† leaves every function of x stationary
     a = fock.annihilation(dim)
