@@ -55,7 +55,9 @@ class InsufficientDecayError(SimulationError):
 
 
 class DimensionCapError(SimulationError):
-    """Dimension above the cap of a superoperator route (dense or sparse)."""
+    """Dimension above ``steady.SPARSE_DIM_CAP``, the cap of the sparse
+    stationary solve (the tests' dense SVD reference in ``tests/oracles.py``
+    raises it above its own cap too)."""
 
 
 class NonUniqueSteadyStateError(SimulationError):

@@ -31,22 +31,19 @@ The term list has these readers:
   product into a preallocated Krylov basis vector (``out=``);
 * :attr:`Generator.triplets`, the COO entries of the D²×D² matrix under
   column-stacking vectorization: vec(ρ)[i + dim*j] = ρ[i, j], so
-  vec(AρB) = (Bᵀ ⊗ A) vec(ρ).  Two readers build on them:
+  vec(AρB) = (Bᵀ ⊗ A) vec(ρ).  :meth:`Generator.hermitian_map` builds on
+  them the real triplets of the map on Hermitian matrices in the
+  coordinates of :func:`hermitian_coordinates`, which the stationary solves
+  of :mod:`steady` factor.
 
-  * :func:`superoperator_sparse` (:meth:`Generator.superoperator`), the sparse
-    matrix, which :func:`superoperator_matrix` densifies for the SVD route
-    and the tests;
-  * :meth:`Generator.hermitian_map`, the real triplets of the map on
-    Hermitian matrices in the coordinates of :func:`hermitian_coordinates`,
-    which the stationary solves of :mod:`steady` factor.
-
-  Only the first imports ``scipy.sparse``, when called, so propagation
-  imports no scipy.
+Every reader here is plain numpy.  The reference routes that the tests
+compare these readers against (the dense dissipator and the sparse and dense
+superoperators, built from the triplets) live in ``tests/oracles.py``.
 
 The generator decides its dtype once, ``Generator.dtype``: float64 when no
 band coefficient and no factored operator has an imaginary part, as for
 every equation a config can state, else complex128.  Coefficients and
-factors are stored in it, the superoperator is built in it, and the
+factors are stored in it, the triplets are given in it, and the
 integrator keeps its state in it when ρ₀ is real too.
 """
 
@@ -54,17 +51,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionCapError, DimensionMismatchError, InvalidStateError
+from .errors import DimensionMismatchError, InvalidStateError
 from .fock import annihilation, creation, _check_dim
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
-SUPEROPERATOR_DIM_CAP = 64
 _MAX_BANDS = 3  # tridiagonal at most: every ladder operator and H here
 
 
@@ -197,7 +189,7 @@ class Generator:
     product term has an imaginary part (every equation a config can state,
     including H = iΩ(a - a†), whose -iH is real), complex128 otherwise.  The
     bands and factors are stored in it, and the window block and the
-    superoperator compute in it.
+    triplets compute in it.
     """
 
     def __init__(self, dim: int, terms):
@@ -264,8 +256,8 @@ class Generator:
         """(rows, cols, vals) of the D²×D² matrix of the map under column
         stacking, in ``dtype``: one entry per band coefficient and per product
         of two nonzero factor entries, with duplicates left unsummed.
-        Computed on first use and kept, for the superoperator, the Hermitian
-        map and the residual scale of a stationary solve."""
+        Computed on first use and kept, for the Hermitian map and the
+        residual scale of a stationary solve."""
         dim = self.dim
         index = np.arange(dim * dim, dtype=np.int32).reshape((dim, dim), order="F")
         parts = [
@@ -288,16 +280,6 @@ class Generator:
             return np.zeros(0, int), np.zeros(0, int), np.zeros(0, self.dtype)
         rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
         return rows, cols, vals.astype(self.dtype, copy=False)
-
-    def superoperator(self) -> sp.csr_matrix:
-        """Sparse D²×D² matrix of the map under column stacking, in ``dtype``."""
-        import scipy.sparse as sp
-
-        rows, cols, vals = self.triplets
-        n = self.dim * self.dim
-        total = sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=self.dtype)
-        total.eliminate_zeros()
-        return total
 
     def hermitian_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, vals) of the map on Hermitian ρ = S + iA (S real
@@ -478,50 +460,9 @@ class MasterEquation:
         return all(o.size == 0 or (o.size == 1 and o[0] != 0) for o in self._channel_offsets())
 
 
-def dissipator(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """L(x)ρ = 2xρx† - x†xρ - ρx†x (factor-2 convention)."""
-    x = np.asarray(x, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if x.shape != rho.shape or x.shape[0] != x.shape[1]:
-        raise DimensionMismatchError(f"operator shape {x.shape} vs state shape {rho.shape}")
-    xd = x.conj().T
-    xdx = xd @ x
-    return 2.0 * (x @ rho @ xd) - xdx @ rho - rho @ xdx
-
-
 def rhs(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
     """Full master-equation right-hand side, matrix-free."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (me.dim, me.dim):
         raise DimensionMismatchError(f"rho shape {rho.shape} != ({me.dim}, {me.dim})")
     return me.generator.complex_apply(rho)
-
-
-def vec(rho: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization (Fortran order)."""
-    return np.asarray(rho).flatten(order="F")
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return np.asarray(v).reshape((dim, dim), order="F")
-
-
-def superoperator_sparse(me: MasterEquation) -> sp.csr_matrix:
-    """Sparse D²×D² matrix representing :func:`rhs` under column stacking."""
-    return me.generator.superoperator()
-
-
-def superoperator_matrix(me: MasterEquation) -> np.ndarray:
-    """Dense superoperator matrix; refuses dimensions above
-    ``SUPEROPERATOR_DIM_CAP``.
-
-    Above the cap the dense D²×D² matrix is too large to be worth
-    materializing; use :func:`superoperator_sparse` instead.
-    """
-    if me.dim > SUPEROPERATOR_DIM_CAP:
-        raise DimensionCapError(
-            f"dim {me.dim} exceeds the dense superoperator cap {SUPEROPERATOR_DIM_CAP}; "
-            "use the sparse superoperator instead"
-        )
-    return superoperator_sparse(me).toarray()

@@ -33,6 +33,7 @@ from .observables import (
     poisson_distribution,
 )
 from .steady import (
+    SPARSE_DIM_CAP,
     LUStats,
     approximate_steady_state,
     ncl_recurrence,
@@ -153,6 +154,11 @@ class ScenarioConfig:
             "recurrence_thermal",
         ):
             raise ConfigError(f"unknown solver method {method!r}")
+        if method in ("steady", "steady_approx") and self.dim > SPARSE_DIM_CAP:
+            raise ConfigError(f"{method} takes dim <= {SPARSE_DIM_CAP}, got {self.dim}")
+        start = self.solver.recurrence_start
+        if method == "recurrence_ncl" and not 0 <= start < self.dim:
+            raise ConfigError(f"recurrence_start {start} outside 0..{self.dim - 1}")
         # what no sweep value changes is checked here, before any point runs;
         # a swept rate is checked at each point
         swept = _SWEEP_FIELD.get(self.sweep.parameter, self.sweep.parameter)
@@ -171,6 +177,8 @@ class ScenarioConfig:
         if self.gadget.kind == "projector":
             if self.gadget.target is None or self.gadget.source is None:
                 raise ConfigError("projector gadget needs target and source states")
+            if self.gadget.k < 1:
+                raise ConfigError(f"projector gadget needs k >= 1, got {self.gadget.k}")
             _state_spec(self.gadget.target, _PURE_KINDS)
             _state_spec(self.gadget.source, _PURE_KINDS)
         if method == "propagate":

@@ -19,8 +19,9 @@ SuperLU's fill is that of the two blocks factored apart, the A part of the
 solution is exactly 0, and the condition estimate covers both blocks.
 SuperLU orders the columns by minimum degree on Aᵀ+A; states are returned as
 complex128.  The full equation and the truncated equation below share this
-solve and its dimension cap.  A dense SVD of the superoperator (method
-'svd', capped much lower) is kept as an independent reference.
+solve and its dimension cap; it is the package's only stationary route.  The
+independent reference the tests compare it against, a dense SVD of the
+superoperator, lives in ``tests/oracles.py``.
 
 The analytic side implements the detailed-balance recurrences for the
 diagonal of the stationary state:
@@ -62,13 +63,7 @@ from .errors import (
 from .evolve import BREACH_TOL
 from .fock import annihilation, check_density_matrix
 from .gadgets import ncl_lindblad
-from .liouvillian import (
-    Generator,
-    MasterEquation,
-    hermitian_coordinates,
-    superoperator_matrix,
-    unvec,
-)
+from .liouvillian import Generator, MasterEquation, hermitian_coordinates
 from .observables import DiagonalDistribution
 
 if TYPE_CHECKING:
@@ -85,7 +80,6 @@ TAIL_GUARD = 1e-12
 # thermal ladder's top holds 3.4e-11 at dim 30 and n̄ = 0.8, so the
 # recurrences' TAIL_GUARD would trip where this guard does not.
 RESIDUAL_TOL = 1e-10
-DEGENERACY_TOL = 1e-10
 # Largest dim the sparse trace-row solve takes.  Driven NCL (α₀ = 150, ε = 1,
 # solve with its condition estimate after scipy is imported, one BLAS
 # thread, 2-core x86 VM, process peak RSS, two runs): 0.07 s and 88 MB at
@@ -234,41 +228,20 @@ def _nullspace_direct(gen: Generator, stats: LUStats | None = None) -> np.ndarra
     b[0] = 1.0
     x = _refined(solve(b), b, m.dot, solve, norm)
     rho = x[sym] + 1j * sign * x[dim * (dim + 1) // 2 + anti]
-    return _unit_trace_state(gen, unvec(rho, dim))
+    return _unit_trace_state(gen, rho.reshape((dim, dim), order="F"))
 
 
-def steady_state_nullspace(
-    me: MasterEquation,
-    method: str = "direct",
-    stats: LUStats | None = None,
-) -> np.ndarray:
-    """Unique stationary density matrix from the superoperator null space.
-
-    method: 'direct' (sparse trace-constrained solve on the Hermitian
-    matrices with a condition estimate as the degeneracy test; dims up to
-    ``SPARSE_DIM_CAP``) or 'svd'
-    (the dense reference route, with singular values below
-    ``DEGENERACY_TOL`` as the degeneracy test; dims up to the dense cap of
-    :func:`~nclsim.liouvillian.superoperator_matrix`).  Either state must
-    leave a residual below ``RESIDUAL_TOL`` (floored by the operator's scale),
-    pass the top-level guard of a pumped ladder (see ``TAIL_GUARD``) and pass
-    :func:`~nclsim.fock.check_density_matrix`.
-    ``stats``, when given, counts the sparse LU work of the direct route.
+def steady_state_nullspace(me: MasterEquation, stats: LUStats | None = None) -> np.ndarray:
+    """Unique stationary density matrix from the null space of ``me``: the
+    sparse trace-constrained solve on the Hermitian matrices, with a
+    condition estimate as the degeneracy test, for dims up to
+    ``SPARSE_DIM_CAP``.  The state must leave a residual below
+    ``RESIDUAL_TOL`` (floored by the operator's scale), pass the top-level
+    guard of a pumped ladder (see ``TAIL_GUARD``) and pass
+    :func:`~nclsim.fock.check_density_matrix`.  ``stats``, when given,
+    counts the sparse LU work.
     """
-    if method == "direct":
-        rho = _nullspace_direct(me.generator, stats)
-    elif method == "svd":
-        lop = superoperator_matrix(me)
-        _, s, vh = np.linalg.svd(lop)
-        if s[-2] < DEGENERACY_TOL:  # dim >= 2, so lop has at least 4 singular values
-            raise NonUniqueSteadyStateError(
-                f"second-smallest singular value {s[-2]:.3e} below {DEGENERACY_TOL:.0e}"
-            )
-        rho = unvec(vh[-1].conj(), me.dim)
-        rho = _unit_trace_state(me.generator, 0.5 * (rho + rho.conj().T))
-    else:
-        raise InvalidStateError(f"unknown steady-state method {method!r}")
-    return check_density_matrix(_guarded(me, rho))
+    return check_density_matrix(_guarded(me, _nullspace_direct(me.generator, stats)))
 
 
 def _guarded(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
@@ -486,11 +459,6 @@ def approximate_rhs(me: MasterEquation, f, rho: np.ndarray) -> np.ndarray:
     if rho.shape != (me.dim, me.dim):
         raise InvalidStateError(f"rho shape {rho.shape} != ({me.dim}, {me.dim})")
     return gen.apply(rho)
-
-
-def approximate_superoperator(me: MasterEquation, f) -> sp.csr_matrix:
-    """Sparse superoperator of :func:`approximate_rhs` (column stacking)."""
-    return _approximate_generator(me, f).superoperator()
 
 
 def approximate_steady_state(me: MasterEquation, f, stats: LUStats | None = None) -> np.ndarray:

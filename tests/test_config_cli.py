@@ -316,6 +316,10 @@ def _base_ini(base, outdir):
         ("thermal", "system", "nbar", "0"),
         ("steady", "system", "nbar", "0.5"),
         ("steady", "system", "gamma_nonlinear", "0"),
+        ("steady", "system", "dim", "257"),
+        ("recurrence", "solver", "recurrence_start", "40"),
+        ("recurrence", "solver", "recurrence_start", "-1"),
+        ("projector", "gadget", "k", "0"),
     ],
 )
 def test_bad_input_is_a_config_error_before_any_output(
@@ -614,6 +618,14 @@ def test_malformed_override_value_is_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error: override" in err and "Traceback" not in err
     assert not os.path.exists(out)
+
+
+def test_figure_above_the_stationary_cap_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "fig2d"
+    assert cli.main(["figure", "fig2d", "--out", str(out), "--override", "dim=300"]) == 1
+    err = capsys.readouterr().err
+    assert "config error: steady takes dim <= 256, got 300" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_figure_names_failed_points(tmp_path, capsys):

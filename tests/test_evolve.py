@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
+import oracles
 from conftest import trace_distance
 from nclsim import evolve, fock, gadgets, liouvillian as lv, scenarios
 from nclsim.errors import (
@@ -14,6 +15,7 @@ from nclsim.errors import (
     InvalidStateError,
     StepSizeUnderflowError,
     TruncationBreachError,
+    TruncationLeakageError,
 )
 
 
@@ -452,7 +454,10 @@ def _propagation_cases(draw):
     if kind == "thermal":
         me = lv.MasterEquation(dim, gamma_linear=gamma_linear, nbar=draw(st.floats(0.01, 0.3)))
     elif kind == "projector":
-        me = _projector_me(dim, 2, draw(st.floats(0.3, 1.0)), 2, gamma_linear)
+        try:
+            me = _projector_me(dim, 2, draw(st.floats(0.3, 1.0)), 2, gamma_linear)
+        except TruncationLeakageError:
+            reject()  # the gadget's cutoff guard refuses the source (α = 1 needs dim >= 23)
     else:
         op = gadgets.ncl_lindblad(gadgets.NonlinearFunction.from_name("x-1"), dim)
         me = lv.MasterEquation(
@@ -477,9 +482,9 @@ def test_propagation_matches_expm_multiply_on_the_superoperator(case):
     me, rho0, grid = case
     traj = evolve.propagate(me, rho0, grid)
     want = expm_multiply(
-        lv.superoperator_sparse(me).tocsc(), lv.vec(rho0),
+        oracles.superoperator(me.generator).tocsc(), oracles.vec(rho0),
         start=grid[0], stop=grid[-1], num=grid.size, endpoint=True,
     )
     for state, v in zip(traj.states, want):
         # the local error bound, 1.2·tol per unit time over at most 0.3, and rounding
-        assert np.abs(state - lv.unvec(v, me.dim)).max() <= 1e-12
+        assert np.abs(state - oracles.unvec(v, me.dim)).max() <= 1e-12

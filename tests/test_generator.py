@@ -1,16 +1,19 @@
 """Differential properties of the compiled generator.
 
-The fused band terms, the factored terms, the block restriction, the sparse
-superoperator and the Hermitian-basis map are checked against the dense
-reference -i[H, ρ] + Σ r·L(x)ρ on randomly drawn equations: dim 2-12, random
-rates, drive and thermal occupation, and an NCL, projector, random low-rank or
-no engineered channel.
+The fused band terms, the factored terms, the block restriction, the
+triplets (through the sparse superoperator that ``oracles.superoperator``
+builds from them) and the Hermitian-basis map are checked against the dense
+reference -i[H, ρ] + Σ r·L(x)ρ (``oracles.dissipator``) on randomly drawn
+equations: dim 2-12, random rates, drive and thermal occupation, and an NCL,
+projector, random low-rank or no engineered channel.  The references live in
+``tests/oracles.py``.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import random_density
 from nclsim import fock, gadgets, liouvillian as lv, scenarios, steady
 
@@ -60,7 +63,7 @@ def _reference(me, rho):
     h = me.hamiltonian
     out = -1j * (h @ rho - rho @ h)
     for ch in me.channels:
-        out = out + ch.rate * lv.dissipator(ch.op, rho)
+        out = out + ch.rate * oracles.dissipator(ch.op, rho)
     return out
 
 
@@ -116,8 +119,8 @@ def test_gram_of_every_preset_channel_is_bitwise_the_sparse_product():
 def test_superoperator_matches_rhs(drawn):
     me, rng = drawn
     rho = random_density(me.dim, rng)
-    out = lv.vec(lv.rhs(me, rho))
-    assert _close(lv.superoperator_sparse(me) @ lv.vec(rho), out, np.abs(out).max())
+    out = oracles.vec(lv.rhs(me, rho))
+    assert _close(oracles.superoperator(me.generator) @ oracles.vec(rho), out, np.abs(out).max())
 
 
 def _vech(m, k=0):
@@ -196,5 +199,5 @@ def test_truncated_equation_matches_written_form(dim, cs, gl, gnl, omega, seed):
     ref = gnl * (a @ rho @ bdm + bm @ rho @ ad - ad @ bm @ rho - rho @ bdm @ a)
     scale = np.abs(ref).max()
     assert _close(steady.approximate_rhs(me, f, rho), ref, scale)
-    lop = steady.approximate_superoperator(me, f)
-    assert _close(lop @ lv.vec(rho), lv.vec(ref), scale)
+    lop = oracles.superoperator(steady._approximate_generator(me, f))
+    assert _close(lop @ oracles.vec(rho), oracles.vec(ref), scale)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse.linalg
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from conftest import random_density
 from nclsim import fock, gadgets, liouvillian as lv, scenarios as sc, steady
 from nclsim.errors import (
@@ -34,7 +35,7 @@ def test_pure_loss_steady_state():
 def test_thermal_steady_detailed_balance():
     nbar = 0.8
     me = lv.MasterEquation(30, gamma_linear=1.0, nbar=nbar)
-    rho = steady.steady_state_nullspace(me, method="direct")
+    rho = steady.steady_state_nullspace(me)
     p = np.real(np.diag(rho))
     r = nbar / (nbar + 1.0)
     expected = (1 - r) * r ** np.arange(30)
@@ -60,8 +61,8 @@ def _projector_me(dim, alpha=0.5, **rates):
     ids=["ncl-12", "driven-ncl-20", "projector-20", "complex-projector-20"],
 )
 def test_svd_and_direct_routes_agree(me):
-    rho_svd = steady.steady_state_nullspace(me, method="svd")
-    rho_dir = steady.steady_state_nullspace(me, method="direct")
+    rho_svd = oracles.steady_state_svd(me)
+    rho_dir = steady.steady_state_nullspace(me)
     assert np.abs(rho_svd - rho_dir).max() <= 1e-9
     if me.generator.dtype == np.float64:
         # a real equation's system has no entries between S and A, so the A
@@ -77,13 +78,16 @@ def test_preset_superoperators_are_real(name):
     for _, config in sc.expand_preset(name):
         for value in (config.sweep.values[0], config.sweep.values[-1]):
             me, f, _ = sc.build_system(sc.resolve_point(config, value))
-            assert lv.superoperator_sparse(me).dtype == np.float64
+            assert oracles.superoperator(me.generator).dtype == np.float64
             if config.solver.method == "steady_approx":
-                assert steady.approximate_superoperator(me, f).dtype == np.float64
+                gen = steady._approximate_generator(me, f)
+                assert oracles.superoperator(gen).dtype == np.float64
 
 
-@pytest.mark.parametrize("method", ["direct", "svd"])
-def test_phase_rotated_channel_gives_the_same_state(method):
+@pytest.mark.parametrize(
+    "solve", [steady.steady_state_nullspace, oracles.steady_state_svd], ids=["direct", "svd"]
+)
+def test_phase_rotated_channel_gives_the_same_state(solve):
     # e^{iθ}·a·f(a†a) is the same channel, but its superoperator is complex
     dim = 16
     f = gadgets.NonlinearFunction.from_name("x-1")
@@ -91,21 +95,23 @@ def test_phase_rotated_channel_gives_the_same_state(method):
     real = _ncl_me(dim, f, **rates)
     op = np.exp(0.7j) * gadgets.ncl_lindblad(f, dim)
     rotated = lv.MasterEquation(dim, nonlinear_op=op, **rates)
-    assert lv.superoperator_sparse(real).dtype == np.float64
-    assert lv.superoperator_sparse(rotated).dtype == np.complex128
-    expected = steady.steady_state_nullspace(real, method=method)
-    rho = steady.steady_state_nullspace(rotated, method=method)
+    assert oracles.superoperator(real.generator).dtype == np.float64
+    assert oracles.superoperator(rotated.generator).dtype == np.complex128
+    expected = solve(real)
+    rho = solve(rotated)
     assert expected.dtype == rho.dtype == np.complex128
     assert np.abs(rho - steady.steady_state_nullspace(real)).max() <= 1e-10
     assert np.abs(rho - expected).max() <= 1e-10
 
 
-@pytest.mark.parametrize("method", ["svd", "direct"])
-def test_degenerate_null_space_detected(method):
+@pytest.mark.parametrize(
+    "solve", [oracles.steady_state_svd, steady.steady_state_nullspace], ids=["svd", "direct"]
+)
+def test_degenerate_null_space_detected(solve):
     # no loss, no driving: f = x-1 leaves both |0> and |1> dark
     me = _ncl_me(10, gamma_nonlinear=1.0)
     with pytest.raises(NonUniqueSteadyStateError):
-        steady.steady_state_nullspace(me, method=method)
+        solve(me)
 
 
 @pytest.mark.parametrize(
@@ -234,12 +240,15 @@ def test_logsumexp_is_bitwise_scipy_on_preset_recurrences(monkeypatch, preset, m
 
 
 @pytest.mark.parametrize(
-    "method, dim",
-    [pytest.param("direct", steady.SPARSE_DIM_CAP + 1, id="direct"), pytest.param("svd", 80, id="svd")],
+    "solve, dim",
+    [
+        pytest.param(steady.steady_state_nullspace, steady.SPARSE_DIM_CAP + 1, id="direct"),
+        pytest.param(oracles.steady_state_svd, 80, id="svd"),
+    ],
 )
-def test_dimension_cap(method, dim):
+def test_dimension_cap(solve, dim):
     with pytest.raises(DimensionCapError):
-        steady.steady_state_nullspace(lv.MasterEquation(dim, gamma_linear=1.0), method=method)
+        solve(lv.MasterEquation(dim, gamma_linear=1.0))
 
 
 THERMAL_F = [gadgets.NonlinearFunction.from_name(n) for n in ("x-1", "(x-1)^2", "(x-1)^3")] + [
@@ -479,10 +488,10 @@ def test_approximate_superoperator_consistency(rng):
     dim = 7
     f = gadgets.NonlinearFunction.from_name("x-1")
     me = _ncl_me(dim, gamma_linear=0.3, gamma_nonlinear=0.9, omega=1.7)
-    lop = steady.approximate_superoperator(me, f).toarray()
+    lop = oracles.superoperator(steady._approximate_generator(me, f)).toarray()
     for _ in range(10):
         rho = random_density(dim, rng)
-        assert np.abs(lop @ lv.vec(rho) - lv.vec(steady.approximate_rhs(me, f, rho))).max() <= 1e-12
+        assert np.abs(lop @ oracles.vec(rho) - oracles.vec(steady.approximate_rhs(me, f, rho))).max() <= 1e-12
 
 
 def test_approximate_steady_state_matches_recurrence():
@@ -504,9 +513,9 @@ def test_approximate_steady_state_by_evolution():
     me = _ncl_me(dim, gamma_linear=0.2, gamma_nonlinear=1.0, omega=2.0)
     rho_null = steady.approximate_steady_state(me, f)
 
-    lop = steady.approximate_superoperator(me, f).toarray()
-    v = sla.expm(lop * 40.0) @ lv.vec(fock.pure_density(fock.fock_state(0, dim)))
-    rho = lv.unvec(v, dim)
+    lop = oracles.superoperator(steady._approximate_generator(me, f)).toarray()
+    v = sla.expm(lop * 40.0) @ oracles.vec(fock.pure_density(fock.fock_state(0, dim)))
+    rho = oracles.unvec(v, dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.real(np.trace(rho))
     assert np.abs(rho - rho_null).max() <= 1e-6
