@@ -37,70 +37,35 @@ _PRESET_POLYS = {
 
 
 class NonlinearFunction:
-    """Real-valued f(n) on photon numbers, with a derivative rule.
+    """Real-valued f(n) on photon numbers: a polynomial in (x - shift) given
+    by a coefficient list (ascending powers), with its exact derivative."""
 
-    Forms: a polynomial in (x - shift) given by a coefficient list
-    (ascending powers), or a table of values on 0..len(table)-1.  Polynomial
-    derivatives are exact; tabulated ones use the central difference
-    (f(n+1) - f(n-1))/2 with one-sided differences at the ends.
-    """
-
-    def __init__(self, coeffs=None, shift=0.0, table=None, name=None):
-        if (coeffs is None) == (table is None):
-            raise InvalidStateError("specify exactly one of coeffs or table")
-        self.coeffs = None if coeffs is None else [float(c) for c in coeffs]
+    def __init__(self, coeffs, shift=0.0):
+        self.coeffs = [float(c) for c in coeffs]
         self.shift = float(shift)
-        self.table = None if table is None else np.asarray(table, dtype=float)
-        self.name = name
 
     @classmethod
     def from_name(cls, name: str, power: int | None = None) -> "NonlinearFunction":
         if name in _PRESET_POLYS:
             coeffs, shift = _PRESET_POLYS[name]
-            return cls(coeffs=coeffs, shift=shift, name=name)
+            return cls(coeffs, shift)
         if name == "x^k":
             if power is None or int(power) != power or power < 1:
                 raise InvalidStateError("preset 'x^k' needs a positive integer power")
-            coeffs = [0.0] * int(power) + [1.0]
-            return cls(coeffs=coeffs, shift=0.0, name=f"x^{int(power)}")
+            return cls([0.0] * int(power) + [1.0])
         raise InvalidStateError(f"unknown nonlinearity preset {name!r}")
 
     @classmethod
     def from_polynomial(cls, coeffs, shift: float = 0.0) -> "NonlinearFunction":
-        return cls(coeffs=coeffs, shift=shift)
-
-    @classmethod
-    def from_table(cls, values) -> "NonlinearFunction":
-        return cls(table=values)
+        return cls(coeffs, shift)
 
     def __call__(self, x: float) -> float:
-        if self.table is not None:
-            idx = int(round(x))
-            if idx < 0 or idx >= self.table.size:
-                raise InvalidStateError(f"tabulated nonlinearity has no value at {x}")
-            return float(self.table[idx])
         u = x - self.shift
         return float(sum(c * u**j for j, c in enumerate(self.coeffs)))
 
     def derivative(self, x: float) -> float:
-        if self.table is not None:
-            idx = int(round(x))
-            lo, hi = max(idx - 1, 0), min(idx + 1, self.table.size - 1)
-            if hi == lo:
-                return 0.0
-            return float((self.table[hi] - self.table[lo]) / (hi - lo))
         u = x - self.shift
         return float(sum(j * c * u ** (j - 1) for j, c in enumerate(self.coeffs) if j > 0))
-
-    def describe(self) -> str:
-        if self.name:
-            return self.name
-        if self.table is not None:
-            return f"table[{self.table.size}]"
-        return f"poly(shift={self.shift}, coeffs={self.coeffs})"
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"NonlinearFunction({self.describe()})"
 
 
 class ProjectorGadget:

@@ -96,9 +96,9 @@ def _factors(op):
     return u[:, :rank] * s[:rank], vh[:rank].T
 
 
-def _restrict(factors, m: int, dtype):
-    """Factors of op[:m, :m] in ``dtype``: the first m rows of U and of V."""
-    return factors if factors is None else tuple(np.asarray(f[:m], dtype=dtype) for f in factors)
+def _restrict(factors, m: int):
+    """Factors of op[:m, :m]: the first m rows of U and of V."""
+    return factors if factors is None else tuple(f[:m] for f in factors)
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
@@ -128,8 +128,8 @@ class _Block:
     """A generator applied to the leading m×m block of a state that vanishes
     outside it: (Σ c·LρR)[:m, :m] from ρ[:m, :m]."""
 
-    def __init__(self, gen: "Generator", m: int, dtype=None):
-        self.dtype = gen.dtype if dtype is None else np.dtype(dtype)
+    def __init__(self, gen: "Generator", m: int):
+        self.dtype = gen.dtype
         # (destination rows, destination columns, source rows, source columns,
         # coefficients): out[i, j] += C[i, j] · ρ[i+s, j-t] where both exist.
         # The diagonal band (0, 0), when present, comes first: it covers the
@@ -144,14 +144,11 @@ class _Block:
                     slice(max(0, t), m - max(0, -t)),
                     slice(max(0, s), m - max(0, -s)),
                     slice(max(0, -t), m - max(0, t)),
-                    np.ascontiguousarray(coef[: m - abs(s), : m - abs(t)], dtype=self.dtype),
+                    np.ascontiguousarray(coef[: m - abs(s), : m - abs(t)]),
                 )
             )
         self.covers = (0, 0) in gen.bands
-        self.products = [
-            (c, _restrict(lo, m, self.dtype), _restrict(ro, m, self.dtype))
-            for c, lo, ro in gen.products
-        ]
+        self.products = [(c, _restrict(lo, m), _restrict(ro, m)) for c, lo, ro in gen.products]
 
     def __call__(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The derivative of ``rho``, written into ``out`` when one is given
@@ -243,13 +240,6 @@ class Generator:
         MasterEquation.is_pure_lowering).
         """
         return _Block(self, m)
-
-    @cached_property
-    def complex_apply(self) -> _Block:
-        """The map on complex states with its coefficients stored complex:
-        numpy multiplies complex by complex faster than it casts a real
-        factor for each product (dim 130 NCL, one thread: 100 against 115 µs)."""
-        return self.apply if self.dtype == np.complex128 else _Block(self, self.dim, np.complex128)
 
     @cached_property
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -465,4 +455,4 @@ def rhs(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (me.dim, me.dim):
         raise DimensionMismatchError(f"rho shape {rho.shape} != ({me.dim}, {me.dim})")
-    return me.generator.complex_apply(rho)
+    return me.generator.apply(rho)

@@ -132,19 +132,27 @@ class ObservableReport:
     fidelity: float | None = field(default=None)
 
 
-def observable_report(rho: np.ndarray, target: np.ndarray | None = None) -> ObservableReport:
-    """Bundle the standard observables of a density matrix."""
-    dist = photon_distribution(rho)
+def distribution_report(
+    dist: DiagonalDistribution, purity: float, fidelity: float | None = None
+) -> ObservableReport:
+    """The report of a photon-number distribution with the given purity and
+    fidelity; Q is NaN where it is undefined (zero mean)."""
     try:
         q = dist.mandel_q()
     except UndefinedQError:
         q = float("nan")
-    fid = None if target is None else fidelity_to_pure(rho, target)
     return ObservableReport(
         mean_n=dist.mean(),
         variance_n=dist.variance(),
         mandel_q=q,
-        purity=purity(rho),
+        purity=purity,
         distribution=dist,
-        fidelity=fid,
+        fidelity=fidelity,
     )
+
+
+def observable_report(rho: np.ndarray, target: np.ndarray | None = None) -> ObservableReport:
+    """Bundle the standard observables of a density matrix."""
+    dist = photon_distribution(rho)
+    fid = None if target is None else fidelity_to_pure(rho, target)
+    return distribution_report(dist, purity(rho), fid)

@@ -29,6 +29,7 @@ from .liouvillian import MasterEquation
 from .observables import (
     DiagonalDistribution,
     ObservableReport,
+    distribution_report,
     observable_report,
     poisson_distribution,
 )
@@ -223,7 +224,6 @@ class PointResult:
     top_population: np.ndarray | None = None
     steady_report: ObservableReport | None = None
     distribution: DiagonalDistribution | None = None
-    distribution_label: str | None = None
     poisson_reference: DiagonalDistribution | None = None
     solver_stats: SolverStats | LUStats | None = None
 
@@ -374,19 +374,17 @@ def expand_grid(t_grid: tuple) -> np.ndarray:
 # single-point execution
 
 
-def _select_distribution(out: OutputSpec, reports, times):
+def _select_distribution(out: OutputSpec, reports):
     how = out.distribution_at
     if how is None:
-        return None, None
+        return None
     if how == "max_fidelity":
         fids = [(-1.0 if r.fidelity is None else r.fidelity) for r in reports]
-        i = int(np.argmax(fids))
-        return reports[i].distribution, f"t={float(times[i])!r}"
+        return reports[int(np.argmax(fids))].distribution
     if how == "min_q":
         qs = [r.mandel_q if np.isfinite(r.mandel_q) else np.inf for r in reports]
-        i = int(np.argmin(qs))
-        return reports[i].distribution, f"t={float(times[i])!r}"
-    return reports[-1].distribution, f"t={float(times[-1])!r}"  # "final"
+        return reports[int(np.argmin(qs))].distribution
+    return reports[-1].distribution  # "final"
 
 
 def _steady_distribution_wanted(out: OutputSpec, sweep_value: float) -> bool:
@@ -409,7 +407,7 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
         grid = expand_grid(cfg.solver.t_grid)
         traj = propagate(me, rho0, grid, tol=cfg.solver.tol)
         reports = [observable_report(s, target=target) for s in traj.states]
-        dist, label = _select_distribution(cfg.output, reports, traj.times)
+        dist = _select_distribution(cfg.output, reports)
         pois = None
         if dist is not None and cfg.output.poisson_reference:
             pois = poisson_distribution(dist.mean(), dist.dim)
@@ -423,7 +421,6 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
             min_eigenvalue=traj.min_eigenvalue,
             top_population=traj.top_population,
             distribution=dist,
-            distribution_label=label,
             poisson_reference=pois,
             solver_stats=traj.stats,
         )
@@ -442,7 +439,6 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
             kind="steady",
             steady_report=report,
             distribution=dist,
-            distribution_label="steady" if dist is not None else None,
             solver_stats=stats,
         )
 
@@ -462,24 +458,14 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
             dist = thermal_recurrence(
                 f, cfg.nbar, cfg.gamma_nonlinear / cfg.gamma_linear, cfg.dim
             )
-        try:
-            q = dist.mandel_q()
-        except SimulationError:
-            q = float("nan")
-        report = ObservableReport(
-            mean_n=dist.mean(),
-            variance_n=dist.variance(),
-            mandel_q=q,
-            purity=float(np.sum(dist.probabilities**2)),  # purity of the diagonal ansatz
-            distribution=dist,
-        )
+        # the purity of the diagonal ansatz
+        report = distribution_report(dist, float(np.sum(dist.probabilities**2)))
         wanted = _steady_distribution_wanted(cfg.output, value)
         return PointResult(
             sweep_value=value,
             kind="steady",
             steady_report=report,
             distribution=dist if wanted else None,
-            distribution_label="recurrence" if wanted else None,
         )
 
     raise ConfigError(f"unknown solver method {method!r}")
@@ -700,8 +686,7 @@ def apply_overrides(config: ScenarioConfig, overrides: dict | None) -> ScenarioC
 
 def run_preset(name: str, overrides: dict | None = None, workers: int | None = None) -> dict:
     """Run a figure preset; returns an ordered {family label: ScenarioResult}."""
-    families = expand_preset(name)
-    out = {}
-    for label, config in families:
-        out[label] = run_sweep(apply_overrides(config, overrides), workers=workers)
-    return out
+    families = [(label, apply_overrides(config, overrides)) for label, config in expand_preset(name)]
+    for _, config in families:  # a config error in any family fails before the first solve
+        config.validate()
+    return {label: run_sweep(config, workers=workers) for label, config in families}

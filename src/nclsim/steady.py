@@ -62,7 +62,7 @@ from .errors import (
 )
 from .evolve import BREACH_TOL
 from .fock import annihilation, check_density_matrix
-from .gadgets import ncl_lindblad
+from .gadgets import NonlinearFunction, ncl_lindblad
 from .liouvillian import Generator, MasterEquation, hermitian_coordinates
 from .observables import DiagonalDistribution
 
@@ -271,6 +271,19 @@ def _logsumexp(a: np.ndarray) -> np.float64:
     return np.log1p(rest / m) + np.log(m) + top
 
 
+def _normalized(logp: np.ndarray) -> DiagonalDistribution:
+    """The distribution with log-weights ``logp``, once its top level holds
+    less than ``TAIL_GUARD``."""
+    p = np.exp(logp - _logsumexp(logp))
+    p /= p.sum()
+    top = p.size - 1
+    if p[top] >= TAIL_GUARD:
+        raise TailGuardError(
+            f"tail weight p[{top}] = {p[top]:.3e} >= {TAIL_GUARD:.0e}; increase dim"
+        )
+    return DiagonalDistribution(p)
+
+
 def ncl_recurrence(
     f,
     alpha0: float,
@@ -294,9 +307,7 @@ def ncl_recurrence(
     logp = np.full(dim, -np.inf)
     logp[start] = 0.0
     if alpha0 == 0.0:
-        p = np.zeros(dim)
-        p[start] = 1.0
-        return DiagonalDistribution(p)
+        return DiagonalDistribution(np.exp(logp))  # undriven: all weight stays at start
     log_amp = 2.0 * np.log(abs(alpha0))
     for n in range(start + 1, dim):
         den = float(f(n)) ** 2 + epsilon
@@ -307,14 +318,7 @@ def ncl_recurrence(
                 n=n,
             )
         logp[n] = logp[n - 1] + log_amp - np.log(n) - 2.0 * np.log(den)
-    norm = _logsumexp(logp)
-    p = np.exp(logp - norm)
-    p /= p.sum()
-    if p[dim - 1] >= TAIL_GUARD:
-        raise TailGuardError(
-            f"tail weight p[{dim - 1}] = {p[dim - 1]:.3e} >= {TAIL_GUARD:.0e}; increase dim"
-        )
-    return DiagonalDistribution(p)
+    return _normalized(logp)
 
 
 def thermal_recurrence(
@@ -335,14 +339,7 @@ def thermal_recurrence(
     for n in range(1, dim):
         den = (nbar + 1.0) + gamma_over_gamma_linear * float(f(n)) ** 2
         logp[n] = logp[n - 1] + np.log(nbar) - np.log(den)
-    norm = _logsumexp(logp)
-    p = np.exp(logp - norm)
-    p /= p.sum()
-    if p[dim - 1] >= TAIL_GUARD:
-        raise TailGuardError(
-            f"tail weight p[{dim - 1}] = {p[dim - 1]:.3e} >= {TAIL_GUARD:.0e}; increase dim"
-        )
-    return DiagonalDistribution(p)
+    return _normalized(logp)
 
 
 def thermal_truncation_number(f, nbar: float, gamma_over_gamma_linear: float, dim: int) -> int:
@@ -357,23 +354,16 @@ def thermal_truncation_number(f, nbar: float, gamma_over_gamma_linear: float, di
 # peak analysis
 
 
-def _fprime(f, n0: int) -> float:
-    if hasattr(f, "derivative"):
-        return float(f.derivative(n0))
-    lo, hi = max(n0 - 1, 0), n0 + 1  # central difference for bare callables
-    return float((f(hi) - f(lo)) / (hi - lo))
-
-
-def _width_factor(f, n0: int, epsilon: float) -> float:
+def _width_factor(f: NonlinearFunction, n0: int, epsilon: float) -> float:
     fv = float(f(n0))
     den = fv * fv + epsilon
-    num = 4.0 * n0 * _fprime(f, n0) * fv
+    num = 4.0 * n0 * f.derivative(n0) * fv
     if den == 0.0:
         return 1.0
     return 1.0 + num / den
 
 
-def peak_condition(f, alpha0: float, epsilon: float, dim: int) -> PeakEstimate:
+def peak_condition(f: NonlinearFunction, alpha0: float, epsilon: float, dim: int) -> PeakEstimate:
     """Integer peak of the driven stationary distribution and its width.
 
     n₀ minimizes |n(f(n)²+ε)² - α₀²| over 0..dim-1 (ties toward smaller n);
@@ -401,7 +391,7 @@ def peak_condition(f, alpha0: float, epsilon: float, dim: int) -> PeakEstimate:
     return PeakEstimate(n0, float(variance), float(variance / n0 - 1.0))
 
 
-def gaussian_profile(f, n0: int, epsilon: float, delta_n: int) -> float:
+def gaussian_profile(f: NonlinearFunction, n0: int, epsilon: float, delta_n: int) -> float:
     """Predicted ratio p_{n₀+δn}/p_{n₀} from the log-curvature of the
     recurrence: exp{-(|δn|(|δn|+1)/2n₀)(1 + 4n₀ḟ(n₀)f(n₀)/(f(n₀)²+ε))}."""
     if n0 < 1:

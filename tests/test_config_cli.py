@@ -620,12 +620,32 @@ def test_malformed_override_value_is_config_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-def test_figure_above_the_stationary_cap_is_a_config_error(tmp_path, capsys):
-    out = tmp_path / "fig2d"
-    assert cli.main(["figure", "fig2d", "--out", str(out), "--override", "dim=300"]) == 1
+@pytest.mark.parametrize(
+    "preset, override, message",
+    [
+        ("fig2d", "dim=300", "steady takes dim <= 256, got 300"),
+        # only the second family (steady_approx) rejects thermal pumping
+        ("fig2b", "nbar=0.5", "steady_approx needs nbar = 0, got 0.5"),
+    ],
+    ids=["fig2d", "fig2b"],
+)
+def test_figure_config_error_solves_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, preset, override, message
+):
+    monkeypatch.setenv("NCLSIM_WORKERS", "1")
+    solved = []
+    run_point = sc.run_point
+
+    def counted(*args):
+        solved.append(args)
+        return run_point(*args)
+
+    monkeypatch.setattr(sc, "run_point", counted)
+    out = tmp_path / preset
+    assert cli.main(["figure", preset, "--out", str(out), "--override", override]) == 1
     err = capsys.readouterr().err
-    assert "config error: steady takes dim <= 256, got 300" in err and "Traceback" not in err
-    assert not out.exists()
+    assert f"config error: {message}" in err and "Traceback" not in err
+    assert solved == [] and not out.exists()
 
 
 def test_figure_names_failed_points(tmp_path, capsys):
