@@ -1,4 +1,4 @@
-"""Time propagation of density matrices and convergence to stationarity.
+"""Time propagation of density matrices.
 
 Every equation here is linear and autonomous, dρ/dt = Lρ, so a substep τ maps
 ρ to exp(τL)ρ.  The integrator approximates that action in a Krylov subspace,
@@ -50,10 +50,10 @@ from .fock import check_density_matrix
 from .liouvillian import MasterEquation
 
 DEFAULT_TOL = 1e-12
-STEADY_TOL = 1e-10
 BREACH_TOL = 1e-6
 KRYLOV_DIM = 20
 _SHRINK_CUT = 1e-14
+MAX_SUBSTEPS = 2_000_000
 # an Arnoldi residual this far below ‖L v₀‖ means the basis spans an
 # invariant subspace (to round-off): the exponential in it is exact for every τ
 _BREAKDOWN = 1e-13
@@ -106,10 +106,10 @@ def _rounded(t: float) -> float:
     return math.ceil(t / s) * s
 
 
-def _check_tol(name: str, value: float) -> float:
+def _check_tol(value: float) -> float:
     value = float(value)
     if not (math.isfinite(value) and value > 0.0):
-        raise InvalidStateError(f"{name} must be finite and > 0, got {value!r}")
+        raise InvalidStateError(f"tol must be finite and > 0, got {value!r}")
     return value
 
 
@@ -140,11 +140,10 @@ class _Engine:
     block size: the orthonormal vectors, then L v_{m+1}."""
 
     def __init__(self, me: MasterEquation, rho0: np.ndarray, t0: float, tol: float,
-                 window: bool, max_steps: int):
+                 window: bool):
         self.me = me
         self.dim = me.dim
         self.tol = tol
-        self.max_steps = int(max_steps)
         self.t = float(t0)
         self.windowed = bool(window) and me.is_pure_lowering()
 
@@ -170,28 +169,29 @@ class _Engine:
     # -- stepping ---------------------------------------------------------
 
     def _arnoldi(self):
-        """The Krylov basis of the current state and ‖L y‖_F, which its
-        first product gives.  Each new vector is orthogonalized against the
-        basis twice (classical Gram–Schmidt, coefficients summed by einsum)."""
+        """(β, H̄, ‖L v_{m+1}‖) of the current state's Krylov basis, with
+        ‖L v_{m+1}‖ None when the basis breaks down.  Each new vector is
+        orthogonalized against the basis twice (classical Gram–Schmidt,
+        coefficients summed by einsum)."""
         v, vf = self.v, self.vflat
         beta = _norm(_flat(self.yb))
         np.multiply(self.yb, 1.0 / beta, out=v[0])
         m = self.kdim
         hbar = np.zeros((m + 2, m + 2))
-        residual = avnorm = None
+        avnorm = None
         for j in range(m):
             self.rhs(v[j], out=v[j + 1])
             self.matvecs += 1
             w, basis = vf[j + 1], vf[: j + 1]
             if j == 0:
-                residual = beta * _norm(w)
+                cut = _BREAKDOWN * _norm(w)
             c = np.einsum("ij,j->i", basis, w)
             w -= np.einsum("i,ij->j", c, basis)
             c2 = np.einsum("ij,j->i", basis, w)
             w -= np.einsum("i,ij->j", c2, basis)
             hbar[: j + 1, j] = c + c2
             s = _norm(w)
-            if s <= _BREAKDOWN * residual / beta:
+            if s <= cut:
                 hbar = hbar[: j + 1, : j + 1]
                 break
             hbar[j + 1, j] = s
@@ -202,7 +202,7 @@ class _Engine:
             avnorm = _norm(vf[m + 1])
             hbar[m + 1, m] = 1.0
         self.max_krylov = max(self.max_krylov, j + 1)
-        return (beta, hbar, avnorm), residual
+        return beta, hbar, avnorm
 
     def _weights(self, kry, tau: float):
         """β·exp(τH̄)e₁, the weights of the basis vectors after τ, and
@@ -274,23 +274,20 @@ class _Engine:
                 time=self.t,
             )
 
-    def run(self, t_end: float, grid=(), on_residual=None) -> list:
+    def run(self, t_end: float, grid=()) -> list:
         """Advance to t_end and observe the state at each time of the
         ascending ``grid`` inside (t, t_end].
 
         Substeps are clipped only at t_end; a grid time inside a substep is
-        read from that substep's basis.  Before each substep,
-        on_residual(‖L y‖_F) may return True to stop at the current state.
-        Returns the observations (see :meth:`observe`).
+        read from that substep's basis.  Returns the observations (see
+        :meth:`observe`).
         """
         seen = []
         done = 1e-14 * max(1.0, abs(t_end))
         while self.t < t_end - done:
-            if self.substeps + self.rejected >= self.max_steps:
-                raise SimulationError(f"integration exceeded {self.max_steps} substeps")
-            kry, residual = self._arnoldi()
-            if on_residual is not None and on_residual(residual):
-                return seen
+            if self.substeps + self.rejected >= MAX_SUBSTEPS:
+                raise SimulationError(f"integration exceeded {MAX_SUBSTEPS} substeps")
+            kry = self._arnoldi()
             t = self.t
             tau, w = self._substep(kry, t_end - t)
             self.yb, self.last_asym = self._state(w)
@@ -310,10 +307,6 @@ class _Engine:
         return seen
 
     # -- observation ------------------------------------------------------
-
-    def full_state(self, y: np.ndarray | None = None) -> np.ndarray:
-        """A block (the current state by default) padded by :func:`_padded`."""
-        return _padded(self.yb if y is None else y, self.dim)
 
     def observe(self, y: np.ndarray | None = None, asym: float | None = None):
         """(block, diagnostics) of a hermitized block of the current size, the
@@ -381,16 +374,6 @@ class Trajectory:
     stats: SolverStats
 
 
-@dataclass
-class SteadyEvolveResult:
-    """Outcome of integrating toward stationarity; never silently unconverged."""
-
-    rho: np.ndarray
-    converged: bool
-    t_final: float
-    residual: float
-
-
 def propagate(
     me: MasterEquation,
     rho0: np.ndarray,
@@ -407,7 +390,7 @@ def propagate(
     kept as the integrator's active blocks and padded to complex128
     dim×dim arrays on each read (see :class:`Trajectory`).
     """
-    tol = _check_tol("tol", tol)
+    tol = _check_tol(tol)
     rho0 = check_density_matrix(rho0)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
@@ -417,40 +400,10 @@ def propagate(
     if rho0.shape != (me.dim, me.dim):
         raise InvalidStateError(f"rho0 shape {rho0.shape} != ({me.dim}, {me.dim})")
 
-    eng = _Engine(me, rho0, grid[0], tol, window, max_steps=2_000_000)
+    eng = _Engine(me, rho0, grid[0], tol, window)
     states, diags = zip(eng.observe(), *eng.run(float(grid[-1]), grid[1:]))
     tr, he, mi, tp = (np.array(col) for col in zip(*diags))
     return Trajectory(grid.copy(), _States(states, me.dim), tr, he, mi, tp, eng.stats())
-
-
-def evolve_to_steady(
-    me: MasterEquation,
-    rho0: np.ndarray,
-    tol: float = STEADY_TOL,
-    t_max: float = 1000.0,
-    step_tol: float = DEFAULT_TOL,
-) -> SteadyEvolveResult:
-    """Integrate until ||rhs(ρ)||_F < tol or t_max is reached.
-
-    ``tol`` and ``step_tol``, the integrator's local error bound per unit
-    time, must be finite and > 0.  The residual of each substep's start is
-    the norm of its first Arnoldi product, so checking it costs nothing.  It
-    cannot fall far below the error a substep leaves, fastest rate × τ ×
-    ``step_tol``: the driven dim-20 NCL case (fastest rate 1.2e4) reaches
-    8e-12 at the default.  The returned result is explicitly tagged
-    converged/unconverged; callers must not treat an unconverged state as
-    stationary.
-    """
-    tol = _check_tol("tol", tol)
-    step_tol = _check_tol("step_tol", step_tol)
-    rho0 = check_density_matrix(rho0)
-    if rho0.shape != (me.dim, me.dim):
-        raise InvalidStateError(f"rho0 shape {rho0.shape} != ({me.dim}, {me.dim})")
-    eng = _Engine(me, rho0, 0.0, step_tol, window=True, max_steps=5_000_000)
-    seen = []
-    eng.run(float(t_max), on_residual=lambda res: seen.append(res) or res < tol)
-    residual = seen[-1] if seen and seen[-1] < tol else _norm(_flat(eng.rhs(eng.yb)))
-    return SteadyEvolveResult(eng.full_state(), residual < tol, eng.t, residual)
 
 
 def projector_residuals(traj: Trajectory, gadget) -> np.ndarray:

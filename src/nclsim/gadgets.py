@@ -55,10 +55,6 @@ class NonlinearFunction:
             return cls([0.0] * int(power) + [1.0])
         raise InvalidStateError(f"unknown nonlinearity preset {name!r}")
 
-    @classmethod
-    def from_polynomial(cls, coeffs, shift: float = 0.0) -> "NonlinearFunction":
-        return cls(coeffs, shift)
-
     def __call__(self, x: float) -> float:
         u = x - self.shift
         return float(sum(c * u**j for j, c in enumerate(self.coeffs)))

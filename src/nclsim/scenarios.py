@@ -87,7 +87,7 @@ class GadgetSpec:
         if self.f_name is not None:
             return NonlinearFunction.from_name(self.f_name, power=self.f_power)
         if self.f_coeffs:
-            return NonlinearFunction.from_polynomial(list(self.f_coeffs), shift=self.f_shift)
+            return NonlinearFunction(self.f_coeffs, self.f_shift)
         raise ConfigError("ncl gadget needs either a preset name or polynomial coefficients")
 
 
@@ -161,13 +161,8 @@ class ScenarioConfig:
         if method == "recurrence_ncl" and not 0 <= start < self.dim:
             raise ConfigError(f"recurrence_start {start} outside 0..{self.dim - 1}")
         # what no sweep value changes is checked here, before any point runs;
-        # a swept rate is checked at each point
-        swept = _SWEEP_FIELD.get(self.sweep.parameter, self.sweep.parameter)
-        for needs, name, zero in _RATE_NEEDS:
-            value = getattr(self, name)
-            if method == needs and name != swept and (value == 0) != zero:
-                need = "= 0" if zero else "> 0"
-                raise ConfigError(f"{method} needs {name} {need}, got {value}")
+        # a swept rate is checked at each point, by run_point
+        _check_rates(self, skip=_SWEEP_FIELD.get(self.sweep.parameter, self.sweep.parameter))
         if self.gadget.kind == "ncl":
             try:
                 self.gadget.nonlinear_function()
@@ -198,6 +193,16 @@ class ScenarioConfig:
                 raise ConfigError(f"distribution_at {how!r} matches no sweep value")
         elif how != "steady":
             raise ConfigError(f"distribution_at {how!r} not valid for steady solves")
+
+
+def _check_rates(cfg: ScenarioConfig, skip: str | None = None) -> None:
+    """Refuse a rate that ``cfg``'s method needs positive, or zero, and is
+    not (``_RATE_NEEDS``); the field ``skip`` is not checked."""
+    method = cfg.solver.method
+    for needs, name, zero in _RATE_NEEDS:
+        value = getattr(cfg, name)
+        if method == needs and name != skip and not (value == 0 if zero else value > 0):
+            raise ConfigError(f"{method} needs {name} {'= 0' if zero else '> 0'}, got {value}")
 
 
 def _value_target(how: str) -> float:
@@ -399,6 +404,7 @@ def _steady_distribution_wanted(out: OutputSpec, sweep_value: float) -> bool:
 def run_point(config: ScenarioConfig, value: float) -> PointResult:
     """Execute one resolved sweep point (no error isolation here)."""
     cfg = resolve_point(config, value)
+    _check_rates(cfg)
     method = cfg.solver.method
 
     if method == "propagate":
@@ -445,16 +451,12 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
     if method in ("recurrence_ncl", "recurrence_thermal"):
         f = cfg.gadget.nonlinear_function()
         if method == "recurrence_ncl":
-            if cfg.gamma_nonlinear <= 0:
-                raise ConfigError("recurrence_ncl needs gamma_nonlinear > 0")
             alpha0 = cfg.omega / cfg.gamma_nonlinear
             epsilon = cfg.gamma_linear / cfg.gamma_nonlinear
             dist = ncl_recurrence(
                 f, alpha0, epsilon, cfg.dim, start=cfg.solver.recurrence_start
             )
         else:
-            if cfg.gamma_linear <= 0:
-                raise ConfigError("recurrence_thermal needs gamma_linear > 0")
             dist = thermal_recurrence(
                 f, cfg.nbar, cfg.gamma_nonlinear / cfg.gamma_linear, cfg.dim
             )

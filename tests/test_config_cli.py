@@ -339,15 +339,21 @@ def test_bad_input_is_a_config_error_before_any_output(
 
 
 @pytest.mark.parametrize(
-    "base, parameter, values, at",
+    "base, parameter, values, at, bad, need",
     [
-        ("recurrence", "gamma_nonlinear", "0.0,1.0", "steady"),
-        ("thermal", "gamma_linear", "0.0,1.0", "steady"),
-        ("thermal", "nbar", "0.0,1.0", "steady"),
-        ("steady", "nbar", "0.0,0.5", "value:0.0"),
+        ("recurrence", "gamma_nonlinear", "0.0,1.0", "steady", "0.0",
+         "recurrence_ncl needs gamma_nonlinear > 0"),
+        ("thermal", "gamma_linear", "0.0,1.0", "steady", "0.0",
+         "recurrence_thermal needs gamma_linear > 0"),
+        ("thermal", "nbar", "0.0,1.0", "steady", "0.0", "recurrence_thermal needs nbar > 0"),
+        ("steady", "nbar", "0.0,0.5", "value:0.0", "0.5", "steady_approx needs nbar = 0"),
+        ("steady", "gamma_nonlinear", "1.0,0.0", "value:1.0", "0.0",
+         "steady_approx needs gamma_nonlinear > 0"),
     ],
 )
-def test_swept_rate_fails_only_its_point(tmp_path, capsys, base, parameter, values, at):
+def test_swept_rate_fails_only_its_point(tmp_path, capsys, base, parameter, values, at, bad, need):
+    # validate() skips the swept field, and run_point checks the same rule on
+    # each resolved point, so only the offending point fails, with the same message
     outdir = tmp_path / "out"
     text = _set_key(_base_ini(base, outdir), "sweep", "parameter", parameter)
     text = _set_key(_set_key(text, "sweep", "values", values), "output", "distribution_at", at)
@@ -355,8 +361,9 @@ def test_swept_rate_fails_only_its_point(tmp_path, capsys, base, parameter, valu
     assert cli.main(["validate", path]) == 0
     run = "steady" if base == "steady" else "recurrence"
     assert cli.main([run, path]) == 3  # the rate condition fails one point, not the config
-    bad = values.split(",")[1 if base == "steady" else 0]
-    assert f"point {bad} failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"point {bad} failed: ConfigError: {need}, got {bad}" in err
+    assert err.count(" failed: ") == 1
 
 
 @pytest.mark.parametrize("raw", ["two", "0", "-3"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 import oracles
-from conftest import trace_distance
+from conftest import generator_residual, trace_distance
 from nclsim import evolve, fock, gadgets, liouvillian as lv, scenarios
 from nclsim.errors import (
     InsufficientDecayError,
@@ -72,12 +72,11 @@ def test_trajectory_states_are_recorded_blocks_padded_on_read():
     sizes = [b.shape[0] for b in blocks]
     assert sizes[-1] < sizes[0]  # the window shrank during the run
     assert len(traj.states) == len(blocks) == grid.size
-    eng = evolve._Engine(me, rho0, 0.0, evolve.DEFAULT_TOL, window=True, max_steps=1)
     for i, state in enumerate(traj.states):
         m = sizes[i]
         assert state.dtype == np.complex128 and state.shape == (dim, dim)
         assert not state[m:].any() and not state[:, m:].any()
-        assert np.array_equal(state, eng.full_state(blocks[i]))
+        assert np.array_equal(state, evolve._padded(blocks[i], dim))
         assert np.array_equal(state, traj.states[i - grid.size])
     last = traj.states[-1]
     assert last.dtype == np.complex128 and last.shape == (dim, dim)
@@ -90,7 +89,7 @@ def test_trajectory_states_are_recorded_blocks_padded_on_read():
             block[0, 0] = 2.0
     # every read is a fresh array, so writing to one leaves the record as it was
     traj.states[0][0, 0] = 2.0
-    assert traj.states[0][0, 0] == eng.full_state(blocks[0])[0, 0] != 2.0
+    assert traj.states[0][0, 0] == evolve._padded(blocks[0], dim)[0, 0] != 2.0
 
 
 def test_transient_point_memory_stays_far_below_padded_states():
@@ -189,12 +188,21 @@ def test_unusable_error_estimate_stops_by_name():
     # a NaN error estimate is rejected, and the shrunken substep size must
     # end the run with the integrator's own error, not fail in its rounding
     me = lv.MasterEquation(6, gamma_linear=1.0, omega=0.3)
-    eng = evolve._Engine(
-        me, fock.pure_density(fock.fock_state(0, 6)), 0.0, 1e-12, window=True, max_steps=10
-    )
-    (beta, hbar, avnorm), _ = eng._arnoldi()
+    eng = evolve._Engine(me, fock.pure_density(fock.fock_state(0, 6)), 0.0, 1e-12, window=True)
+    beta, hbar, avnorm = eng._arnoldi()
     with pytest.raises(StepSizeUnderflowError, match="h=nan"):
         eng._substep((beta, hbar * np.nan, avnorm), 1.0)
+
+
+def test_invariant_krylov_space_takes_one_exact_substep():
+    # pure loss from |1⟩⟨1| stays in span{|1⟩⟨1|, |0⟩⟨0|}: Arnoldi breaks down
+    # after two products, and the exponential in that space is exact for any τ
+    me = lv.MasterEquation(4, gamma_linear=1.0)
+    grid = np.linspace(0.0, 2.0, 5)
+    traj = evolve.propagate(me, fock.pure_density(fock.fock_state(1, 4)), grid)
+    assert (traj.stats.substeps, traj.stats.matvecs, traj.stats.max_krylov_dim) == (1, 2, 2)
+    p1 = np.array([np.real(state[1, 1]) for state in traj.states])
+    assert np.abs(p1 - np.exp(-2.0 * grid)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, np.inf, np.nan])
@@ -203,10 +211,6 @@ def test_tolerance_validation(tol):
     rho0 = fock.pure_density(fock.fock_state(1, 4))
     with pytest.raises(InvalidStateError, match="tol"):
         evolve.propagate(me, rho0, np.array([0.0, 0.5]), tol=tol)
-    with pytest.raises(InvalidStateError, match="step_tol"):
-        evolve.evolve_to_steady(me, rho0, step_tol=tol)
-    with pytest.raises(InvalidStateError, match="tol"):
-        evolve.evolve_to_steady(me, rho0, tol=tol)
 
 
 def test_complex_path_matches_real_path():
@@ -235,9 +239,9 @@ def test_preset_propagation_runs_in_real_arithmetic(preset):
     cfg = scenarios.resolve_point(config, config.sweep.values[0])
     me, _, _ = scenarios.build_system(cfg)
     rho0 = scenarios._parse_state(cfg.initial, cfg.dim)
-    eng = evolve._Engine(me, rho0, 0.0, cfg.solver.tol, window=True, max_steps=1)
+    eng = evolve._Engine(me, rho0, 0.0, cfg.solver.tol, window=True)
     assert eng.yb.dtype == np.float64
-    assert eng.full_state().dtype == np.complex128
+    assert evolve._padded(eng.yb, eng.dim).dtype == np.complex128
 
 
 @pytest.mark.parametrize("spec", ["coherent:2", "fock:3", "vacuum"])
@@ -246,10 +250,11 @@ def test_initial_window_drops_the_empty_top_rows(spec):
     me, _, _ = scenarios.build_system(config)
     rho0 = scenarios._parse_state(spec, config.dim)
     want = next(k for k in range(2, config.dim + 1) if (np.abs(rho0[k:]) < 1e-14).all())
-    eng = evolve._Engine(me, rho0, 0.0, config.solver.tol, window=True, max_steps=1)
+    eng = evolve._Engine(me, rho0, 0.0, config.solver.tol, window=True)
     assert eng.k_active == want < config.dim
-    assert np.array_equal(eng.full_state()[:want, :want], rho0[:want, :want])
-    assert np.abs(eng.full_state() - rho0).max() < 1e-14
+    state = evolve._padded(eng.yb, config.dim)
+    assert np.array_equal(state[:want, :want], rho0[:want, :want])
+    assert np.abs(state - rho0).max() < 1e-14
 
 
 def test_solver_stats_count_the_work():
@@ -274,42 +279,34 @@ def test_grid_validation():
         evolve.propagate(me, rho0, np.array([]))
 
 
-def test_evolve_to_steady_pure_loss():
+def test_long_propagation_reaches_vacuum_under_pure_loss():
     me = lv.MasterEquation(18, gamma_linear=1.0)
     rho0 = fock.pure_density(fock.coherent_state(1.2, 18))
-    res = evolve.evolve_to_steady(me, rho0, tol=1e-10, t_max=50.0)
-    assert res.converged
+    rho = evolve.propagate(me, rho0, [0.0, 50.0]).states[-1]
+    assert generator_residual(me, rho) < 1e-10
     vac = fock.pure_density(fock.fock_state(0, 18))
-    assert np.abs(res.rho - vac).max() <= 1e-8
+    assert np.abs(rho - vac).max() <= 1e-8
 
 
-def test_evolve_to_steady_thermal_detailed_balance():
+def test_long_propagation_reaches_thermal_detailed_balance():
     nbar = 0.4
     me = lv.MasterEquation(24, gamma_linear=1.0, nbar=nbar)
     rho0 = fock.pure_density(fock.fock_state(0, 24))
-    # the steady tolerance must sit above the integrator's local-error noise
-    # floor (~||L|| * step_tol); 1e-9 is comfortably reachable
-    res = evolve.evolve_to_steady(me, rho0, tol=1e-9, t_max=50.0)
-    assert res.converged
-    p = np.real(np.diag(res.rho))
+    rho = evolve.propagate(me, rho0, [0.0, 50.0]).states[-1]
+    # the residual cannot fall far below the integrator's local-error floor
+    # (~||L|| * tol); 1e-9 is comfortably reachable
+    assert generator_residual(me, rho) < 1e-9
+    p = np.real(np.diag(rho))
     r = nbar / (nbar + 1.0)
     expected = (1 - r) * r ** np.arange(24)
     assert np.abs(p - expected / expected.sum()).max() <= 1e-6
 
 
-def test_evolve_to_steady_unconverged_flag():
-    me = lv.MasterEquation(6, gamma_linear=1.0)
-    rho0 = fock.pure_density(fock.fock_state(3, 6))
-    res = evolve.evolve_to_steady(me, rho0, tol=1e-12, t_max=1e-3)
-    assert not res.converged
-    assert res.residual > 1e-12
-
-
 def test_cross_solver_agreement(driven_ncl_steady):
     # driven NCL: long-time integration against the null-space solution
-    rho_ns, res = driven_ncl_steady
-    assert res.converged
-    assert trace_distance(res.rho, rho_ns) <= 1e-7
+    rho_ns, rho, residual = driven_ncl_steady
+    assert residual < 1e-9
+    assert trace_distance(rho, rho_ns) <= 1e-7
 
 
 BLAS_INI = """
@@ -408,8 +405,8 @@ def _arnoldi_hessenberg():
     # the augmented Hessenberg matrix of one substep of a dim-24 NCL equation
     me = _ncl_me(24, gamma_linear=1.0, gamma_nonlinear=0.2, omega=0.5)
     rho0 = fock.pure_density(fock.coherent_state(2.0, 24))
-    eng = evolve._Engine(me, rho0, 0.0, evolve.DEFAULT_TOL, window=True, max_steps=1)
-    (_, hbar, _), _ = eng._arnoldi()
+    eng = evolve._Engine(me, rho0, 0.0, evolve.DEFAULT_TOL, window=True)
+    _, hbar, _ = eng._arnoldi()
     return hbar
 
 

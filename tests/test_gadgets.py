@@ -36,7 +36,7 @@ def test_preset_errors():
 
 
 def test_polynomial():
-    f = gadgets.NonlinearFunction.from_polynomial([1.0, 0.0, 2.0], shift=1.0)  # 1 + 2(x-1)²
+    f = gadgets.NonlinearFunction([1.0, 0.0, 2.0], 1.0)  # 1 + 2(x-1)²
     assert f(3) == 9.0
     assert f.derivative(3) == 8.0
 

@@ -26,7 +26,7 @@ coeffs = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3)
 
 def _engineered(draw, kind, dim, rng):
     if kind == "ncl":
-        f = gadgets.NonlinearFunction.from_polynomial(draw(coeffs), shift=draw(st.floats(0, 2)))
+        f = gadgets.NonlinearFunction(draw(coeffs), draw(st.floats(0, 2)))
         return gadgets.ncl_lindblad(f, dim)
     if kind == "projector":  # |φ><y| a^k with generic complex φ, y
         phi, y = (rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(2))
@@ -187,7 +187,7 @@ def test_block_reader_matches_padded_rhs(drawn, data):
     st.integers(0, 2**32 - 1),
 )
 def test_truncated_equation_matches_written_form(dim, cs, gl, gnl, omega, seed):
-    f = gadgets.NonlinearFunction.from_polynomial(cs)
+    f = gadgets.NonlinearFunction(cs)
     op = gadgets.ncl_lindblad(f, dim)
     me = lv.MasterEquation(dim, gamma_linear=gl, gamma_nonlinear=gnl, omega=omega, nonlinear_op=op)
     rho = random_density(dim, np.random.default_rng(seed))

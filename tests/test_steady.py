@@ -278,7 +278,7 @@ def test_thermal_nullspace_diagonal_matches_recurrence(dim, f, nbar, ratio):
 
 
 def test_ncl_recurrence_poisson_limit():
-    f1 = gadgets.NonlinearFunction.from_polynomial([1.0])  # f ≡ 1
+    f1 = gadgets.NonlinearFunction([1.0])  # f ≡ 1
     alpha0 = 2.0
     dist = steady.ncl_recurrence(f1, alpha0, 0.0, 40)
     assert abs(dist.mandel_q()) <= 1e-10
@@ -331,7 +331,7 @@ def test_ncl_recurrence_approximates_full_solver_at_strong_driving():
 
 
 def test_thermal_recurrence_bose_einstein():
-    f0 = gadgets.NonlinearFunction.from_polynomial([0.0])  # f ≡ 0
+    f0 = gadgets.NonlinearFunction([0.0])  # f ≡ 0
     nbar = 1.7
     dist = steady.thermal_recurrence(f0, nbar, 0.3, 220)
     assert dist.mandel_q() == pytest.approx(nbar, abs=1e-10)
@@ -404,7 +404,7 @@ def test_peak_condition_x_minus_one_limit():
 
 
 def test_peak_condition_tie_breaks_down():
-    f1 = gadgets.NonlinearFunction.from_polynomial([1.0])  # mismatch |n - α₀²|
+    f1 = gadgets.NonlinearFunction([1.0])  # mismatch |n - α₀²|
     est = steady.peak_condition(f1, np.sqrt(1.5), 0.0, 10)
     assert est.n0 == 1
 
