@@ -28,13 +28,7 @@ import sys
 from . import __version__, svg
 from .errors import ConfigError, SimulationError
 from .config import FileOutput, parse_config
-from .scenarios import (
-    PRESET_NAMES,
-    ScenarioResult,
-    preflight,
-    run_preset,
-    run_sweep,
-)
+from .scenarios import METHODS, PRESET_NAMES, ScenarioResult, preflight, run_preset, run_sweep
 
 
 def _f(x) -> str:
@@ -292,7 +286,7 @@ _METHODS_FOR = {
     "evolve": ("propagate",),
     "steady": ("steady", "steady_approx"),
     "recurrence": ("recurrence_ncl", "recurrence_thermal"),
-    "sweep": ("propagate", "steady", "steady_approx", "recurrence_ncl", "recurrence_thermal"),
+    "sweep": METHODS,
 }
 
 

@@ -2,33 +2,19 @@
 
 Sections: [system] [gadget] [initial] [solver] [sweep] [output].  Unknown
 sections or keys are hard errors: a typo in a numerical experiment must die
-loudly, not silently fall back to a default.  The full schema with every key
-and value form is documented in the README.
+loudly, not silently fall back to a default.  :data:`KEYS` is the schema;
+every default lives on the dataclass field a key sets.  The README shows the
+schema with every key and value form.
 """
 
 from __future__ import annotations
 
 import configparser
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import ConfigError
 from .scenarios import GadgetSpec, OutputSpec, ScenarioConfig, SolverSpec, SweepSpec, parse_values
-
-_KNOWN = {
-    "system": {"dim", "gamma_linear", "gamma_nonlinear", "nbar", "omega"},
-    "gadget": {"kind", "f", "f_coeffs", "f_shift", "f_power", "target", "source", "k"},
-    "initial": {"state"},
-    "solver": {"method", "t_grid", "tol", "recurrence_start"},
-    "sweep": {"parameter", "values"},
-    "output": {
-        "directory",
-        "basename",
-        "timeseries",
-        "distribution_at",
-        "poisson_reference",
-        "svg",
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -40,46 +26,82 @@ class FileOutput:
     svg: bool = False
 
 
-def _getfloat(section, key, default):
-    raw = section.get(key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from exc
+def _parsed(convert, what: str):
+    """``convert`` with its ValueError (or KeyError) raised as a ConfigError
+    saying what was expected."""
+
+    def parse(raw: str):
+        try:
+            return convert(raw)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"expected {what}, got {raw!r}") from exc
+
+    return parse
 
 
-def _getint(section, key, default):
-    raw = section.get(key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from exc
+def _nonempty(raw: str) -> str:
+    if not raw:
+        raise ValueError("empty value")
+    return raw
 
 
-def _getbool(section, key, default):
-    raw = section.get(key)
-    if raw is None:
-        return default
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
+def _grid(raw: str) -> tuple:
+    kind, lo, hi, n = raw.split(":")
+    if kind not in ("log", "lin"):
+        raise ValueError(f"unknown grid kind {kind!r}")
+    return kind, float(lo), float(hi), int(n)
 
 
-def _parse_grid(raw: str) -> tuple:
-    parts = raw.strip().split(":")
-    if len(parts) != 4 or parts[0] not in ("log", "lin"):
-        raise ConfigError(f"t_grid {raw!r} must be log:lo:hi:n or lin:lo:hi:n")
-    try:
-        return (parts[0], float(parts[1]), float(parts[2]), int(parts[3]))
-    except ValueError as exc:
-        raise ConfigError(f"could not parse t_grid {raw!r}") from exc
+_number = _parsed(float, "a number")
+_integer = _parsed(int, "an integer")
+_boolean = _parsed(lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()], "a boolean")
+_text = _parsed(_nonempty, "a value")
+_numbers = _parsed(lambda raw: tuple(float(v) for v in raw.split(",") if v.strip()), "numbers")
+_time_grid = _parsed(_grid, "log:lo:hi:n or lin:lo:hi:n")
+
+# [section] key -> (where the value goes, the field it sets, converter).
+# Where is "config" for a ScenarioConfig field, "file" for FileOutput, else
+# the ScenarioConfig field holding the spec.
+KEYS = {
+    "system": {
+        "dim": ("config", "dim", _integer),
+        "gamma_linear": ("config", "gamma_linear", _number),
+        "gamma_nonlinear": ("config", "gamma_nonlinear", _number),
+        "nbar": ("config", "nbar", _number),
+        "omega": ("config", "omega", _number),
+    },
+    "gadget": {
+        "kind": ("gadget", "kind", _text),
+        "f": ("gadget", "f_name", _text),
+        "f_coeffs": ("gadget", "f_coeffs", _numbers),
+        "f_shift": ("gadget", "f_shift", _number),
+        "f_power": ("gadget", "f_power", _integer),
+        "target": ("gadget", "target", _text),
+        "source": ("gadget", "source", _text),
+        "k": ("gadget", "k", _integer),
+    },
+    "initial": {"state": ("config", "initial", _text)},
+    "solver": {
+        "method": ("solver", "method", _text),
+        "t_grid": ("solver", "t_grid", _time_grid),
+        "tol": ("solver", "tol", _number),
+        "recurrence_start": ("solver", "recurrence_start", _integer),
+    },
+    "sweep": {
+        "parameter": ("sweep", "parameter", _text),
+        "values": ("sweep", "values", parse_values),
+    },
+    "output": {
+        "directory": ("file", "directory", _text),
+        "basename": ("file", "basename", _text),
+        "timeseries": ("output", "timeseries", _boolean),
+        "distribution_at": ("output", "distribution_at", _text),
+        "poisson_reference": ("output", "poisson_reference", _boolean),
+        "svg": ("file", "svg", _boolean),
+    },
+}
+# keys whose empty value leaves the field unset; any other key needs a value
+_EMPTY_IS_UNSET = {"f", "f_coeffs", "f_power", "target", "source", "t_grid", "values", "distribution_at"}
 
 
 def parse_config(path: str) -> tuple:
@@ -93,71 +115,30 @@ def parse_config(path: str) -> tuple:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from exc
 
+    found = defaultdict(dict)
     for section in parser.sections():
-        if section not in _KNOWN:
+        if section not in KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _KNOWN[section]:
+        for key, raw in parser[section].items():
+            if key not in KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            if raw or key not in _EMPTY_IS_UNSET:
+                where, name, convert = KEYS[section][key]
+                try:
+                    found[where][name] = convert(raw)
+                except ConfigError as exc:
+                    raise ConfigError(f"key {key!r}: {exc}") from exc
 
-    if "system" not in parser or "dim" not in parser["system"]:
+    if "dim" not in found["config"]:
         raise ConfigError("config needs [system] with at least dim")
-    system = parser["system"]
-    gadget_sec = parser["gadget"] if "gadget" in parser else {}
-    solver_sec = parser["solver"] if "solver" in parser else {}
-    sweep_sec = parser["sweep"] if "sweep" in parser else {}
-    output_sec = parser["output"] if "output" in parser else {}
-
-    f_coeffs = ()
-    if gadget_sec.get("f_coeffs"):
-        try:
-            f_coeffs = tuple(float(v) for v in gadget_sec["f_coeffs"].split(",") if v.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad f_coeffs {gadget_sec['f_coeffs']!r}") from exc
-    gadget = GadgetSpec(
-        kind=gadget_sec.get("kind", "none").strip(),
-        f_name=(gadget_sec.get("f") or None),
-        f_coeffs=f_coeffs,
-        f_shift=_getfloat(gadget_sec, "f_shift", 0.0),
-        f_power=_getint(gadget_sec, "f_power", None) if gadget_sec.get("f_power") else None,
-        target=(gadget_sec.get("target") or None),
-        source=(gadget_sec.get("source") or None),
-        k=_getint(gadget_sec, "k", 2),
-    )
-    solver = SolverSpec(
-        method=solver_sec.get("method", "propagate").strip(),
-        t_grid=_parse_grid(solver_sec["t_grid"]) if solver_sec.get("t_grid") else SolverSpec().t_grid,
-        tol=_getfloat(solver_sec, "tol", SolverSpec().tol),
-        recurrence_start=_getint(solver_sec, "recurrence_start", 0),
-    )
-    sweep = SweepSpec(
-        parameter=sweep_sec.get("parameter", "none").strip(),
-        values=parse_values(sweep_sec["values"]) if sweep_sec.get("values") else (),
-    )
-    output = OutputSpec(
-        timeseries=_getbool(output_sec, "timeseries", True),
-        distribution_at=(output_sec.get("distribution_at") or None),
-        poisson_reference=_getbool(output_sec, "poisson_reference", False),
-    )
-    initial = parser["initial"].get("state", "vacuum") if "initial" in parser else "vacuum"
-
+    fileout = FileOutput(**found["file"])
     config = ScenarioConfig(
-        name=output_sec.get("basename", "run"),
-        dim=_getint(system, "dim", None),
-        gamma_linear=_getfloat(system, "gamma_linear", 0.0),
-        gamma_nonlinear=_getfloat(system, "gamma_nonlinear", 0.0),
-        nbar=_getfloat(system, "nbar", 0.0),
-        omega=_getfloat(system, "omega", 0.0),
-        gadget=gadget,
-        initial=initial.strip(),
-        solver=solver,
-        sweep=sweep,
-        output=output,
+        name=fileout.basename,
+        gadget=GadgetSpec(**found["gadget"]),
+        solver=SolverSpec(**found["solver"]),
+        sweep=SweepSpec(**found["sweep"]),
+        output=OutputSpec(**found["output"]),
+        **found["config"],
     )
     config.validate()
-    fileout = FileOutput(
-        directory=output_sec.get("directory", "."),
-        basename=output_sec.get("basename", "run"),
-        svg=_getbool(output_sec, "svg", False),
-    )
     return config, fileout

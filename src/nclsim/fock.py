@@ -33,6 +33,7 @@ from .errors import (
 COHERENT_TAIL_THRESHOLD = 1e-10
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-8
+NORM_TOL = 1e-12
 PSD_TOL = 1e-8
 
 
@@ -211,14 +212,14 @@ def normal_order_norm(y: np.ndarray, k: int) -> float:
     return float(np.real(np.vdot(v, v)))
 
 
-def check_state_vector(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate unit norm; returns the array unchanged."""
+def check_state_vector(psi: np.ndarray) -> np.ndarray:
+    """Validate unit norm to ``NORM_TOL``; returns the array unchanged."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1 or psi.shape[0] < 2:
         raise InvalidStateError("state vector must be 1-d with dim >= 2")
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > tol:
-        raise InvalidStateError(f"state vector norm {nrm} deviates from 1 by more than {tol}")
+    if abs(nrm - 1.0) > NORM_TOL:
+        raise InvalidStateError(f"state vector norm {nrm} deviates from 1 by more than {NORM_TOL}")
     return psi
 
 

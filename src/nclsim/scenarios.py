@@ -58,8 +58,7 @@ SWEEPABLE = (
     "gamma_linear",
     "gamma_nonlinear",
 )
-# the system field a sweep parameter sets, where it is not the parameter itself
-_SWEEP_FIELD = {"alpha0": "omega", "epsilon": "gamma_linear"}
+METHODS = ("propagate", "steady", "steady_approx", "recurrence_ncl", "recurrence_thermal")
 # (method, rate, whether the method needs the rate zero rather than positive)
 _RATE_NEEDS = (
     ("recurrence_ncl", "gamma_nonlinear", False),
@@ -131,12 +130,6 @@ class ScenarioConfig:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
         if not (np.isfinite(self.solver.tol) and self.solver.tol > 0):
             raise ConfigError(f"tol must be finite and > 0, got {self.solver.tol!r}")
-        for name in ("gamma_linear", "gamma_nonlinear", "nbar", "omega"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
-            if value < 0 and name != "omega":
-                raise ConfigError(f"{name} must be >= 0, got {value}")
         if self.gadget.kind not in ("ncl", "projector", "none"):
             raise ConfigError(f"unknown gadget kind {self.gadget.kind!r}")
         if self.sweep.parameter != "none":
@@ -147,22 +140,24 @@ class ScenarioConfig:
             if not all(np.isfinite(v) for v in self.sweep.values):
                 raise ConfigError("sweep values must be finite")
         method = self.solver.method
-        if method not in (
-            "propagate",
-            "steady",
-            "steady_approx",
-            "recurrence_ncl",
-            "recurrence_thermal",
-        ):
+        if method not in METHODS:
             raise ConfigError(f"unknown solver method {method!r}")
         if method in ("steady", "steady_approx") and self.dim > SPARSE_DIM_CAP:
             raise ConfigError(f"{method} takes dim <= {SPARSE_DIM_CAP}, got {self.dim}")
         start = self.solver.recurrence_start
         if method == "recurrence_ncl" and not 0 <= start < self.dim:
             raise ConfigError(f"recurrence_start {start} outside 0..{self.dim - 1}")
-        # what no sweep value changes is checked here, before any point runs;
-        # a swept rate is checked at each point, by run_point
-        _check_rates(self, skip=_SWEEP_FIELD.get(self.sweep.parameter, self.sweep.parameter))
+        # the rates are checked on each resolved sweep point: one good point
+        # makes the config good, and run_point fails the others
+        first = None
+        for value in _sweep_values(self):
+            try:
+                _check_rates(resolve_point(self, value))
+                break
+            except ConfigError as exc:
+                first = first or exc
+        else:
+            raise first
         if self.gadget.kind == "ncl":
             try:
                 self.gadget.nonlinear_function()
@@ -195,13 +190,20 @@ class ScenarioConfig:
             raise ConfigError(f"distribution_at {how!r} not valid for steady solves")
 
 
-def _check_rates(cfg: ScenarioConfig, skip: str | None = None) -> None:
-    """Refuse a rate that ``cfg``'s method needs positive, or zero, and is
-    not (``_RATE_NEEDS``); the field ``skip`` is not checked."""
+def _check_rates(cfg: ScenarioConfig) -> None:
+    """Refuse a rate, ``nbar`` or ``omega`` that is not finite, a negative
+    rate or ``nbar``, and a rate that ``cfg``'s method needs positive, or
+    zero, and is not (``_RATE_NEEDS``)."""
+    for name in ("gamma_linear", "gamma_nonlinear", "nbar", "omega"):
+        value = getattr(cfg, name)
+        if not np.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        if value < 0 and name != "omega":
+            raise ConfigError(f"{name} must be >= 0, got {value}")
     method = cfg.solver.method
     for needs, name, zero in _RATE_NEEDS:
         value = getattr(cfg, name)
-        if method == needs and name != skip and not (value == 0 if zero else value > 0):
+        if method == needs and not (value == 0 if zero else value > 0):
             raise ConfigError(f"{method} needs {name} {'= 0' if zero else '> 0'}, got {value}")
 
 
@@ -286,6 +288,11 @@ def _with_amplitude(spec: str | None, value: float) -> str | None:
     if spec.startswith("coherent:"):
         return f"coherent:{value!r}"
     return spec
+
+
+def _sweep_values(config: ScenarioConfig) -> list:
+    """The values a config runs at: its sweep values, or one NaN (no sweep)."""
+    return list(config.sweep.values) if config.sweep.parameter != "none" else [float("nan")]
 
 
 def resolve_point(config: ScenarioConfig, value: float) -> ScenarioConfig:
@@ -481,8 +488,7 @@ def preflight(config: ScenarioConfig) -> None:
     (which runs the truncation guards).
     """
     config.validate()
-    values = list(config.sweep.values) if config.sweep.parameter != "none" else [float("nan")]
-    for v in values:
+    for v in _sweep_values(config):
         cfg = resolve_point(config, float(v))
         build_system(cfg)
         if cfg.solver.method == "propagate":
@@ -497,24 +503,22 @@ def _run_point_isolated(args) -> PointResult:
         return PointResult(sweep_value=value, kind="error", error=f"{type(exc).__name__}: {exc}")
 
 
-def _worker_count(n_points: int, workers: int | None) -> int:
-    if workers is None:
-        env = os.environ.get("NCLSIM_WORKERS", "").strip()
-        if not env:
-            workers = os.cpu_count() or 1
-        elif env.isdecimal() and int(env) >= 1:
-            workers = int(env)
-        else:
-            raise ConfigError(f"NCLSIM_WORKERS must be an integer >= 1, got {env!r}")
-    return max(1, min(int(workers), n_points))
+def _worker_count(n_points: int) -> int:
+    env = os.environ.get("NCLSIM_WORKERS", "").strip()
+    if not env:
+        workers = os.cpu_count() or 1
+    elif env.isdecimal() and int(env) >= 1:
+        workers = int(env)
+    else:
+        raise ConfigError(f"NCLSIM_WORKERS must be an integer >= 1, got {env!r}")
+    return max(1, min(workers, n_points))
 
 
-def run_sweep(config: ScenarioConfig, workers: int | None = None) -> ScenarioResult:
+def run_sweep(config: ScenarioConfig) -> ScenarioResult:
     """Run every sweep point of a config; per-point failures are isolated."""
     config.validate()
-    values = list(config.sweep.values) if config.sweep.parameter != "none" else [float("nan")]
-    jobs = [(config, float(v)) for v in values]
-    n = _worker_count(len(jobs), workers)
+    jobs = [(config, float(v)) for v in _sweep_values(config)]
+    n = _worker_count(len(jobs))
     if n > 1 and len(jobs) > 1:
         if config.solver.method in ("steady", "steady_approx"):
             # imported once here, before the fork, not once in every worker
@@ -588,107 +592,104 @@ def _fig2_steady(name: str, f_name: str, eps: float, method: str) -> ScenarioCon
     )
 
 
+def _fig2d() -> ScenarioConfig:
+    return ScenarioConfig(
+        name="fig2d",
+        dim=48,
+        gamma_linear=1.0,
+        gamma_nonlinear=0.2,
+        gadget=GadgetSpec(kind="ncl", f_name="(x-1)^3"),
+        initial="vacuum",
+        solver=SolverSpec(method="steady"),
+        sweep=SweepSpec("nbar", tuple(np.arange(1, 41) * 0.25)),
+        output=OutputSpec(timeseries=False),
+    )
+
+
+# preset -> its (family label, ScenarioConfig) pairs, in order
+_PRESETS = {
+    "fig1a": (("main", _fig1_projector("fig1a", OutputSpec(timeseries=True))),),
+    "fig1b": (
+        (
+            "main",
+            _fig1_projector("fig1b", OutputSpec(timeseries=False, distribution_at="max_fidelity")),
+        ),
+    ),
+    "fig1c": (("main", _fig1_ncl("fig1c", (2.0, 4.0, 6.0, 8.0), OutputSpec(timeseries=True))),),
+    "fig1d": (
+        (
+            "main",
+            _fig1_ncl(
+                "fig1d",
+                (8.0,),
+                OutputSpec(timeseries=False, distribution_at="min_q", poisson_reference=True),
+            ),
+        ),
+    ),
+    "fig2a": tuple(
+        (f"eps{int(e)}", _fig2_steady("fig2a", "x-1", e, "steady")) for e in (1.0, 5.0, 10.0)
+    ),
+    "fig2b": (
+        ("exact", _fig2_steady("fig2b", "x-1", 1.0, "steady")),
+        ("approx", _fig2_steady("fig2b", "x-1", 1.0, "steady_approx")),
+    ),
+    "fig2c": (
+        ("exact", _fig2_steady("fig2c", "(x-1)^2", 1.0, "steady")),
+        ("approx", _fig2_steady("fig2c", "(x-1)^2", 1.0, "steady_approx")),
+    ),
+    "fig2d": (("main", _fig2d()),),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def expand_preset(name: str):
     """Preset -> ordered list of (family label, ScenarioConfig)."""
-    if name == "fig1a":
-        return [("main", _fig1_projector("fig1a", OutputSpec(timeseries=True)))]
-    if name == "fig1b":
-        return [
-            (
-                "main",
-                _fig1_projector(
-                    "fig1b", OutputSpec(timeseries=False, distribution_at="max_fidelity")
-                ),
-            )
-        ]
-    if name == "fig1c":
-        return [("main", _fig1_ncl("fig1c", (2.0, 4.0, 6.0, 8.0), OutputSpec(timeseries=True)))]
-    if name == "fig1d":
-        return [
-            (
-                "main",
-                _fig1_ncl(
-                    "fig1d",
-                    (8.0,),
-                    OutputSpec(
-                        timeseries=False,
-                        distribution_at="min_q",
-                        poisson_reference=True,
-                    ),
-                ),
-            )
-        ]
-    if name == "fig2a":
-        return [
-            (f"eps{int(e)}", _fig2_steady("fig2a", "x-1", e, "steady")) for e in (1.0, 5.0, 10.0)
-        ]
-    if name == "fig2b":
-        return [
-            ("exact", _fig2_steady("fig2b", "x-1", 1.0, "steady")),
-            ("approx", _fig2_steady("fig2b", "x-1", 1.0, "steady_approx")),
-        ]
-    if name == "fig2c":
-        return [
-            ("exact", _fig2_steady("fig2c", "(x-1)^2", 1.0, "steady")),
-            ("approx", _fig2_steady("fig2c", "(x-1)^2", 1.0, "steady_approx")),
-        ]
-    if name == "fig2d":
-        config = ScenarioConfig(
-            name="fig2d",
-            dim=48,
-            gamma_linear=1.0,
-            gamma_nonlinear=0.2,
-            gadget=GadgetSpec(kind="ncl", f_name="(x-1)^3"),
-            initial="vacuum",
-            solver=SolverSpec(method="steady"),
-            sweep=SweepSpec("nbar", tuple(np.arange(1, 41) * 0.25)),
-            output=OutputSpec(timeseries=False),
-        )
-        return [("main", config)]
-    raise ConfigError(f"unknown preset {name!r}")
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}")
+    return list(_PRESETS[name])
 
 
-PRESET_NAMES = ("fig1a", "fig1b", "fig1c", "fig1d", "fig2a", "fig2b", "fig2c", "fig2d")
-
-
-def _override_value(key: str, raw, convert):
-    try:
-        return convert(raw)
-    except ValueError as exc:
-        raise ConfigError(f"override {key}={raw!r}: expected {convert.__name__}") from exc
+# the keys --override may set -> their INI section, whose converter they share
+_OVERRIDABLE = {
+    "dim": "system",
+    "gamma_linear": "system",
+    "gamma_nonlinear": "system",
+    "nbar": "system",
+    "omega": "system",
+    "tol": "solver",
+    "values": "sweep",
+}
 
 
 def apply_overrides(config: ScenarioConfig, overrides: dict | None) -> ScenarioConfig:
-    """Apply CLI-style key=value overrides to a config."""
-    if not overrides:
-        return config
+    """Apply CLI-style key=value overrides to a config, each value converted
+    as its INI key is (``config.KEYS``)."""
+    from .config import KEYS  # config.py imports this module
+
     cfg = config
-    for key, raw in overrides.items():
-        if key == "dim":
-            cfg = replace(cfg, dim=_override_value(key, raw, int))
-        elif key in ("gamma_linear", "gamma_nonlinear", "nbar", "omega"):
-            cfg = replace(cfg, **{key: _override_value(key, raw, float)})
-        elif key == "tol":
-            cfg = replace(cfg, solver=replace(cfg.solver, tol=_override_value(key, raw, float)))
-        elif key == "values":
-            try:
-                vals = parse_values(str(raw))
-            except ConfigError as exc:
-                raise ConfigError(f"override {key}={raw!r}: {exc}") from exc
-            cfg = replace(cfg, sweep=replace(cfg.sweep, values=vals))
-            how = cfg.output.distribution_at
-            if vals and how is not None and how.startswith("value:"):
-                # a preset's value:<x> names its strongest drive; follow the new values
-                at = f"value:{max(vals)!r}"
-                cfg = replace(cfg, output=replace(cfg.output, distribution_at=at))
-        else:
+    for key, raw in (overrides or {}).items():
+        if key not in _OVERRIDABLE:
             raise ConfigError(f"unknown override key {key!r}")
+        where, name, convert = KEYS[_OVERRIDABLE[key]][key]
+        try:
+            value = convert(str(raw))
+        except ConfigError as exc:
+            raise ConfigError(f"override {key}={raw!r}: {exc}") from exc
+        if where == "config":
+            cfg = replace(cfg, **{name: value})
+        else:
+            cfg = replace(cfg, **{where: replace(getattr(cfg, where), **{name: value})})
+        how = cfg.output.distribution_at
+        if key == "values" and value and how is not None and how.startswith("value:"):
+            # a preset's value:<x> names its strongest drive; follow the new values
+            at = f"value:{max(value)!r}"
+            cfg = replace(cfg, output=replace(cfg.output, distribution_at=at))
     return cfg
 
 
-def run_preset(name: str, overrides: dict | None = None, workers: int | None = None) -> dict:
+def run_preset(name: str, overrides: dict | None = None) -> dict:
     """Run a figure preset; returns an ordered {family label: ScenarioResult}."""
     families = [(label, apply_overrides(config, overrides)) for label, config in expand_preset(name)]
     for _, config in families:  # a config error in any family fails before the first solve
         config.validate()
-    return {label: run_sweep(config, workers=workers) for label, config in families}
+    return {label: run_sweep(config) for label, config in families}

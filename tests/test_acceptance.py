@@ -26,18 +26,23 @@ def _ncl_me(dim, f, **kw):
     return lv.MasterEquation(dim, nonlinear_op=gadgets.ncl_lindblad(f, dim), **kw)
 
 
+def _run_serial(preset):
+    """The preset's one family run in this process, and its wall time."""
+    t0 = time.time()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("NCLSIM_WORKERS", "1")
+        res = sc.run_preset(preset)["main"]
+    return res, time.time() - t0
+
+
 @pytest.fixture(scope="module")
 def fig1a_result():
-    t0 = time.time()
-    res = sc.run_preset("fig1a", workers=1)["main"]
-    return res, time.time() - t0
+    return _run_serial("fig1a")
 
 
 @pytest.fixture(scope="module")
 def fig1c_result():
-    t0 = time.time()
-    res = sc.run_preset("fig1c", workers=1)["main"]
-    return res, time.time() - t0
+    return _run_serial("fig1c")
 
 
 @pytest.fixture(scope="module")

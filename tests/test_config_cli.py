@@ -1,13 +1,15 @@
+import configparser
 import csv
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nclsim import cli, evolve, scenarios as sc
-from nclsim.config import parse_config
+from nclsim.config import KEYS, parse_config
 from nclsim.errors import ConfigError
 
 EVOLVE_INI = """
@@ -95,6 +97,16 @@ def test_parse_config_negative_rate_names_field(tmp_path):
     assert "gamma_linear" in str(err.value)
 
 
+def test_readme_schema_lists_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    parser.read_string(block)
+    assert {name: set(parser[name]) for name in parser.sections()} == {
+        name: set(keys) for name, keys in KEYS.items()
+    }
+
+
 def test_parse_values_ranges(tmp_path):
     path = _write(
         tmp_path,
@@ -170,7 +182,7 @@ def test_evolve_end_to_end(tmp_path):
         assert (outdir / name).exists()
 
 
-def test_csv_byte_determinism_and_roundtrip(tmp_path):
+def test_csv_byte_determinism_and_roundtrip(tmp_path, monkeypatch):
     outdir = tmp_path / "o1"
     path = _write(tmp_path, EVOLVE_INI.format(outdir=outdir))
     assert cli.main(["evolve", path]) == 0
@@ -181,7 +193,8 @@ def test_csv_byte_determinism_and_roundtrip(tmp_path):
 
     # 17-significant-digit floats round-trip to full precision
     config, _ = parse_config(path)
-    res = sc.run_sweep(config, workers=1)
+    monkeypatch.setenv("NCLSIM_WORKERS", "1")
+    res = sc.run_sweep(config)
     with open(outdir / "unit_timeseries.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     parsed = float(rows[1][6])  # purity at t=0 of the first point
@@ -366,17 +379,44 @@ def test_swept_rate_fails_only_its_point(tmp_path, capsys, base, parameter, valu
     assert err.count(" failed: ") == 1
 
 
+@pytest.mark.parametrize(
+    "base, parameter, values, system, need",
+    [
+        # Γ = ε·γ is zero at every ε when γ = 0
+        ("thermal", "epsilon", "1.0,2.0", ("gamma_nonlinear", "0"),
+         "recurrence_thermal needs gamma_linear > 0, got 0.0"),
+        ("steady", "nbar", "0.5,1.0", None, "steady_approx needs nbar = 0, got 0.5"),
+        ("thermal", "nbar", "-1.0,-2.0", None, "nbar must be >= 0, got -1.0"),
+    ],
+)
+def test_swept_rate_failing_at_every_point_is_config_error(
+    tmp_path, capsys, base, parameter, values, system, need
+):
+    outdir = tmp_path / "out"
+    text = _set_key(_base_ini(base, outdir), "sweep", "parameter", parameter)
+    text = _set_key(_set_key(text, "sweep", "values", values), "output", "distribution_at", "steady")
+    if system is not None:
+        text = _set_key(text, "system", *system)
+    path = _write(tmp_path, text)
+    run = "steady" if base == "steady" else "recurrence"
+    assert cli.main(["validate", path]) == 1
+    assert cli.main([run, path]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"config error: {need}") == 2 and "Traceback" not in err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("raw", ["two", "0", "-3"])
 def test_malformed_worker_count_is_config_error(tmp_path, monkeypatch, capsys, raw):
     monkeypatch.setenv("NCLSIM_WORKERS", raw)
     with pytest.raises(ConfigError):
-        sc._worker_count(2, None)
+        sc._worker_count(2)
     outdir = tmp_path / "swept"
     path = _write(tmp_path, SWEPT_RECURRENCE_INI.format(outdir=outdir, at="steady"))
     assert cli.main(["recurrence", path]) == 1
     assert "NCLSIM_WORKERS" in capsys.readouterr().err
     monkeypatch.setenv("NCLSIM_WORKERS", "1")
-    assert sc._worker_count(2, None) == 1
+    assert sc._worker_count(2) == 1
 
 
 def test_steady_above_dense_cap_converges(tmp_path):

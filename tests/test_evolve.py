@@ -240,8 +240,9 @@ def test_preset_propagation_runs_in_real_arithmetic(preset):
     me, _, _ = scenarios.build_system(cfg)
     rho0 = scenarios._parse_state(cfg.initial, cfg.dim)
     eng = evolve._Engine(me, rho0, 0.0, cfg.solver.tol, window=True)
-    assert eng.yb.dtype == np.float64
-    assert evolve._padded(eng.yb, eng.dim).dtype == np.complex128
+    assert eng.yb.dtype == eng.v.dtype == np.float64
+    traj = evolve.propagate(me, rho0, np.linspace(0.0, 0.05, 3), tol=cfg.solver.tol)
+    assert all(block.dtype == np.float64 for block in traj.states.blocks)
 
 
 @pytest.mark.parametrize("spec", ["coherent:2", "fock:3", "vacuum"])

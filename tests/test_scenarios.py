@@ -5,6 +5,12 @@ from nclsim import scenarios as sc
 from nclsim.errors import ConfigError
 
 
+@pytest.fixture(autouse=True)
+def _one_worker(monkeypatch):
+    """Sweeps run in this process unless a test sets NCLSIM_WORKERS itself."""
+    monkeypatch.setenv("NCLSIM_WORKERS", "1")
+
+
 def _small_evolve_config(**over):
     base = sc.ScenarioConfig(
         name="unit",
@@ -21,7 +27,7 @@ def _small_evolve_config(**over):
 
 
 def test_run_sweep_timeseries_points():
-    res = sc.run_sweep(_small_evolve_config(), workers=1)
+    res = sc.run_sweep(_small_evolve_config())
     assert [p.sweep_value for p in res.points] == [1.0, 1.5]
     for p in res.points:
         assert p.error is None
@@ -38,8 +44,8 @@ def test_sweep_order_independence():
     cfg_rev = sc.ScenarioConfig(
         **{**cfg_fwd.__dict__, "sweep": sc.SweepSpec("alpha", (1.5, 1.0))}
     )
-    fwd = sc.run_sweep(cfg_fwd, workers=1)
-    rev = sc.run_sweep(cfg_rev, workers=1)
+    fwd = sc.run_sweep(cfg_fwd)
+    rev = sc.run_sweep(cfg_rev)
     by_val_fwd = {p.sweep_value: p for p in fwd.points}
     by_val_rev = {p.sweep_value: p for p in rev.points}
     for v in (1.0, 1.5):
@@ -51,7 +57,7 @@ def test_sweep_order_independence():
 def test_single_value_sweep_equals_single_run():
     cfg = _small_evolve_config()
     single = sc.ScenarioConfig(**{**cfg.__dict__, "sweep": sc.SweepSpec("alpha", (1.5,))})
-    swept = sc.run_sweep(single, workers=1).points[0]
+    swept = sc.run_sweep(single).points[0]
     direct = sc.run_point(cfg, 1.5)
     assert swept.sweep_value == direct.sweep_value == 1.5
     assert [r.mandel_q for r in swept.reports] == [r.mandel_q for r in direct.reports]
@@ -60,7 +66,7 @@ def test_single_value_sweep_equals_single_run():
 def test_per_point_failure_isolation():
     cfg = _small_evolve_config()
     bad = sc.ScenarioConfig(**{**cfg.__dict__, "sweep": sc.SweepSpec("alpha", (1.0, 4.0))})
-    res = sc.run_sweep(bad, workers=1)  # alpha=4 breaks the dim=24 truncation guard
+    res = sc.run_sweep(bad)  # alpha=4 breaks the dim=24 truncation guard
     assert res.points[0].error is None
     assert res.points[1].error is not None
     assert "TruncationLeakage" in res.points[1].error
@@ -90,7 +96,7 @@ def test_steady_method_and_distribution_selection():
         sweep=sc.SweepSpec("alpha0", (2.0, 3.0)),
         output=sc.OutputSpec(timeseries=False, distribution_at="value:3.0"),
     )
-    res = sc.run_sweep(cfg, workers=1)
+    res = sc.run_sweep(cfg)
     assert [p.distribution is not None for p in res.points] == [False, True]
 
 
@@ -106,7 +112,7 @@ def test_recurrence_methods():
         sweep=sc.SweepSpec("none", ()),
         output=sc.OutputSpec(timeseries=False),
     )
-    res = sc.run_sweep(cfg, workers=1)
+    res = sc.run_sweep(cfg)
     q = res.points[0].steady_report.mandel_q
     assert -0.85 <= q <= -0.75
     cfg_t = sc.ScenarioConfig(
@@ -120,13 +126,13 @@ def test_recurrence_methods():
         sweep=sc.SweepSpec("nbar", (1.0, 2.0)),
         output=sc.OutputSpec(timeseries=False),
     )
-    res_t = sc.run_sweep(cfg_t, workers=1)
+    res_t = sc.run_sweep(cfg_t)
     assert all(p.error is None for p in res_t.points)
     assert res_t.points[1].steady_report.mandel_q < 0
     # undriven from the vacuum: the mean is 0, so Q is undefined, not an error
     start_0 = sc.SolverSpec(method="recurrence_ncl", recurrence_start=0)
     cfg_0 = sc.ScenarioConfig(**{**cfg.__dict__, "omega": 0.0, "solver": start_0})
-    vacuum = sc.run_sweep(cfg_0, workers=1).points[0]
+    vacuum = sc.run_sweep(cfg_0).points[0]
     assert vacuum.error is None
     assert np.isnan(vacuum.steady_report.mandel_q)
     assert vacuum.steady_report.mean_n == 0.0 and vacuum.steady_report.purity == 1.0
@@ -134,8 +140,8 @@ def test_recurrence_methods():
 
 def test_preset_is_pure_data():
     label, config = sc.expand_preset("fig2d")[0]
-    direct = sc.run_sweep(config, workers=1)
-    preset = sc.run_preset("fig2d", workers=1)["main"]
+    direct = sc.run_sweep(config)
+    preset = sc.run_preset("fig2d")["main"]
     qa = [p.steady_report.mandel_q for p in direct.points]
     qb = [p.steady_report.mandel_q for p in preset.points]
     assert qa == qb
@@ -209,9 +215,10 @@ def test_apply_overrides():
         sc.apply_overrides(cfg, {"nope": "1"})
 
 
-def test_parallel_workers_match_serial():
+def test_parallel_workers_match_serial(monkeypatch):
     cfg = _small_evolve_config()
-    serial = sc.run_sweep(cfg, workers=1)
-    parallel = sc.run_sweep(cfg, workers=2)
+    serial = sc.run_sweep(cfg)
+    monkeypatch.setenv("NCLSIM_WORKERS", "2")
+    parallel = sc.run_sweep(cfg)
     for a, b in zip(serial.points, parallel.points):
         assert [r.mandel_q for r in a.reports] == [r.mandel_q for r in b.reports]

@@ -229,10 +229,11 @@ def test_one_factorization_per_point(monkeypatch, approx):
 def test_logsumexp_is_bitwise_scipy_on_preset_recurrences(monkeypatch, preset, method):
     from scipy.special import logsumexp
 
+    monkeypatch.setenv("NCLSIM_WORKERS", "1")
     calls = _record(monkeypatch, steady, "_logsumexp")
     config = sc.expand_preset(preset)[0][1]
     config = replace(config, solver=replace(config.solver, method=method))
-    assert all(p.error is None for p in sc.run_sweep(config, workers=1).points)
+    assert all(p.error is None for p in sc.run_sweep(config).points)
     assert len(calls) == len(config.sweep.values)
     ties = np.array([-np.inf, 0.0, -3.0, 0.0, -700.0])
     for logp, norm in calls + [((ties,), steady._logsumexp(ties))]:
