@@ -10,10 +10,12 @@ columns).  Expokit's two-term estimate of the local error must stay below
 ``tol``·τ (Frobenius norm), so ``tol`` bounds the local error per unit time.
 The small exponentials are a numpy Padé scaling and squaring (Higham, SIAM
 J. Matrix Anal. Appl. 26 (2005)), so propagation imports no scipy.  Substeps
-are clipped only at the final time: a grid time inside a substep is read
-from its basis the same way.  Every new state and grid state is
-re-Hermitized, ρ ← (ρ+ρ†)/2; positivity is monitored but never projected,
-so integrator bugs surface in the recorded diagnostics.
+are clipped only at the final time: the grid times tg inside a substep are
+read from its basis, with weights β·exp(c·τH̄)e₁ for c = (tg - t)/τ.  One
+Padé call serves up to ``PADE_BATCH`` = 32 of them: it takes the degree and
+scaling of exp(τH̄) and forms the powers of τH̄ once.  Every new state and
+grid state is re-Hermitized, ρ ← (ρ+ρ†)/2; positivity is monitored but
+never projected, so integrator bugs surface in the recorded diagnostics.
 
 For master equations with no upward coupling (no driving, no thermal
 pumping, every channel operator on a single superdiagonal) population only
@@ -26,9 +28,15 @@ The block is float64 when the generator (see
 :class:`~nclsim.liouvillian.Generator`) and ρ₀ are both real, as for every
 preset and INI equation, and complex128 otherwise; Arnoldi runs on its real
 view either way.  A trajectory keeps each grid state as that block,
-read-only, and pads it to a complex128 dim×dim array when it is read.  Inner
-products and norms are summed by einsum, not by a BLAS dot, whose value
-changes with the BLAS thread count on long vectors.
+read-only, and pads it to a complex128 dim×dim array when it is read.
+
+Results do not depend on the BLAS thread count.  Norms and the Gram–Schmidt
+contractions with the first basis vector alone are summed by einsum: a BLAS
+dot, or a product with one row, splits a long vector among threads and then
+changes its last bits.  The contractions with two or more basis rows,
+``basis @ w`` and ``c @ basis``, go to BLAS in column slices of
+``_GS_COLUMNS``, small enough that OpenBLAS runs each product on one thread
+(it threads a matrix-vector product from 460800 entries on).
 """
 
 from __future__ import annotations
@@ -57,22 +65,34 @@ MAX_SUBSTEPS = 2_000_000
 # an Arnoldi residual this far below ‖L v₀‖ means the basis spans an
 # invariant subspace (to round-off): the exponential in it is exact for every τ
 _BREAKDOWN = 1e-13
+# grid times read in one Padé call, so that a substep covering a long grid
+# (one whose basis broke down covers every grid time left) holds at most this
+# many small exponentials at once
+PADE_BATCH = 32
+# basis columns per BLAS product in Gram–Schmidt: OpenBLAS runs a
+# matrix-vector product on one thread while rows × columns < 460800, and
+# KRYLOV_DIM rows of this many columns stay below that
+_GS_COLUMNS = 20_000
 
 
 # Higham (2005), Table 2.3: the largest ‖A‖₁ for which the [m/m] Padé
 # approximant of exp meets double precision; above θ₁₃, A is scaled by 2⁻ˢ.
 _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
           9: 2.097847961257068e0, 13: 5.371920351148152e0}
-_PADE = {m: [math.factorial(2 * m - j) * math.factorial(m)
-             / (math.factorial(2 * m) * math.factorial(j) * math.factorial(m - j))
-             for j in range(m + 1)] for m in _THETA}
+_PADE = {m: np.array([math.factorial(2 * m - j) * math.factorial(m)
+                      / (math.factorial(2 * m) * math.factorial(j) * math.factorial(m - j))
+                      for j in range(m + 1)]) for m in _THETA}
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a small square matrix by Padé scaling and squaring (Higham
-    2005): the lowest degree m whose θ bounds ‖a‖₁, else degree 13 on a/2ˢ,
-    squared s times.  The numerator is Σ bⱼaʲ with bⱼ = (2m-j)!·m! /
-    ((2m)!·j!·(m-j)!), the denominator Σ (-1)ʲbⱼaʲ."""
+def _expm(a: np.ndarray, scales=None) -> np.ndarray:
+    """exp(c·a) for each scale c in (0, 1] of ``scales``, stacked, or exp(a)
+    itself when ``scales`` is None, by Padé scaling and squaring (Higham
+    2005).  The degree and the scaling are those of exp(a): the lowest degree
+    m whose θ bounds ‖a‖₁, else degree 13 on a/2ˢ, which bounds every c·a/2ˢ
+    too.  The even powers of a/2ˢ are formed once, and one coefficient
+    product over them gives every numerator Σ bⱼ(ca)ʲ and denominator
+    Σ (-1)ʲbⱼ(ca)ʲ, with bⱼ = (2m-j)!·m! / ((2m)!·j!·(m-j)!); one batched
+    solve and s batched squarings follow."""
     norm = float(np.abs(a).sum(axis=0).max())
     m = min(d for d, theta in _THETA.items() if norm <= theta or d == 13)
     s = math.ceil(math.log2(norm / _THETA[13])) if norm > _THETA[13] else 0
@@ -80,12 +100,15 @@ def _expm(a: np.ndarray) -> np.ndarray:
     powers = [np.eye(a.shape[0]), a @ a]  # the even powers up to a^(m-1)
     while len(powers) < (m + 1) // 2:
         powers.append(powers[-1] @ powers[1])
-    u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
-    v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    c = np.ones(1) if scales is None else np.asarray(scales, dtype=float)
+    even = c[:, None] ** (2 * np.arange(len(powers)))
+    coef = np.concatenate([b[0::2] * even, b[1::2] * even])
+    v, odd = (coef @ np.reshape(powers, (len(powers), -1))).reshape(2, c.size, *a.shape)
+    u = c[:, None, None] * (a @ odd)
     r = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         r = r @ r
-    return r
+    return r[0] if scales is None else r
 
 
 def _flat(m: np.ndarray) -> np.ndarray:
@@ -165,14 +188,15 @@ class _Engine:
         self.kdim = min(KRYLOV_DIM, _flat(self.yb).size)
         self.v = np.empty((self.kdim + 2, m, m), dtype=self.yb.dtype)
         self.vflat = self.v.reshape(self.kdim + 2, -1).view(np.float64)
+        self.parts = [self.vflat[:, i : i + _GS_COLUMNS]
+                      for i in range(0, self.vflat.shape[1], _GS_COLUMNS)]
 
     # -- stepping ---------------------------------------------------------
 
     def _arnoldi(self):
         """(β, H̄, ‖L v_{m+1}‖) of the current state's Krylov basis, with
         ‖L v_{m+1}‖ None when the basis breaks down.  Each new vector is
-        orthogonalized against the basis twice (classical Gram–Schmidt,
-        coefficients summed by einsum)."""
+        orthogonalized against the basis twice (:meth:`_project_out`)."""
         v, vf = self.v, self.vflat
         beta = _norm(_flat(self.yb))
         np.multiply(self.yb, 1.0 / beta, out=v[0])
@@ -182,14 +206,11 @@ class _Engine:
         for j in range(m):
             self.rhs(v[j], out=v[j + 1])
             self.matvecs += 1
-            w, basis = vf[j + 1], vf[: j + 1]
+            w = vf[j + 1]
             if j == 0:
                 cut = _BREAKDOWN * _norm(w)
-            c = np.einsum("ij,j->i", basis, w)
-            w -= np.einsum("i,ij->j", c, basis)
-            c2 = np.einsum("ij,j->i", basis, w)
-            w -= np.einsum("i,ij->j", c2, basis)
-            hbar[: j + 1, j] = c + c2
+            c = self._project_out(j + 1)
+            hbar[: j + 1, j] = c + self._project_out(j + 1)
             s = _norm(w)
             if s <= cut:
                 hbar = hbar[: j + 1, : j + 1]
@@ -203,6 +224,25 @@ class _Engine:
             hbar[m + 1, m] = 1.0
         self.max_krylov = max(self.max_krylov, j + 1)
         return beta, hbar, avnorm
+
+    def _project_out(self, k: int) -> np.ndarray:
+        """One classical Gram–Schmidt pass: subtract from basis vector k its
+        components along the orthonormal vectors 0..k-1 and return them.
+        One vector is summed by einsum, like :func:`_norm`; more go to BLAS,
+        one column slice (``self.parts``) at a time, so that OpenBLAS keeps
+        each product on one thread."""
+        if k == 1:
+            basis, w = self.vflat[:1], self.vflat[1]
+            c = np.einsum("ij,j->i", basis, w)
+            w -= np.einsum("i,ij->j", c, basis)
+            return c
+        first = self.parts[0]
+        c = first[:k] @ first[k]
+        for part in self.parts[1:]:
+            c += part[:k] @ part[k]
+        for part in self.parts:
+            part[k] -= c @ part[:k]
+        return c
 
     def _weights(self, kry, tau: float):
         """β·exp(τH̄)e₁, the weights of the basis vectors after τ, and
@@ -219,6 +259,18 @@ class _Engine:
         if phi1 > phi2:
             return f[: m + 1], phi1 * phi2 / (phi1 - phi2), 1.0 / m
         return f[: m + 1], phi1, 1.0 / (m - 1)
+
+    def _grid_states(self, kry, t: float, times: np.ndarray) -> list:
+        """Observations at the grid ``times`` inside the substep that began
+        at t, read from its basis: exp(c·τH̄) for c = (tg - t)/τ, with
+        τ = self.t - t, ``PADE_BATCH`` grid times per Padé call."""
+        beta, hbar, avnorm = kry
+        size = hbar.shape[0] - (avnorm is not None)  # the basis vectors' weights
+        span, seen = self.t - t, []
+        for i in range(0, times.size, PADE_BATCH):
+            f = _expm(span * hbar, (times[i : i + PADE_BATCH] - t) / span)
+            seen += [self.observe(*self._state(w)) for w in beta * f[:, :size, 0]]
+        return seen
 
     def _state(self, w):
         """The hermitized block Σ wᵢvᵢ over the basis and its asymmetry."""
@@ -274,13 +326,13 @@ class _Engine:
                 time=self.t,
             )
 
-    def run(self, t_end: float, grid=()) -> list:
+    def run(self, t_end: float, grid: np.ndarray) -> list:
         """Advance to t_end and observe the state at each time of the
         ascending ``grid`` inside (t, t_end].
 
-        Substeps are clipped only at t_end; a grid time inside a substep is
-        read from that substep's basis.  Returns the observations (see
-        :meth:`observe`).
+        Substeps are clipped only at t_end; the grid times inside a substep
+        are read from that substep's basis (:meth:`_grid_states`).  Returns
+        the observations (see :meth:`observe`).
         """
         seen = []
         done = 1e-14 * max(1.0, abs(t_end))
@@ -294,12 +346,11 @@ class _Engine:
             self.substeps += 1
             self.t = t_end if t + tau >= t_end - done else t + tau
             self._guard()
-            while len(seen) < len(grid) and grid[len(seen)] <= self.t:
-                tg = grid[len(seen)]
-                if tg < self.t:
-                    seen.append(self.observe(*self._state(self._weights(kry, tg - t)[0])))
-                else:
-                    seen.append(self.observe())
+            stop = int(np.searchsorted(grid, self.t, side="right"))
+            at_end = stop > len(seen) and grid[stop - 1] == self.t
+            seen += self._grid_states(kry, t, grid[len(seen) : stop - at_end])
+            if at_end:
+                seen.append(self.observe())
             if self.windowed and self._shrink():
                 self._allocate()
         # only a span within round-off of t_end is left without a substep

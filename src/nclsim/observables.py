@@ -25,9 +25,12 @@ _MEAN_N_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class DiagonalDistribution:
-    """Photon-number distribution: p_n >= 0 summing to 1 (within 1e-12)."""
+    """Photon-number distribution: p_n >= 0 summing to 1 (within 1e-12).
+    Its mean and variance are computed once, at construction."""
 
     probabilities: np.ndarray
+    _mean: float = field(init=False, repr=False, compare=False)
+    _variance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
@@ -38,24 +41,25 @@ class DiagonalDistribution:
             raise InvalidStateError(f"negative probability {p.min():.3e}")
         if abs(p.sum() - 1.0) > 1e-12:
             raise InvalidStateError(f"probabilities sum to {p.sum()!r}, not 1")
+        n = np.arange(p.size)
+        m = float(np.sum(n * p))
+        object.__setattr__(self, "_mean", m)
+        object.__setattr__(self, "_variance", float(np.sum((n - m) ** 2 * p)))
 
     @property
     def dim(self) -> int:
         return self.probabilities.size
 
     def mean(self) -> float:
-        return float(np.sum(np.arange(self.dim) * self.probabilities))
+        return self._mean
 
     def variance(self) -> float:
-        n = np.arange(self.dim)
-        m = self.mean()
-        return float(np.sum((n - m) ** 2 * self.probabilities))
+        return self._variance
 
     def mandel_q(self) -> float:
-        m = self.mean()
-        if m <= _MEAN_N_FLOOR:
+        if self._mean <= _MEAN_N_FLOOR:
             raise UndefinedQError("mean photon number is zero; Q undefined")
-        return self.variance() / m - 1.0
+        return self._variance / self._mean - 1.0
 
 
 def poisson_distribution(mean: float, dim: int) -> DiagonalDistribution:

@@ -365,8 +365,9 @@ def test_bad_input_is_a_config_error_before_any_output(
     ],
 )
 def test_swept_rate_fails_only_its_point(tmp_path, capsys, base, parameter, values, at, bad, need):
-    # validate() skips the swept field, and run_point checks the same rule on
-    # each resolved point, so only the offending point fails, with the same message
+    # validate() checks the rates on every resolved point and passes when one
+    # point passes; run_point checks the same rule on each point, so only the
+    # offending point fails, with the same message
     outdir = tmp_path / "out"
     text = _set_key(_base_ini(base, outdir), "sweep", "parameter", parameter)
     text = _set_key(_set_key(text, "sweep", "values", values), "output", "distribution_at", at)

@@ -353,6 +353,86 @@ def test_results_do_not_depend_on_blas_threads(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
+WINDOWED_NCL_INI = """
+[system]
+dim = 130
+gamma_linear = 1.0
+gamma_nonlinear = 0.2
+
+[gadget]
+kind = ncl
+f = x-1
+
+[initial]
+state = coherent:4.0
+
+[solver]
+method = propagate
+t_grid = log:1e-4:0.3:12
+
+[output]
+directory = {outdir}
+basename = blas
+svg = false
+"""
+
+PROJECTOR_INI = """
+[system]
+dim = 160
+gamma_linear = 1.0
+gamma_nonlinear = 0.2
+
+[gadget]
+kind = projector
+target = fock:2
+source = coherent:2.0
+k = 2
+
+[initial]
+state = coherent:2.0
+
+[solver]
+method = propagate
+t_grid = log:1e-3:1.0:12
+
+[output]
+directory = {outdir}
+basename = blas
+svg = false
+"""
+
+
+@pytest.mark.parametrize(
+    "ini",
+    [
+        # the transient workload's equation at dim 130: ρ₀'s window is 77×77
+        # and shrinks, and Gram–Schmidt takes its products with 2-20 rows to BLAS
+        pytest.param(WINDOWED_NCL_INI, id="windowed-ncl-130"),
+        # no window: the block stays 160×160, long enough that Gram–Schmidt
+        # splits its BLAS products into column slices
+        pytest.param(PROJECTOR_INI, id="projector-160"),
+    ],
+)
+def test_propagation_does_not_depend_on_blas_threads(tmp_path, ini):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evolve.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        outdir = tmp_path / f"threads{threads}"
+        path = tmp_path / f"blas{threads}.ini"
+        path.write_text(ini.format(outdir=outdir), encoding="utf-8")
+        env = dict(
+            os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, NCLSIM_WORKERS="1"
+        )
+        subprocess.run(
+            [sys.executable, "-m", "nclsim.cli", "evolve", str(path)],
+            capture_output=True, check=True, env=env,
+        )
+        outputs.append(sorted(outdir.glob("*.csv")))
+    assert [p.name for p in outputs[0]] == [p.name for p in outputs[1]] != []
+    for a, b in zip(*outputs):
+        assert a.read_bytes() == b.read_bytes()
+
+
 # -- projector-gadget decay fitting -----------------------------------------
 
 
@@ -439,6 +519,24 @@ def test_pade_exponential_matches_scipy(kind, norm, degree):
     assert np.abs(evolve._expm(a) - want).max() <= bound * np.abs(want).max()
 
 
+@pytest.mark.parametrize("norm", [norm for norm, _ in PADE_CASES])
+def test_batched_pade_exponential_matches_scipy(norm):
+    # the grid times of a substep: exp(c·a) for scales c in (0, 1], with the
+    # degree and scaling of exp(a), in a batch larger than one call takes
+    from scipy.linalg import expm
+
+    a = _arnoldi_hessenberg()
+    a = a * (norm / np.abs(a).sum(axis=0).max())
+    rng = np.random.default_rng(int(norm * 100))
+    scales = np.concatenate([[1e-9, 1e-3, 1.0], rng.uniform(1e-6, 1.0, evolve.PADE_BATCH)])
+    got = evolve._expm(a, scales)
+    assert got.shape == (scales.size, *a.shape)
+    bound = 1e-11 if norm > evolve._THETA[13] else 1e-14
+    for c, r in zip(scales, got):
+        want = expm(c * a)
+        assert np.abs(r - want).max() <= bound * np.abs(want).max()
+
+
 @st.composite
 def _propagation_cases(draw):
     """(equation, ρ₀, grid) at dim 16-30: NCL (pure-lowering, so windowed),
@@ -485,4 +583,32 @@ def test_propagation_matches_expm_multiply_on_the_superoperator(case):
     )
     for state, v in zip(traj.states, want):
         # the local error bound, 1.2·tol per unit time over at most 0.3, and rounding
+        assert np.abs(state - oracles.unvec(v, me.dim)).max() <= 1e-12
+
+
+def test_broken_down_substep_reads_a_long_grid_in_capped_batches(monkeypatch):
+    # at dim 4 the real block has 16 entries, so the basis spans the whole
+    # space and breaks down: one substep covers every grid time, more of
+    # them than one Padé call takes
+    from scipy.sparse.linalg import expm_multiply
+
+    batches, expm = [], evolve._expm
+
+    def counted(a, scales=None):
+        batches.append(None if scales is None else len(scales))
+        return expm(a, scales)
+
+    monkeypatch.setattr(evolve, "_expm", counted)
+    me = _ncl_me(4, gamma_linear=1.0, gamma_nonlinear=0.3)
+    rho0 = fock.pure_density(np.full(4, 0.5))
+    grid = np.linspace(0.0, 3.0, 3 * evolve.PADE_BATCH + 6)
+    traj = evolve.propagate(me, rho0, grid)
+    assert traj.stats.substeps == 1
+    # the whole substep, then the grid times inside it, at most PADE_BATCH at once
+    assert batches == [None] + [evolve.PADE_BATCH] * 3 + [4]
+    want = expm_multiply(
+        oracles.superoperator(me.generator).tocsc(), oracles.vec(rho0),
+        start=grid[0], stop=grid[-1], num=grid.size, endpoint=True,
+    )
+    for state, v in zip(traj.states, want):
         assert np.abs(state - oracles.unvec(v, me.dim)).max() <= 1e-12

@@ -136,6 +136,31 @@ def test_distribution_invariants():
         obs.DiagonalDistribution(np.array([1.1, -0.1]))
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [
+        obs.poisson_distribution(2.3, 20),
+        obs.poisson_distribution(0.0, 6),
+        obs.photon_distribution(fock.pure_density(fock.coherent_state(1.7, 25))),
+        obs.photon_distribution(random_density(12, np.random.default_rng(7))),
+        obs.DiagonalDistribution(np.eye(5)[3]),
+    ],
+    ids=["poisson", "vacuum", "coherent", "random", "fock"],
+)
+def test_cached_moments_are_the_sums(dist):
+    # the moments are computed once, at construction, by these same sums
+    p = dist.probabilities
+    n = np.arange(p.size)
+    m = float(np.sum(n * p))
+    assert dist.mean() == m
+    assert dist.variance() == float(np.sum((n - m) ** 2 * p))
+    if m > 0:
+        assert dist.mandel_q() == dist.variance() / dist.mean() - 1.0
+    else:
+        with pytest.raises(UndefinedQError):
+            dist.mandel_q()
+
+
 def test_report_builder():
     rho = fock.pure_density(fock.coherent_state(1.2, 20))
     rep = obs.observable_report(rho, target=fock.fock_state(1, 20))
