@@ -3,7 +3,7 @@ nonlinear dissipation.
 
 Core layers: fock (truncated-space states/operators), liouvillian (master
 equation, factor-2 dissipator convention), gadgets (engineered Lindblad
-operators and diagnostics), evolve (adaptive propagation), steady (null-space
+operators), evolve (adaptive propagation), steady (null-space
 solvers and analytic recurrences), observables, scenarios (figure presets and
 sweeps), cli (command-line front end).
 """

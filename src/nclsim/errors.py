@@ -50,10 +50,6 @@ class StepSizeUnderflowError(SimulationError):
     """Adaptive integrator step collapsed below resolvable size."""
 
 
-class InsufficientDecayError(SimulationError):
-    """Trajectory never entered the residual window needed for a rate fit."""
-
-
 class DimensionCapError(SimulationError):
     """Dimension above ``steady.SPARSE_DIM_CAP``, the cap of the sparse
     stationary solve (the tests' dense SVD reference in ``tests/oracles.py``
@@ -78,14 +74,6 @@ class BlockedRecurrenceError(SimulationError):
 
 class TailGuardError(SimulationError):
     """Distribution carries weight at the cutoff; increase dim."""
-
-
-class PeakWindowError(SimulationError):
-    """Peak search hit the top of the window; increase dim."""
-
-
-class UndefinedRatioError(SimulationError):
-    """Jump-rate ratio has a vanishing denominator."""
 
 
 class UndefinedQError(SimulationError):

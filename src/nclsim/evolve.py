@@ -48,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    InsufficientDecayError,
     InvalidStateError,
     SimulationError,
     StepSizeUnderflowError,
@@ -456,32 +455,3 @@ def propagate(
     tr, he, mi, tp = (np.array(col) for col in zip(*diags))
     return Trajectory(grid.copy(), _States(states, me.dim), tr, he, mi, tp, eng.stats())
 
-
-def projector_residuals(traj: Trajectory, gadget) -> np.ndarray:
-    """||P ρ(t) P - Tr{Pρ(0)} |0><0| ||_F along a trajectory."""
-    p = gadget.projector
-    c0 = float(np.real(np.trace(p @ traj.states[0])))
-    limit = c0 * np.outer(gadget.complement, gadget.complement.conj())
-    return np.array([np.linalg.norm(p @ rho @ p - limit) for rho in traj.states])
-
-
-def decay_rate_fit(
-    traj: Trajectory,
-    gadget,
-    window: tuple = (1e-8, 1e-2),
-) -> float:
-    """Exponential rate of the projected residual, by least squares on log ε.
-
-    Only points with ε inside ``window`` enter the fit; outside it the
-    residual is either still transient or drowned in integration noise.
-    """
-    eps = projector_residuals(traj, gadget)
-    lo, hi = window
-    mask = (eps >= lo) & (eps <= hi)
-    if int(mask.sum()) < 3:
-        raise InsufficientDecayError(
-            f"only {int(mask.sum())} residual points inside [{lo:.0e}, {hi:.0e}]; "
-            "extend the trajectory"
-        )
-    slope = np.polyfit(traj.times[mask], np.log(eps[mask]), 1)[0]
-    return float(-slope)

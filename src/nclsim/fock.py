@@ -90,12 +90,6 @@ def creation(dim: int) -> np.ndarray:
     return annihilation(dim).conj().T
 
 
-def number_operator(dim: int) -> np.ndarray:
-    """Photon-number operator a†a = diag(0, 1, ..., dim-1)."""
-    dim = _check_dim(dim)
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
-
-
 def fock_state(n: int, dim: int) -> np.ndarray:
     """Number state |n> as a unit vector."""
     dim = _check_dim(dim)

@@ -1,4 +1,4 @@
-"""Engineered Lindblad operators and their analytic diagnostics.
+"""Engineered Lindblad operators.
 
 Two families of dissipation are built here:
 
@@ -19,7 +19,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidDimensionError,
     InvalidStateError,
-    UndefinedRatioError,
 )
 from .fock import (
     annihilation,
@@ -137,38 +136,3 @@ def ncl_lindblad(f, dim: int) -> np.ndarray:
     fvals = np.diag(diagonal_function_operator(f, dim)).real
     return np.diag(np.diag(annihilation(dim), 1) * fvals[1:], 1)
 
-
-def gamma_eff(gadget: ProjectorGadget, gamma: float) -> float:
-    """Effective transfer rate min{1, 2(1-|<φ|Ψ>|²)} · N · γ."""
-    ov2 = abs(gadget.overlap) ** 2
-    return min(1.0, 2.0 * (1.0 - ov2)) * gadget.norm_factor * float(gamma)
-
-
-def steady_fidelity_prediction(gadget: ProjectorGadget, rho0: np.ndarray) -> float:
-    """Closed-form long-time target population (1-|<φ|Ψ>|²) · Tr{P ρ(0)}."""
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (gadget.dim, gadget.dim):
-        raise DimensionMismatchError(
-            f"rho0 shape {rho0.shape} incompatible with gadget dim {gadget.dim}"
-        )
-    weight = float(np.real(np.trace(gadget.projector @ rho0)))
-    return (1.0 - abs(gadget.overlap) ** 2) * weight
-
-
-def jump_rate_ratio(me, psi: np.ndarray) -> float:
-    """Linear-to-engineered jump-rate ratio on a state |Ψ>.
-
-    r = Γ(n̄+1) <Ψ|a†a|Ψ> / (γ <Ψ|A†A|Ψ>); r << 1 means linear loss is
-    negligible during target-state generation.
-    """
-    psi = check_state_vector(np.asarray(psi, dtype=complex))
-    if me.gamma_nonlinear <= 0 or me.nonlinear_op is None:
-        raise UndefinedRatioError("master equation carries no engineered channel")
-    if psi.shape[0] != me.dim:
-        raise DimensionMismatchError(f"state dim {psi.shape[0]} != system dim {me.dim}")
-    jumped = me.nonlinear_op @ psi
-    den = me.gamma_nonlinear * float(np.real(np.vdot(jumped, jumped)))
-    if den == 0.0:
-        raise UndefinedRatioError("engineered jump rate vanishes on this state")
-    n_mean = float(np.sum(np.arange(me.dim) * np.abs(psi) ** 2))
-    return me.gamma_linear * (me.nbar + 1.0) * n_mean / den

@@ -381,9 +381,6 @@ class MasterEquation:
                 raise InvalidStateError("engineered operator has a non-finite entry")
         self.nonlinear_op = nonlinear_op
         self.hamiltonian = 1j * self.omega * (a - ad)
-        herm = np.abs(self.hamiltonian - self.hamiltonian.conj().T).max()
-        if herm > 1e-10:
-            raise InvalidStateError(f"Hamiltonian Hermiticity violation {herm:.3e}")
         self.channels = [
             LindbladChannel(self.gamma_linear * (self.nbar + 1.0), a),
             LindbladChannel(self.gamma_linear * self.nbar, ad),

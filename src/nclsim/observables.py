@@ -77,17 +77,6 @@ def poisson_distribution(mean: float, dim: int) -> DiagonalDistribution:
     return DiagonalDistribution(p / p.sum())
 
 
-def mandel_q(rho: np.ndarray) -> float:
-    """Mandel Q of a density matrix (moments via the diagonal)."""
-    d = np.real(np.diag(np.asarray(rho)))
-    n = np.arange(d.size)
-    mean = float(np.sum(n * d))
-    if mean <= _MEAN_N_FLOOR:
-        raise UndefinedQError("mean photon number is zero; Q undefined")
-    second = float(np.sum(n * n * d))
-    return (second - mean * mean) / mean - 1.0
-
-
 def fidelity_to_pure(rho: np.ndarray, phi: np.ndarray) -> float:
     """<φ|ρ|φ> for a pure target |φ>."""
     rho = np.asarray(rho, dtype=complex)

@@ -1,4 +1,4 @@
-"""Stationary states: exact null-space solving and analytic diagonal theory.
+"""Stationary states: exact null-space solving and the diagonal recurrences.
 
 Every equation solved here preserves Hermiticity, so it is a real-linear map
 on the Hermitian matrices, and exact steady states are solved there: in the
@@ -31,10 +31,9 @@ diagonal of the stationary state:
 * with thermal pumping only (Ω = 0):
       p_n = p_{n-1} · n̄ / ((n̄+1) + (γ/Γ) f²(n))
 
-plus the peak condition n₀(f(n₀)²+ε)² ≈ α₀², the Gaussian profile around
-the peak, and the variance estimate
-      Δ²n ≈ n₀ (1 + 4 n₀ ḟ(n₀) f(n₀)/(f(n₀)²+ε))⁻¹ ,
-whose ratio Δ²n/n₀ - 1 estimates Mandel Q (→ -4k/(4k+1) for f(n)=n^k).
+The closed forms the tests check these against (the peak condition, the
+Gaussian profile around the peak and the variance estimate) live in
+``tests/theory.py``.
 
 All recurrences run in the log domain: driving amplitudes like α₀ = 10⁴
 overflow naive floating-point products long before the peak.
@@ -56,13 +55,12 @@ from .errors import (
     DimensionCapError,
     InvalidStateError,
     NonUniqueSteadyStateError,
-    PeakWindowError,
     SteadyStateResidualError,
     TailGuardError,
 )
 from .evolve import BREACH_TOL
 from .fock import annihilation, check_density_matrix
-from .gadgets import NonlinearFunction, ncl_lindblad
+from .gadgets import ncl_lindblad
 from .liouvillian import Generator, MasterEquation, hermitian_coordinates
 from .observables import DiagonalDistribution
 
@@ -70,15 +68,8 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 TAIL_GUARD = 1e-12
-# The stationary states of an equation that pumps a ladder (driving or
-# thermal pumping, with every channel on one off-diagonal band; see
-# MasterEquation.pumps_a_ladder) are truncations of an unbounded ladder, so
-# their top level may hold at most what propagation allows, BREACH_TOL;
-# more raises TailGuardError.  Other equations are not guarded: a dense
-# channel (a projector gadget) or a diagonal one (parity) can make the whole
-# space the model, and their tested states hold up to 0.5 at the top.  A
-# thermal ladder's top holds 3.4e-11 at dim 30 and n̄ = 0.8, so the
-# recurrences' TAIL_GUARD would trip where this guard does not.
+# absolute bound on ‖Lρ‖_F of a solved state, floored by the operator's scale
+# in _unit_trace_state
 RESIDUAL_TOL = 1e-10
 # Largest dim the sparse trace-row solve takes.  Driven NCL (α₀ = 150, ε = 1,
 # solve with its condition estimate after scipy is imported, one BLAS
@@ -86,15 +77,6 @@ RESIDUAL_TOL = 1e-10
 # dim 128, 0.29-0.30 s and 126 MB at 200, 0.51 s and 171 MB at 256,
 # 0.81-0.85 s and 235 MB at 320.
 SPARSE_DIM_CAP = 256
-
-
-@dataclass(frozen=True)
-class PeakEstimate:
-    """Peak location, width estimate and the implied Mandel Q."""
-
-    n0: int
-    variance: float
-    q_estimate: float
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +219,7 @@ def steady_state_nullspace(me: MasterEquation, stats: LUStats | None = None) -> 
     condition estimate as the degeneracy test, for dims up to
     ``SPARSE_DIM_CAP``.  The state must leave a residual below
     ``RESIDUAL_TOL`` (floored by the operator's scale), pass the top-level
-    guard of a pumped ladder (see ``TAIL_GUARD``) and pass
+    guard of a pumped ladder (see :func:`_guarded`) and pass
     :func:`~nclsim.fock.check_density_matrix`.  ``stats``, when given,
     counts the sparse LU work.
     """
@@ -245,8 +227,16 @@ def steady_state_nullspace(me: MasterEquation, stats: LUStats | None = None) -> 
 
 
 def _guarded(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
-    """``rho``, once its top-level population passes the stationary guard
-    (see ``TAIL_GUARD``)."""
+    """``rho``, once its top-level population passes the stationary guard."""
+    # The stationary states of an equation that pumps a ladder (driving or
+    # thermal pumping, with every channel on one off-diagonal band; see
+    # MasterEquation.pumps_a_ladder) are truncations of an unbounded ladder, so
+    # their top level may hold at most what propagation allows, BREACH_TOL;
+    # more raises TailGuardError.  Other equations are not guarded: a dense
+    # channel (a projector gadget) or a diagonal one (parity) can make the whole
+    # space the model, and their tested states hold up to 0.5 at the top.  A
+    # thermal ladder's top holds 3.4e-11 at dim 30 and n̄ = 0.8, so the
+    # recurrences' TAIL_GUARD would trip where this guard does not.
     top = float(rho[-1, -1].real)
     if top > BREACH_TOL and me.pumps_a_ladder():
         raise TailGuardError(
@@ -342,64 +332,6 @@ def thermal_recurrence(
     return _normalized(logp)
 
 
-def thermal_truncation_number(f, nbar: float, gamma_over_gamma_linear: float, dim: int) -> int:
-    """Smallest n with (γ/Γ) f(n) >= n̄+1: where the thermal ladder is cut off."""
-    for n in range(1, dim):
-        if gamma_over_gamma_linear * float(f(n)) >= nbar + 1.0:
-            return n
-    raise InvalidStateError("distribution is not truncated within this dim")
-
-
-# ---------------------------------------------------------------------------
-# peak analysis
-
-
-def _width_factor(f: NonlinearFunction, n0: int, epsilon: float) -> float:
-    fv = float(f(n0))
-    den = fv * fv + epsilon
-    num = 4.0 * n0 * f.derivative(n0) * fv
-    if den == 0.0:
-        return 1.0
-    return 1.0 + num / den
-
-
-def peak_condition(f: NonlinearFunction, alpha0: float, epsilon: float, dim: int) -> PeakEstimate:
-    """Integer peak of the driven stationary distribution and its width.
-
-    n₀ minimizes |n(f(n)²+ε)² - α₀²| over 0..dim-1 (ties toward smaller n);
-    the variance and Q estimates follow from the log-curvature of the
-    recurrence around n₀.
-    """
-    if alpha0 <= 0:
-        raise InvalidStateError("peak condition needs alpha0 > 0")
-    n = np.arange(dim, dtype=float)
-    fv = np.array([float(f(k)) for k in range(dim)])
-    mismatch = np.abs(n * (fv**2 + epsilon) ** 2 - alpha0**2)
-    n0 = int(np.argmin(mismatch))
-    if n0 == dim - 1:
-        raise PeakWindowError(
-            f"peak search hit the top of the window (n0 = {n0}); increase dim"
-        )
-    if n0 == 0:
-        return PeakEstimate(0, 0.0, -1.0)
-    factor = _width_factor(f, n0, epsilon)
-    if factor <= 0:
-        raise InvalidStateError(
-            "width estimate invalid: non-positive curvature (f decreasing at the peak?)"
-        )
-    variance = n0 / factor
-    return PeakEstimate(n0, float(variance), float(variance / n0 - 1.0))
-
-
-def gaussian_profile(f: NonlinearFunction, n0: int, epsilon: float, delta_n: int) -> float:
-    """Predicted ratio p_{n₀+δn}/p_{n₀} from the log-curvature of the
-    recurrence: exp{-(|δn|(|δn|+1)/2n₀)(1 + 4n₀ḟ(n₀)f(n₀)/(f(n₀)²+ε))}."""
-    if n0 < 1:
-        raise InvalidStateError("profile needs n0 >= 1")
-    d = abs(int(delta_n))
-    return float(np.exp(-(d * (d + 1) / (2.0 * n0)) * _width_factor(f, n0, epsilon)))
-
-
 # ---------------------------------------------------------------------------
 # truncated (driven-frame) equation
 
@@ -426,6 +358,13 @@ def _signed_alpha0(me: MasterEquation) -> float:
 
 
 def _approximate_generator(me: MasterEquation, f) -> Generator:
+    """The equation with the double-commutator term dropped.
+
+    Exact identity: L ρ = L̃ ρ - γ a[[ρ, f(a†a)], f(a†a)]a† for the generator
+    L of ``me`` and this one, L̃, so dropping the last term is the entire
+    approximation.  The retained part is expressed through
+    B = a([f(a†a)]² + ε) and the signed amplitude α₀.
+    """
     _check_ncl_consistency(me, f)
     a = annihilation(me.dim)
     ad = a.conj().T
@@ -437,33 +376,14 @@ def _approximate_generator(me: MasterEquation, f) -> Generator:
     return Generator(me.dim, terms)
 
 
-def approximate_rhs(me: MasterEquation, f, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side with the double-commutator term dropped.
-
-    Exact identity: rhs(me, ρ) = approximate_rhs(me, f, ρ) - γ a[[ρ, f(a†a)], f(a†a)]a†,
-    so dropping the last term is the entire approximation.  The retained part
-    is expressed through B = a([f(a†a)]² + ε) and the signed amplitude α₀.
-    """
-    gen = _approximate_generator(me, f)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (me.dim, me.dim):
-        raise InvalidStateError(f"rho shape {rho.shape} != ({me.dim}, {me.dim})")
-    return gen.apply(rho)
-
-
 def approximate_steady_state(me: MasterEquation, f, stats: LUStats | None = None) -> np.ndarray:
     """Stationary state of the truncated equation, via its null space.
 
     Not of Lindblad form, so positivity is not guaranteed; the diagonal obeys
     the driven recurrence exactly and the state satisfies the eigen-relations
     Bρ = α₀ρ, ρB† = α₀ρ up to the Fock-cutoff boundary residual.  The state
-    passes the top-level guard of ``me`` (see ``TAIL_GUARD``).  ``stats``,
+    passes the top-level guard of ``me`` (see :func:`_guarded`).  ``stats``,
     when given, counts the sparse LU work.
     """
     return _guarded(me, _nullspace_direct(_approximate_generator(me, f), stats))
 
-
-def b_eigen_residual(me: MasterEquation, f, rho: np.ndarray) -> float:
-    """||Bρ - α₀ρ||_F, the eigen-relation residual of a candidate steady state."""
-    b = _b_operator(f, me.epsilon, me.dim)
-    return float(np.linalg.norm(b @ rho - _signed_alpha0(me) * rho))

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import theory
 from conftest import generator_residual, trace_distance
 from nclsim import evolve, fock, gadgets, liouvillian as lv, observables as obs
 from nclsim import scenarios as sc
@@ -107,7 +108,7 @@ def test_criterion_3_power_law_asymptotics():
 
 def test_criterion_4_steady_fidelity_closed_form(gadget_run):
     g, residual = gadget_run["gadget"], gadget_run["residual"]
-    pred = gadgets.steady_fidelity_prediction(g, gadget_run["rho0"])
+    pred = theory.steady_fidelity_prediction(g, gadget_run["rho0"])
     fid = obs.fidelity_to_pure(gadget_run["steady"], g.target)
     diff = abs(fid - pred)
     ok = residual < 1e-10 and diff <= 1e-4 and gadget_run["t_steady"] < 30.0
@@ -121,9 +122,9 @@ def test_criterion_4_steady_fidelity_closed_form(gadget_run):
 
 def test_criterion_5_transfer_decay_rate(gadget_run):
     g, traj = gadget_run["gadget"], gadget_run["traj"]
-    rate = evolve.decay_rate_fit(traj, g)
-    ge = gadgets.gamma_eff(g, 1.0)
-    eps = evolve.projector_residuals(traj, g)
+    rate = theory.decay_rate_fit(traj, g)
+    ge = theory.gamma_eff(g, 1.0)
+    eps = theory.projector_residuals(traj, g)
     i10 = int(np.argmin(np.abs(traj.times - 10.0 / ge)))
     resid = float(eps[i10])
     ok = 0.5 <= rate / ge <= 2.0 and resid < 1e-3 and gadget_run["t_traj"] < 60.0
@@ -180,7 +181,7 @@ def test_criterion_8_loss_robustness():
     for a0 in (5.0, 150.0):
         for eps in (1.0, 5.0, 10.0):
             me = _ncl_me(64, f, gamma_linear=eps, gamma_nonlinear=1.0, omega=a0)
-            q[(a0, eps)] = obs.mandel_q(steady.steady_state_nullspace(me))
+            q[(a0, eps)] = obs.photon_distribution(steady.steady_state_nullspace(me)).mandel_q()
     dt = time.time() - t0
     q150 = [q[(150.0, e)] for e in (1.0, 5.0, 10.0)]
     q5 = [q[(5.0, e)] for e in (1.0, 5.0, 10.0)]
@@ -202,13 +203,14 @@ def test_criterion_9_truncated_equation_consistency(rng):
     me = _ncl_me(dim, f, gamma_linear=0.25, gamma_nonlinear=1.25, omega=2.0)
     a = fock.annihilation(dim)
     fd = fock.diagonal_function_operator(f, dim)
+    truncated = steady._approximate_generator(me, f)
     worst = 0.0
     for _ in range(50):
         x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = x @ x.conj().T
         rho /= np.real(np.trace(rho))
         full = lv.rhs(me, rho)
-        approx = steady.approximate_rhs(me, f, rho)
+        approx = truncated.apply(rho)
         inner = rho @ fd - fd @ rho
         corr = me.gamma_nonlinear * (a @ (inner @ fd - fd @ inner) @ a.conj().T)
         worst = max(worst, float(np.abs(full - (approx - corr)).max()))
@@ -234,7 +236,7 @@ def test_criterion_10_thermal_rescue():
     qs = np.array([steady.thermal_recurrence(f3, nb, 0.2, 48).mandel_q() for nb in nbars])
     i = int(np.argmin(qs))
     me = _ncl_me(40, f3, gamma_linear=1.0, gamma_nonlinear=0.2, nbar=2.0)
-    q_cross = obs.mandel_q(steady.steady_state_nullspace(me))
+    q_cross = obs.photon_distribution(steady.steady_state_nullspace(me)).mandel_q()
     q_rec = steady.thermal_recurrence(f3, 2.0, 0.2, 40).mandel_q()
     cross_dev = abs(q_cross - q_rec)
     dt = time.time() - t0

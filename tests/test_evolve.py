@@ -5,18 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 import oracles
+import theory
 from conftest import generator_residual, trace_distance
 from nclsim import evolve, fock, gadgets, liouvillian as lv, scenarios
 from nclsim.errors import (
-    InsufficientDecayError,
     InvalidStateError,
     StepSizeUnderflowError,
     TruncationBreachError,
     TruncationLeakageError,
 )
+from theory import InsufficientDecayError
 
 
 def _ncl_me(dim, **kw):
@@ -449,14 +450,14 @@ def gadget_trajectory():
 
 def test_decay_rate_within_factor_two(gadget_trajectory):
     traj, g = gadget_trajectory
-    rate = evolve.decay_rate_fit(traj, g)
-    ge = gadgets.gamma_eff(g, 1.0)
+    rate = theory.decay_rate_fit(traj, g)
+    ge = theory.gamma_eff(g, 1.0)
     assert 0.5 <= rate / ge <= 2.0
 
 
 def test_residual_at_time_zero_definition(gadget_trajectory):
     traj, g = gadget_trajectory
-    eps = evolve.projector_residuals(traj, g)
+    eps = theory.projector_residuals(traj, g)
     p = g.projector
     c0 = float(np.real(np.trace(p @ traj.states[0])))
     direct = np.linalg.norm(
@@ -467,7 +468,7 @@ def test_residual_at_time_zero_definition(gadget_trajectory):
 
 def test_residual_monotone_after_transient(gadget_trajectory):
     traj, g = gadget_trajectory
-    eps = evolve.projector_residuals(traj, g)
+    eps = theory.projector_residuals(traj, g)
     tail = eps[5:]
     tail = tail[tail > 1e-12]  # below that, integrator noise dominates
     assert np.all(np.diff(tail) <= tail[:-1] * 1e-6 + 1e-12)
@@ -476,7 +477,7 @@ def test_residual_monotone_after_transient(gadget_trajectory):
 def test_decay_fit_needs_window(gadget_trajectory):
     traj, g = gadget_trajectory
     with pytest.raises(InsufficientDecayError):
-        evolve.decay_rate_fit(traj, g, window=(1e-30, 1e-28))
+        theory.decay_rate_fit(traj, g, window=(1e-30, 1e-28))
 
 
 # -- the Krylov stepper's parts against scipy --------------------------------
@@ -537,6 +538,34 @@ def test_batched_pade_exponential_matches_scipy(norm):
         assert np.abs(r - want).max() <= bound * np.abs(want).max()
 
 
+def _propagation_case(kind, dim, gamma_linear, gamma_nonlinear, param, alpha, t_end):
+    """(equation, ρ₀, grid) of one kind: ``param`` is n̄ (thermal), the
+    source amplitude of the gadget (projector) or Ω (driven), and unused
+    otherwise; ρ₀ is the coherent state of amplitude ``alpha``."""
+    if kind == "thermal":
+        me = lv.MasterEquation(dim, gamma_linear=gamma_linear, nbar=param)
+    elif kind == "projector":
+        me = _projector_me(dim, 2, param, 2, gamma_linear)
+    else:
+        op = gadgets.ncl_lindblad(gadgets.NonlinearFunction.from_name("x-1"), dim)
+        me = lv.MasterEquation(
+            dim,
+            gamma_linear=gamma_linear,
+            gamma_nonlinear=gamma_nonlinear,
+            omega=param if kind == "driven" else 0.0,
+            nonlinear_op=np.exp(0.7j) * op if kind == "rotated" else op,
+        )
+    rho0 = fock.pure_density(fock.coherent_state(alpha, dim))
+    return me, rho0, np.linspace(0.0, t_end, 4)
+
+
+_CASE_PARAMS = {
+    "thermal": st.floats(0.01, 0.3),
+    "projector": st.floats(0.3, 1.0),
+    "driven": st.floats(-1.0, 1.0),
+}
+
+
 @st.composite
 def _propagation_cases(draw):
     """(equation, ρ₀, grid) at dim 16-30: NCL (pure-lowering, so windowed),
@@ -547,29 +576,24 @@ def _propagation_cases(draw):
     kind = draw(st.sampled_from(["ncl", "driven", "thermal", "projector", "rotated"]))
     gamma_linear = draw(st.floats(0.1, 2.0))
     gamma_nonlinear = draw(st.floats(0.02, 0.2))
-    if kind == "thermal":
-        me = lv.MasterEquation(dim, gamma_linear=gamma_linear, nbar=draw(st.floats(0.01, 0.3)))
-    elif kind == "projector":
-        try:
-            me = _projector_me(dim, 2, draw(st.floats(0.3, 1.0)), 2, gamma_linear)
-        except TruncationLeakageError:
-            reject()  # the gadget's cutoff guard refuses the source (α = 1 needs dim >= 23)
-    else:
-        op = gadgets.ncl_lindblad(gadgets.NonlinearFunction.from_name("x-1"), dim)
-        me = lv.MasterEquation(
-            dim,
-            gamma_linear=gamma_linear,
-            gamma_nonlinear=gamma_nonlinear,
-            omega=draw(st.floats(-1.0, 1.0)) if kind == "driven" else 0.0,
-            nonlinear_op=np.exp(0.7j) * op if kind == "rotated" else op,
-        )
+    param = draw(_CASE_PARAMS[kind]) if kind in _CASE_PARAMS else 0.0
     alpha = draw(st.floats(0.2, 1.0)) * np.exp(1j * draw(st.sampled_from([0.0, 0.9])))
-    rho0 = fock.pure_density(fock.coherent_state(alpha, dim))
-    return me, rho0, np.linspace(0.0, draw(st.floats(0.05, 0.3)), 4)
+    try:
+        return _propagation_case(
+            kind, dim, gamma_linear, gamma_nonlinear, param, alpha, draw(st.floats(0.05, 0.3))
+        )
+    except TruncationLeakageError:
+        reject()  # the gadget's cutoff guard refuses the source (α = 1 needs dim >= 23)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(_propagation_cases())
+# one pinned case of each kind, whatever the derandomized draws are
+@example(_propagation_case("ncl", 30, 2.0, 0.2, 0.0, 1.0, 0.3))
+@example(_propagation_case("driven", 20, 0.1, 0.02, -1.0, 0.9 * np.exp(0.9j), 0.3))
+@example(_propagation_case("thermal", 16, 2.0, 0.0, 0.3, 1.0, 0.3))
+@example(_propagation_case("projector", 24, 0.1, 0.0, 1.0, 0.2 * np.exp(0.9j), 0.05))
+@example(_propagation_case("rotated", 18, 0.5, 0.2, 0.0, np.exp(0.9j), 0.3))
 def test_propagation_matches_expm_multiply_on_the_superoperator(case):
     # an independent path: Al-Mohy & Higham's truncated Taylor action of the
     # sparse column-stacked superoperator (scipy), on the full space

@@ -258,7 +258,7 @@ def test_diagonal_function_kills_dark_state():
 def test_diagonal_function_commutes_with_number():
     dim = 9
     d = fock.diagonal_function_operator(lambda x: (x - 2.5) ** 3, dim)
-    n = fock.number_operator(dim)
+    n = fock.diagonal_function_operator(float, dim)
     assert np.array_equal(d @ n, n @ d)
 
 

@@ -3,13 +3,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import theory
 from nclsim import fock, gadgets, liouvillian, steady
 from nclsim.errors import (
     DimensionMismatchError,
     InvalidStateError,
     TruncationLeakageError,
-    UndefinedRatioError,
 )
+from theory import UndefinedRatioError
 
 
 # -- NonlinearFunction -------------------------------------------------------
@@ -148,14 +149,14 @@ def test_ncl_and_b_operators_bitwise_equal_dense_product(f, dim):
 
 def test_gamma_eff_arithmetic():
     orthogonal = SimpleNamespace(overlap=0.0, norm_factor=7.0)
-    assert gadgets.gamma_eff(orthogonal, 2.0) == pytest.approx(14.0)
+    assert theory.gamma_eff(orthogonal, 2.0) == pytest.approx(14.0)
     strong = SimpleNamespace(overlap=np.sqrt(0.9), norm_factor=10.0)
-    assert gadgets.gamma_eff(strong, 1.0) == pytest.approx(0.2 * 10.0, rel=1e-10)
+    assert theory.gamma_eff(strong, 1.0) == pytest.approx(0.2 * 10.0, rel=1e-10)
 
 
 def test_gamma_eff_monotone_in_norm_factor():
     vals = [
-        gadgets.gamma_eff(SimpleNamespace(overlap=0.5, norm_factor=nf), 1.0)
+        theory.gamma_eff(SimpleNamespace(overlap=0.5, norm_factor=nf), 1.0)
         for nf in (1.0, 5.0, 25.0)
     ]
     assert vals[0] < vals[1] < vals[2]
@@ -165,7 +166,7 @@ def test_gamma_eff_on_real_gadget():
     dim = 40
     g = gadgets.ProjectorGadget(fock.fock_state(2, dim), fock.coherent_state(2.0, dim), 2)
     expected = min(1.0, 2.0 * (1.0 - abs(g.overlap) ** 2)) * g.norm_factor * 0.3
-    assert gadgets.gamma_eff(g, 0.3) == pytest.approx(expected, rel=1e-12)
+    assert theory.gamma_eff(g, 0.3) == pytest.approx(expected, rel=1e-12)
 
 
 def test_steady_fidelity_prediction_limits():
@@ -173,13 +174,13 @@ def test_steady_fidelity_prediction_limits():
     # orthogonal case: y=|0>, k=2 gives Ψ=|2>; target |3> ⟂ Ψ
     g = gadgets.ProjectorGadget(fock.fock_state(3, dim), fock.fock_state(0, dim), 2)
     rho_in = fock.pure_density(g.psi)
-    assert gadgets.steady_fidelity_prediction(g, rho_in) == pytest.approx(1.0, abs=1e-12)
+    assert theory.steady_fidelity_prediction(g, rho_in) == pytest.approx(1.0, abs=1e-12)
     rho_out = fock.pure_density(fock.fock_state(7, dim))
-    assert gadgets.steady_fidelity_prediction(g, rho_out) == pytest.approx(0.0, abs=1e-12)
+    assert theory.steady_fidelity_prediction(g, rho_out) == pytest.approx(0.0, abs=1e-12)
     # orthogonal case reduces to Tr{Pρ0} exactly
     rho_half = 0.5 * rho_in + 0.5 * rho_out
     weight = float(np.real(np.trace(g.projector @ rho_half)))
-    assert gadgets.steady_fidelity_prediction(g, rho_half) == pytest.approx(weight, abs=1e-12)
+    assert theory.steady_fidelity_prediction(g, rho_half) == pytest.approx(weight, abs=1e-12)
 
 
 def test_jump_rate_ratio():
@@ -188,11 +189,11 @@ def test_jump_rate_ratio():
     op = gadgets.ncl_lindblad(f, dim)
     me0 = liouvillian.MasterEquation(dim, gamma_linear=0.0, gamma_nonlinear=1.0, nonlinear_op=op)
     psi = fock.coherent_state(3.0, dim)
-    assert gadgets.jump_rate_ratio(me0, psi) == 0.0
+    assert theory.jump_rate_ratio(me0, psi) == 0.0
 
     me = liouvillian.MasterEquation(dim, gamma_linear=0.5, gamma_nonlinear=1.0, nonlinear_op=op)
     with pytest.raises(UndefinedRatioError):
-        gadgets.jump_rate_ratio(me, fock.fock_state(1, dim))  # f(1)=0 kills the jump
+        theory.jump_rate_ratio(me, fock.fock_state(1, dim))  # f(1)=0 kills the jump
 
     # projector gadget: r = Γ(n̄+1) <Ψ|n̂|Ψ> / (γ N), by independent sums
     g = gadgets.ProjectorGadget(fock.fock_state(2, dim), fock.coherent_state(5.0, dim), 2)
@@ -200,11 +201,11 @@ def test_jump_rate_ratio():
     me2 = liouvillian.MasterEquation(
         dim, gamma_linear=1.0, gamma_nonlinear=0.2, nbar=0.5, nonlinear_op=a_op
     )
-    r = gadgets.jump_rate_ratio(me2, g.psi)
+    r = theory.jump_rate_ratio(me2, g.psi)
     mean_psi = float(np.sum(np.arange(dim) * np.abs(g.psi) ** 2))
     expected = 1.0 * 1.5 * mean_psi / (0.2 * g.norm_factor)
     assert r == pytest.approx(expected, rel=1e-10)
     assert r < 1.0  # jump-rate dominance regime at alpha=5
 
     with pytest.raises(DimensionMismatchError):
-        gadgets.jump_rate_ratio(me2, fock.fock_state(0, dim + 1))
+        theory.jump_rate_ratio(me2, fock.fock_state(0, dim + 1))

@@ -11,7 +11,7 @@ projector, random low-rank or no engineered channel.  The references live in
 
 import numpy as np
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import random_density
@@ -24,20 +24,32 @@ rates = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
 coeffs = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3)
 
 
-def _engineered(draw, kind, dim, rng):
+def _equation(kind, dim, seed, shape, gamma_linear, gamma_nonlinear, nbar, omega):
+    """(MasterEquation, random number generator seeded with ``seed``) with an
+    engineered channel of ``kind``, whose ``shape`` is (coefficients, shift)
+    of f for ncl, the power k of a projector |φ><y| a^k with generic complex
+    φ, y, the rank of a generic complex lowrank operator, and None for none."""
+    rng = np.random.default_rng(seed)
+    op = None
     if kind == "ncl":
-        f = gadgets.NonlinearFunction(draw(coeffs), draw(st.floats(0, 2)))
-        return gadgets.ncl_lindblad(f, dim)
-    if kind == "projector":  # |φ><y| a^k with generic complex φ, y
+        op = gadgets.ncl_lindblad(gadgets.NonlinearFunction(*shape), dim)
+    elif kind == "projector":
         phi, y = (rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(2))
-        ak = np.linalg.matrix_power(fock.annihilation(dim), draw(st.integers(1, 2)))
-        return np.outer(phi, y.conj() @ ak)
-    if kind == "lowrank":  # generic complex operator of drawn rank 1..dim
+        op = np.outer(phi, y.conj() @ np.linalg.matrix_power(fock.annihilation(dim), shape))
+    elif kind == "lowrank":
         us, vs = (
             rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2)
         )
-        return sum(np.outer(us[i], vs[i]) for i in range(draw(st.integers(1, dim))))
-    return None
+        op = sum(np.outer(us[i], vs[i]) for i in range(shape))
+    me = lv.MasterEquation(
+        dim,
+        gamma_linear=gamma_linear,
+        gamma_nonlinear=gamma_nonlinear,
+        nbar=nbar,
+        omega=omega,
+        nonlinear_op=op,
+    )
+    return me, rng
 
 
 @st.composite
@@ -45,18 +57,42 @@ def equations(draw, lowering=False):
     """(MasterEquation, random number generator) over all equation shapes; with
     ``lowering`` only pure-lowering ones (no drive, no pumping, no projector)."""
     dim = draw(st.integers(2, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
     kinds = ["ncl", "none"] if lowering else ["ncl", "projector", "lowrank", "none"]
-    op = _engineered(draw, draw(st.sampled_from(kinds)), dim, rng)
-    me = lv.MasterEquation(
+    kind = draw(st.sampled_from(kinds))
+    shapes = {
+        "ncl": st.tuples(coeffs, st.floats(0, 2)),
+        "projector": st.integers(1, 2),
+        "lowrank": st.integers(1, dim),
+        "none": st.none(),
+    }
+    return _equation(
+        kind,
         dim,
-        gamma_linear=draw(rates),
-        gamma_nonlinear=0.0 if op is None else draw(st.floats(0.05, 3.0)),
-        nbar=0.0 if lowering else draw(rates),
-        omega=0.0 if lowering else draw(st.one_of(st.just(0.0), st.floats(-3.0, 3.0))),
-        nonlinear_op=op,
+        seed,
+        draw(shapes[kind]),
+        draw(rates),
+        0.0 if kind == "none" else draw(st.floats(0.05, 3.0)),
+        0.0 if lowering else draw(rates),
+        0.0 if lowering else draw(st.one_of(st.just(0.0), st.floats(-3.0, 3.0))),
     )
-    return me, rng
+
+
+# one equation of each kind, whatever the derandomized draws are
+PINS = [
+    ("ncl", 12, 1, ([0.5, -1.0, 2.0], 1.5), 3.0, 3.0, 3.0, -3.0),
+    ("projector", 9, 2, 2, 0.05, 0.05, 0.0, 2.5),
+    ("lowrank", 12, 3, 12, 0.0, 1.7, 0.4, 0.0),
+    ("none", 2, 4, None, 1.0, 0.0, 0.0, 3.0),
+]
+
+
+def _pinned(test):
+    """``test`` with an explicit example of each pin in ``PINS``, each a
+    fresh equation and generator."""
+    for pin in PINS:
+        test = example(_equation(*pin))(test)
+    return test
 
 
 def _reference(me, rho):
@@ -73,8 +109,10 @@ def _close(a, b, scale):
 
 @SETTINGS
 @given(equations())
+@_pinned
 def test_rhs_matches_dense_reference(drawn):
     me, rng = drawn
+    assert np.array_equal(me.hamiltonian, me.hamiltonian.conj().T)
     rho = random_density(me.dim, rng)
     ref = _reference(me, rho)
     out = lv.rhs(me, rho)
@@ -116,6 +154,7 @@ def test_gram_of_every_preset_channel_is_bitwise_the_sparse_product():
 
 @SETTINGS
 @given(equations())
+@_pinned
 def test_superoperator_matches_rhs(drawn):
     me, rng = drawn
     rho = random_density(me.dim, rng)
@@ -146,6 +185,7 @@ def _check_hermitian_map(me, rng):
 
 @SETTINGS
 @given(equations())
+@_pinned
 def test_hermitian_blocks_match_rhs(drawn):
     me, rng = drawn
     coupling = _check_hermitian_map(me, rng)
@@ -198,6 +238,6 @@ def test_truncated_equation_matches_written_form(dim, cs, gl, gnl, omega, seed):
     bdm = bm.conj().T
     ref = gnl * (a @ rho @ bdm + bm @ rho @ ad - ad @ bm @ rho - rho @ bdm @ a)
     scale = np.abs(ref).max()
-    assert _close(steady.approximate_rhs(me, f, rho), ref, scale)
-    lop = oracles.superoperator(steady._approximate_generator(me, f))
-    assert _close(lop @ oracles.vec(rho), oracles.vec(ref), scale)
+    truncated = steady._approximate_generator(me, f)
+    assert _close(truncated.apply(rho), ref, scale)
+    assert _close(oracles.superoperator(truncated) @ oracles.vec(rho), oracles.vec(ref), scale)

@@ -129,7 +129,7 @@ def test_rhs_driving_ehrenfest():
     me = lv.MasterEquation(dim, omega=1.0)
     rho = fock.pure_density(fock.fock_state(0, dim))
     out = lv.rhs(me, rho)
-    n_op = fock.number_operator(dim)
+    n_op = fock.diagonal_function_operator(float, dim)
     quad = fock.annihilation(dim) + fock.creation(dim)
     assert np.trace(n_op @ out) == pytest.approx(0.0, abs=1e-12)
     assert np.real(np.trace(quad @ out)) == pytest.approx(-2.0, abs=1e-12)

@@ -6,16 +6,17 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+import theory
 from conftest import random_density
-from nclsim import fock, gadgets, liouvillian as lv, scenarios as sc, steady
+from nclsim import fock, gadgets, liouvillian as lv, observables, scenarios as sc, steady
 from nclsim.errors import (
     BlockedRecurrenceError,
     DimensionCapError,
     InvalidStateError,
     NonUniqueSteadyStateError,
-    PeakWindowError,
     TailGuardError,
 )
+from theory import PeakWindowError
 
 
 def _ncl_me(dim, f=None, **kw):
@@ -323,9 +324,7 @@ def test_ncl_recurrence_approximates_full_solver_at_strong_driving():
     rec = steady.ncl_recurrence(f, 150.0, 0.2, 64)
     assert np.abs(d_exact - rec.probabilities).max() <= 0.05
     assert abs(int(np.argmax(d_exact)) - int(np.argmax(rec.probabilities))) <= 1
-    from nclsim.observables import mandel_q
-
-    assert abs(mandel_q(rho) - rec.mandel_q()) <= 0.1
+    assert abs(observables.photon_distribution(rho).mandel_q() - rec.mandel_q()) <= 0.1
 
 
 # -- thermal recurrence ------------------------------------------------------
@@ -342,7 +341,7 @@ def test_thermal_recurrence_truncation():
     f3 = gadgets.NonlinearFunction.from_name("(x-1)^3")
     nbar, ratio, dim = 2.0, 0.2, 40
     dist = steady.thermal_recurrence(f3, nbar, ratio, dim)
-    nt = steady.thermal_truncation_number(f3, nbar, ratio, dim)
+    nt = theory.thermal_truncation_number(f3, nbar, ratio, dim)
     assert dist.probabilities[nt + 2 :].sum() <= 1e-3
     assert dist.probabilities[: nt + 1].sum() >= 0.9
 
@@ -386,34 +385,34 @@ def test_nonclassicality_ratio_criterion():
 def test_peak_condition_power_law_location():
     f = gadgets.NonlinearFunction.from_name("x-1")
     alpha0 = 1e4
-    est = steady.peak_condition(f, alpha0, 0.0, 200)
+    est = theory.peak_condition(f, alpha0, 0.0, 200)
     assert est.n0 == pytest.approx(alpha0 ** (2.0 / 5.0), rel=0.1)
 
 
 @pytest.mark.parametrize("k,expected", [(1, -0.8), (2, -8.0 / 9.0), (3, -12.0 / 13.0)])
 def test_peak_condition_power_law_q(k, expected):
     fk = gadgets.NonlinearFunction.from_name("x^k", power=k)
-    est = steady.peak_condition(fk, 1e6, 0.0, 400)
+    est = theory.peak_condition(fk, 1e6, 0.0, 400)
     assert est.q_estimate == pytest.approx(expected, abs=0.02)
 
 
 def test_peak_condition_x_minus_one_limit():
     f = gadgets.NonlinearFunction.from_name("x-1")
-    qs = [steady.peak_condition(f, a0, 0.0, 600).q_estimate for a0 in (1e2, 1e4, 1e6)]
+    qs = [theory.peak_condition(f, a0, 0.0, 600).q_estimate for a0 in (1e2, 1e4, 1e6)]
     assert abs(qs[-1] - (-0.8)) < abs(qs[0] - (-0.8))
     assert qs[-1] == pytest.approx(-0.8, abs=0.01)
 
 
 def test_peak_condition_tie_breaks_down():
     f1 = gadgets.NonlinearFunction([1.0])  # mismatch |n - α₀²|
-    est = steady.peak_condition(f1, np.sqrt(1.5), 0.0, 10)
+    est = theory.peak_condition(f1, np.sqrt(1.5), 0.0, 10)
     assert est.n0 == 1
 
 
 def test_peak_condition_window_error():
     f = gadgets.NonlinearFunction.from_name("x-1")
     with pytest.raises(PeakWindowError):
-        steady.peak_condition(f, 1e4, 0.0, 20)
+        theory.peak_condition(f, 1e4, 0.0, 20)
 
 
 def test_q_estimate_converges_to_recurrence_q():
@@ -423,15 +422,15 @@ def test_q_estimate_converges_to_recurrence_q():
     gaps = []
     for alpha0, dim in ((1e3, 160), (1e4, 400), (1e5, 1500)):
         q_rec = steady.ncl_recurrence(fk, alpha0, 0.0, dim).mandel_q()
-        q_est = steady.peak_condition(fk, alpha0, 0.0, dim).q_estimate
+        q_est = theory.peak_condition(fk, alpha0, 0.0, dim).q_estimate
         gaps.append(abs(q_rec - q_est))
     assert gaps[0] > gaps[1] > gaps[2]
 
 
 def test_gaussian_profile_basics():
     f = gadgets.NonlinearFunction.from_name("x-1")
-    assert steady.gaussian_profile(f, 40, 0.0, 0) == 1.0
-    assert steady.gaussian_profile(f, 40, 0.0, 3) == steady.gaussian_profile(f, 40, 0.0, -3)
+    assert theory.gaussian_profile(f, 40, 0.0, 0) == 1.0
+    assert theory.gaussian_profile(f, 40, 0.0, 3) == theory.gaussian_profile(f, 40, 0.0, -3)
 
 
 def test_gaussian_profile_against_recurrence():
@@ -442,7 +441,7 @@ def test_gaussian_profile_against_recurrence():
     p = steady.ncl_recurrence(f, alpha0, 0.0, 450, start=1).probabilities
     for dn in (3, -3):
         exact = p[n0 + dn] / p[n0]
-        assert abs(steady.gaussian_profile(f, n0, 0.0, dn) - exact) / exact <= 0.25
+        assert abs(theory.gaussian_profile(f, n0, 0.0, dn) - exact) / exact <= 0.25
 
     # narrow peak: accurate above the peak; the |δn|(|δn|+1) symmetrization
     # overestimates the decay of the lower shoulder (measured 31% at n0=40)
@@ -450,9 +449,9 @@ def test_gaussian_profile_against_recurrence():
     alpha0 = float(np.sqrt(n0 * (n0 - 1) ** 4))
     p = steady.ncl_recurrence(f, alpha0, 0.0, 120, start=1).probabilities
     up = p[n0 + 3] / p[n0]
-    assert abs(steady.gaussian_profile(f, n0, 0.0, 3) - up) / up <= 0.25
+    assert abs(theory.gaussian_profile(f, n0, 0.0, 3) - up) / up <= 0.25
     down = p[n0 - 3] / p[n0]
-    assert 1.0 / 1.5 <= steady.gaussian_profile(f, n0, 0.0, -3) / down <= 1.5
+    assert 1.0 / 1.5 <= theory.gaussian_profile(f, n0, 0.0, -3) / down <= 1.5
 
 
 # -- truncated equation ------------------------------------------------------
@@ -464,35 +463,38 @@ def test_approximate_rhs_identity(rng):
     me = _ncl_me(dim, gamma_linear=0.25, gamma_nonlinear=1.25, omega=2.0)
     a = fock.annihilation(dim)
     fd = fock.diagonal_function_operator(f, dim)
+    truncated = steady._approximate_generator(me, f)
     for _ in range(20):
         rho = random_density(dim, rng)
         full = lv.rhs(me, rho)
-        approx = steady.approximate_rhs(me, f, rho)
+        approx = truncated.apply(rho)
         inner = rho @ fd - fd @ rho
         outer = inner @ fd - fd @ inner
         correction = me.gamma_nonlinear * (a @ outer @ a.conj().T)
         assert np.abs(full - (approx - correction)).max() <= 1e-10
 
 
-def test_approximate_rhs_preconditions(rng):
+def test_approximate_rhs_preconditions():
     f = gadgets.NonlinearFunction.from_name("x-1")
     me_thermal = _ncl_me(8, gamma_nonlinear=1.0, nbar=0.5, gamma_linear=0.2)
     with pytest.raises(InvalidStateError):
-        steady.approximate_rhs(me_thermal, f, random_density(8, rng))
+        steady._approximate_generator(me_thermal, f)
     f2 = gadgets.NonlinearFunction.from_name("(x-1)^2")
     me = _ncl_me(8, gamma_nonlinear=1.0)
     with pytest.raises(InvalidStateError):
-        steady.approximate_rhs(me, f2, random_density(8, rng))  # operator mismatch
+        steady._approximate_generator(me, f2)  # operator mismatch
 
 
 def test_approximate_superoperator_consistency(rng):
     dim = 7
     f = gadgets.NonlinearFunction.from_name("x-1")
     me = _ncl_me(dim, gamma_linear=0.3, gamma_nonlinear=0.9, omega=1.7)
-    lop = oracles.superoperator(steady._approximate_generator(me, f)).toarray()
+    truncated = steady._approximate_generator(me, f)
+    lop = oracles.superoperator(truncated).toarray()
     for _ in range(10):
         rho = random_density(dim, rng)
-        assert np.abs(lop @ oracles.vec(rho) - oracles.vec(steady.approximate_rhs(me, f, rho))).max() <= 1e-12
+        out = truncated.apply(rho)
+        assert np.abs(lop @ oracles.vec(rho) - oracles.vec(out)).max() <= 1e-12
 
 
 def test_approximate_steady_state_matches_recurrence():
@@ -502,7 +504,7 @@ def test_approximate_steady_state_matches_recurrence():
     assert rho.dtype == np.complex128
     d_rec = steady.ncl_recurrence(f, 5.0, 0.2, 30).probabilities
     assert np.abs(np.real(np.diag(rho)) - d_rec).max() <= 1e-8
-    assert steady.b_eigen_residual(me, f, rho) <= 1e-8
+    assert theory.b_eigen_residual(me, f, rho) <= 1e-8
 
 
 def test_approximate_steady_state_by_evolution():
