@@ -587,13 +587,13 @@ def _propagation_cases(draw):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(_propagation_cases())
 # one pinned case of each kind, whatever the derandomized draws are
 @example(_propagation_case("ncl", 30, 2.0, 0.2, 0.0, 1.0, 0.3))
 @example(_propagation_case("driven", 20, 0.1, 0.02, -1.0, 0.9 * np.exp(0.9j), 0.3))
 @example(_propagation_case("thermal", 16, 2.0, 0.0, 0.3, 1.0, 0.3))
 @example(_propagation_case("projector", 24, 0.1, 0.0, 1.0, 0.2 * np.exp(0.9j), 0.05))
 @example(_propagation_case("rotated", 18, 0.5, 0.2, 0.0, np.exp(0.9j), 0.3))
+@given(_propagation_cases())
 def test_propagation_matches_expm_multiply_on_the_superoperator(case):
     # an independent path: Al-Mohy & Higham's truncated Taylor action of the
     # sparse column-stacked superoperator (scipy), on the full space

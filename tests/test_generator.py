@@ -108,8 +108,8 @@ def _close(a, b, scale):
 
 
 @SETTINGS
-@given(equations())
 @_pinned
+@given(equations())
 def test_rhs_matches_dense_reference(drawn):
     me, rng = drawn
     assert np.array_equal(me.hamiltonian, me.hamiltonian.conj().T)
@@ -153,8 +153,8 @@ def test_gram_of_every_preset_channel_is_bitwise_the_sparse_product():
 
 
 @SETTINGS
-@given(equations())
 @_pinned
+@given(equations())
 def test_superoperator_matches_rhs(drawn):
     me, rng = drawn
     rho = random_density(me.dim, rng)
@@ -184,8 +184,8 @@ def _check_hermitian_map(me, rng):
 
 
 @SETTINGS
-@given(equations())
 @_pinned
+@given(equations())
 def test_hermitian_blocks_match_rhs(drawn):
     me, rng = drawn
     coupling = _check_hermitian_map(me, rng)
