@@ -37,24 +37,22 @@ def _f(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _open_csv(path):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    return fh, csv.writer(fh)  # csv default line terminator is CRLF
-
-
-TIMESERIES_HEADER = [
-    "time",
-    "sweep_value",
-    "mean_n",
-    "variance_n",
-    "mandel_q",
-    "fidelity",
-    "purity",
-    "trace_error",
-]
-DISTRIBUTION_HEADER = ["sweep_value", "n", "p_n"]
-STEADY_HEADER = ["sweep_value", "mandel_q", "mean_n", "purity", "converged"]
-
+# the columns of each CSV kind, in the order a config run writes the kinds
+CSV_COLUMNS = {
+    "timeseries": [
+        "time",
+        "sweep_value",
+        "mean_n",
+        "variance_n",
+        "mandel_q",
+        "fidelity",
+        "purity",
+        "trace_error",
+    ],
+    "steady": ["sweep_value", "mandel_q", "mean_n", "purity", "converged"],
+    "distribution": ["sweep_value", "n", "p_n"],
+    "poisson": ["sweep_value", "n", "p_n"],
+}
 
 # the point field holding the data of each distribution CSV kind
 _DIST_FIELD = {"distribution": "distribution", "poisson": "poisson_reference"}
@@ -68,49 +66,36 @@ def _points_with(result: ScenarioResult, kind: str) -> list:
     return [p for p in result.points if p.kind == kind]
 
 
+def _write_csv(path: str, header: list, rows) -> str:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)  # csv default line terminator is CRLF
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _rows(point, kind: str) -> list:
+    """The rows one point contributes to the CSV of one kind; the columns
+    between a row's sweep value and its last column name report fields."""
+    value = _f(point.sweep_value)
+    if kind == "timeseries":
+        fields = CSV_COLUMNS[kind][2:-1]
+        return [
+            [_f(t), value, *(_f(getattr(r, c)) for c in fields), _f(trace_error)]
+            for t, r, trace_error in zip(point.times, point.reports, point.trace_error)
+        ]
+    if kind == "steady":  # every steady point is solved exactly or analytically
+        r = point.steady_report
+        return [[value, *(_f(getattr(r, c)) for c in CSV_COLUMNS[kind][1:-1]), "true"]]
+    probabilities = getattr(point, _DIST_FIELD[kind]).probabilities
+    return [[value, str(n), _f(p)] for n, p in enumerate(probabilities)]
+
+
 def emit_csv(result: ScenarioResult, path: str, kind: str) -> str:
     """Write one CSV of the given kind (timeseries | steady | distribution |
     poisson, the Poisson reference of each distribution)."""
-    fh, writer = _open_csv(path)
-    with fh:
-        if kind == "timeseries":
-            writer.writerow(TIMESERIES_HEADER)
-            for point in _points_with(result, kind):
-                for i, t in enumerate(point.times):
-                    r = point.reports[i]
-                    writer.writerow(
-                        [
-                            _f(t),
-                            _f(point.sweep_value),
-                            _f(r.mean_n),
-                            _f(r.variance_n),
-                            _f(r.mandel_q),
-                            _f(r.fidelity),
-                            _f(r.purity),
-                            _f(point.trace_error[i]),
-                        ]
-                    )
-        elif kind == "steady":
-            writer.writerow(STEADY_HEADER)
-            for point in _points_with(result, kind):
-                r = point.steady_report
-                writer.writerow(
-                    [
-                        _f(point.sweep_value),
-                        _f(r.mandel_q),
-                        _f(r.mean_n),
-                        _f(r.purity),
-                        "true",  # every steady point is solved exactly or analytically
-                    ]
-                )
-        elif kind in _DIST_FIELD:
-            writer.writerow(DISTRIBUTION_HEADER)
-            for point in _points_with(result, kind):
-                for n, p in enumerate(getattr(point, _DIST_FIELD[kind]).probabilities):
-                    writer.writerow([_f(point.sweep_value), str(n), _f(p)])
-        else:
-            raise ConfigError(f"unknown csv kind {kind!r}")
-    return path
+    rows = (row for point in _points_with(result, kind) for row in _rows(point, kind))
+    return _write_csv(path, CSV_COLUMNS[kind], rows)
 
 
 def _timeseries_field(result: ScenarioResult) -> str:
@@ -123,13 +108,12 @@ def _timeseries_field(result: ScenarioResult) -> str:
 
 def _emit_curve_csv(result: ScenarioResult, path: str, field: str) -> str:
     """Per-figure convenience CSV: (time, sweep value, one observable)."""
-    fh, writer = _open_csv(path)
-    with fh:
-        writer.writerow(["t_Gamma", result.config.sweep.parameter, field])
-        for point in _points_with(result, "timeseries"):
-            for i, t in enumerate(point.times):
-                writer.writerow([_f(t), _f(point.sweep_value), _f(getattr(point.reports[i], field))])
-    return path
+    rows = (
+        [_f(t), _f(point.sweep_value), _f(getattr(r, field))]
+        for point in _points_with(result, "timeseries")
+        for t, r in zip(point.times, point.reports)
+    )
+    return _write_csv(path, ["t_Gamma", result.config.sweep.parameter, field], rows)
 
 
 def _timeseries_series(result: ScenarioResult, field: str):
@@ -160,11 +144,19 @@ def _steady_chart(path: str, series: list, parameter: str, title: str) -> str:
     return path
 
 
-def emit_svg(result: ScenarioResult, path: str, which: str = "auto") -> str:
-    """One chart per call: curve of the result's main observable, or bars."""
-    if which == "auto":
-        which = "timeseries" if _points_with(result, "timeseries") else "steady"
-    if which == "timeseries":
+def emit_svg(result: ScenarioResult, path: str, distribution: bool = False) -> str:
+    """One chart per call: the result's distributions as bars, or else the
+    curve of its main observable."""
+    name = result.config.name
+    if distribution:
+        groups = [
+            (f"{result.config.sweep.parameter}={p.sweep_value:g}", p.distribution.probabilities)
+            for p in _points_with(result, "distribution")
+        ]
+        refs = [p.poisson_reference.probabilities for p in _points_with(result, "poisson")]
+        ref = ("Poisson (same mean)", refs[0]) if refs else None
+        svg.bar_chart(path, groups, xlabel="n", ylabel="p_n", title=name, reference=ref)
+    elif _points_with(result, "timeseries"):
         field = _timeseries_field(result)
         svg.line_chart(
             path,
@@ -172,29 +164,10 @@ def emit_svg(result: ScenarioResult, path: str, which: str = "auto") -> str:
             xlabel="Γt",
             ylabel="fidelity" if field == "fidelity" else "Q",
             logx=result.config.solver.t_grid[0] == "log",
-            title=result.config.name,
+            title=name,
         )
-    elif which == "steady":
-        name = result.config.name
-        _steady_chart(path, [_steady_series(result, name)], result.config.sweep.parameter, name)
-    elif which == "distribution":
-        groups = []
-        ref = None
-        for point in _points_with(result, "distribution"):
-            groups.append(
-                (
-                    f"{result.config.sweep.parameter}={point.sweep_value:g}",
-                    point.distribution.probabilities,
-                )
-            )
-            if point.poisson_reference is not None and ref is None:
-                pr = point.poisson_reference.probabilities
-                ref = ("Poisson (same mean)", list(range(pr.size)), pr)
-        if not groups:
-            raise ConfigError("no distributions to plot")
-        svg.bar_chart(path, groups, xlabel="n", ylabel="p_n", title=result.config.name, reference=ref)
     else:
-        raise ConfigError(f"unknown svg kind {which!r}")
+        _steady_chart(path, [_steady_series(result, name)], result.config.sweep.parameter, name)
     return path
 
 
@@ -227,7 +200,7 @@ def _emit_csvs(result: ScenarioResult, base: str) -> list:
     series only when the config records them), named <base>_<kind>.csv."""
     return [
         emit_csv(result, f"{base}_{kind}.csv", kind)
-        for kind in ("timeseries", "steady", "distribution", "poisson")
+        for kind in CSV_COLUMNS
         if _points_with(result, kind) and (kind != "timeseries" or result.config.output.timeseries)
     ]
 
@@ -240,7 +213,7 @@ def _emit_config_outputs(result: ScenarioResult, fileout: FileOutput) -> tuple:
     if fileout.svg and status != 2:
         files.append(emit_svg(result, base + ".svg"))
     if fileout.svg and _points_with(result, "distribution"):
-        files.append(emit_svg(result, base + "_distribution.svg", which="distribution"))
+        files.append(emit_svg(result, base + "_distribution.svg", distribution=True))
     return _write_provenance(base, result.provenance, files), status
 
 
@@ -252,8 +225,7 @@ def _figure_chart(name: str, results: dict, path: str) -> str:
         parameter = next(iter(results.values())).config.sweep.parameter
         return _steady_chart(path, series, parameter, name)
     (result,) = results.values()
-    which = "distribution" if _points_with(result, "distribution") else "auto"
-    return emit_svg(result, path, which=which)
+    return emit_svg(result, path, distribution=bool(_points_with(result, "distribution")))
 
 
 def _figure_files(name: str, results: dict, outdir: str, want_svg: bool) -> tuple:

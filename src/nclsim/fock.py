@@ -105,8 +105,9 @@ def coherent_min_dim(alpha: complex, threshold: float = COHERENT_TAIL_THRESHOLD)
     mu = abs(alpha) ** 2
     if mu == 0.0:
         return 2
-    # isf gives a good starting point; walk to the exact integer boundary
-    d = max(2, _poisson_isf(threshold, mu) - 2)
+    # isf gives a good starting point unless 1 - threshold rounds to 1 (its
+    # start is then NaN, and the walk starts at 2); walk to the exact boundary
+    d = 2 if 1.0 - threshold == 1.0 else max(2, _poisson_isf(threshold, mu) - 2)
     while _poisson_sf(d - 1, mu) >= threshold:
         d += 1
     return d
@@ -138,9 +139,11 @@ def coherent_state(alpha: complex, dim: int, guard: bool = True) -> np.ndarray:
     log_mag = n * np.log(abs(alpha)) - 0.5 * np.cumsum(np.log(np.maximum(n, 1)))
     log_mag -= log_mag.max()
     vec = np.exp(log_mag).astype(complex)
-    theta = float(np.angle(alpha))
-    if theta != 0.0:
-        vec *= np.exp(1j * theta * n)
+    alpha = complex(alpha)
+    if alpha.imag != 0.0:
+        vec *= np.exp(1j * float(np.angle(alpha)) * n)
+    elif alpha.real < 0.0:  # the phase e^{iπn} is the sign (-1)^n, applied exactly
+        vec[1::2] *= -1.0
     return vec / np.linalg.norm(vec)
 
 

@@ -5,28 +5,34 @@ no renderer, no fonts beyond the viewer default, byte-deterministic output
 for identical inputs.  Only the two chart shapes the presets need are
 provided: multi-series line charts (optionally log-x, optionally marking the
 global minimum) and grouped bar charts with an optional reference polyline.
+Both end in one epilogue, which draws the frame, title, axes and legend and
+writes the file; every text node passes through one place, which escapes
+XML markup.  The bar chart's n-axis ends past the last photon number where
+a group or the reference carries more than ``_MASS_CUT`` (1e-4) probability.
 """
 
 from __future__ import annotations
 
 import math
+from xml.sax.saxutils import escape
 
 import numpy as np
 
 _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 72, 18, 34, 56
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_MASS_CUT = 1e-4
 
 
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _lin_ticks(lo: float, hi: float, target: int = 5):
+def _lin_ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / max(target, 2)
+    raw = span / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -69,7 +75,41 @@ class _Frame:
         return _H - _MB - f * (_H - _MT - _MB)
 
 
-def _header(title: str):
+def _text(x, y, size: int, content: str, anchor: str = "", transform: str = "") -> str:
+    """One <text> node; its content is escaped here and nowhere else."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+        f'font-size="{size}"{transform}>{escape(content)}</text>'
+    )
+
+
+def _axes(frame, xlabel, ylabel) -> list:
+    parts = []
+    xticks = _log_ticks(frame.xlo, frame.xhi) if frame.logx else _lin_ticks(frame.xlo, frame.xhi)
+    for t in xticks:
+        px = f"{frame.x(t):.1f}"
+        parts.append(
+            f'<line x1="{px}" y1="{_H - _MB}" x2="{px}" y2="{_H - _MB + 5}" stroke="#333"/>'
+        )
+        parts.append(_text(px, _H - _MB + 18, 11, _fmt(t), "middle"))
+    for t in _lin_ticks(frame.ylo, frame.yhi):
+        py = frame.y(t)
+        parts.append(
+            f'<line x1="{_ML - 5}" y1="{py:.1f}" x2="{_ML}" y2="{py:.1f}" stroke="#333"/>'
+        )
+        parts.append(_text(_ML - 8, f"{py + 4:.1f}", 11, _fmt(t), "end"))
+    ymid = f"{(_MT + _H - _MB) / 2:.1f}"
+    parts.append(_text(f"{(_ML + _W - _MR) / 2:.1f}", _H - 14, 13, xlabel, "middle"))
+    parts.append(_text(18, ymid, 13, ylabel, "middle", f"rotate(-90 18 {ymid})"))
+    return parts
+
+
+def _write(path, title: str, frame, xlabel: str, ylabel: str, body: list, labels: list) -> None:
+    """Every chart's epilogue: background, plot frame, title and axes, then
+    the chart's own body, a legend entry per label in palette order, and the
+    file."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
@@ -78,57 +118,19 @@ def _header(title: str):
         'fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{_W / 2:.1f}" y="{_MT - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
-    return parts
-
-
-def _axes(parts, frame, xlabel, ylabel):
-    xticks = _log_ticks(frame.xlo, frame.xhi) if frame.logx else _lin_ticks(frame.xlo, frame.xhi)
-    for t in xticks:
-        px = frame.x(t)
-        parts.append(
-            f'<line x1="{px:.1f}" y1="{_H - _MB}" x2="{px:.1f}" y2="{_H - _MB + 5}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{px:.1f}" y="{_H - _MB + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
-        )
-    for t in _lin_ticks(frame.ylo, frame.yhi):
-        py = frame.y(t)
-        parts.append(
-            f'<line x1="{_ML - 5}" y1="{py:.1f}" x2="{_ML}" y2="{py:.1f}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{_ML - 8}" y="{py + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
-        )
-    parts.append(
-        f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{(_MT + _H - _MB) / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {(_MT + _H - _MB) / 2:.1f})">{ylabel}</text>'
-    )
-
-
-def _legend(parts, labels):
-    x0 = _W - _MR - 140
-    y = _MT + 14
+        parts.append(_text(f"{_W / 2:.1f}", _MT - 12, 14, title, "middle"))
+    parts += _axes(frame, xlabel, ylabel) + body
+    x0, y = _W - _MR - 140, _MT + 14
     for i, label in enumerate(labels):
-        color = _PALETTE[i % len(_PALETTE)]
         parts.append(
             f'<line x1="{x0}" y1="{y - 4}" x2="{x0 + 22}" y2="{y - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
+            f'stroke="{_PALETTE[i % len(_PALETTE)]}" stroke-width="2"/>'
         )
-        parts.append(
-            f'<text x="{x0 + 28}" y="{y}" font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        parts.append(_text(x0 + 28, y, 11, label))
         y += 16
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")
 
 
 def line_chart(
@@ -162,14 +164,13 @@ def line_chart(
         ally.max() + ypad,
         logx=logx,
     )
-    parts = _header(title)
-    _axes(parts, frame, xlabel, ylabel)
+    body = []
     for i, (label, xs, ys) in enumerate(finite):
         if not xs.size:
             continue
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(f"{frame.x(x):.2f},{frame.y(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(
+        body.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>'
         )
     if mark_min:
@@ -180,55 +181,36 @@ def line_chart(
                 if best is None or ys[j] < best[1]:
                     best = (xs[j], ys[j])
         if best is not None:
-            parts.append(
-                f'<circle cx="{frame.x(best[0]):.2f}" cy="{frame.y(best[1]):.2f}" r="5" '
+            cx, cy = frame.x(best[0]), frame.y(best[1])
+            body.append(
+                f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="5" '
                 'fill="none" stroke="#000" stroke-width="1.5"/>'
             )
-            parts.append(
-                f'<text x="{frame.x(best[0]) + 8:.1f}" y="{frame.y(best[1]) - 8:.1f}" '
-                f'font-family="sans-serif" font-size="11">min {_fmt(best[1])} at {_fmt(best[0])}</text>'
-            )
-    _legend(parts, [s[0] for s in finite])
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+            label = f"min {_fmt(best[1])} at {_fmt(best[0])}"
+            body.append(_text(f"{cx + 8:.1f}", f"{cy - 8:.1f}", 11, label))
+    _write(path, title, frame, xlabel, ylabel, body, [s[0] for s in finite])
 
 
-def bar_chart(
-    path,
-    groups,
-    xlabel: str,
-    ylabel: str,
-    title: str = "",
-    reference=None,
-    mass_cut: float = 1e-4,
-) -> None:
+def bar_chart(path, groups, xlabel: str, ylabel: str, title: str = "", reference=None) -> None:
     """Grouped bars over photon number; groups = [(label, probabilities), ...].
 
-    ``reference``: optional (label, xs, ys) polyline drawn on top (e.g. a
-    Poisson distribution with matched mean).  The n-axis is trimmed to where
-    any group carries more than ``mass_cut`` probability.
+    ``reference``: optional (label, probabilities) polyline drawn on top (e.g.
+    a Poisson distribution with matched mean).  The n-axis is trimmed, for
+    the groups and the reference alike, to where one of them carries more
+    than ``_MASS_CUT`` probability.
     """
     groups = [(label, np.asarray(p, dtype=float)) for label, p in groups]
+    drawn = groups + ([(reference[0], np.asarray(reference[1], dtype=float))] if reference else [])
     nmax = 1
-    for _, p in groups:
-        idx = np.nonzero(p > mass_cut)[0]
+    for _, p in drawn:
+        idx = np.nonzero(p > _MASS_CUT)[0]
         if idx.size:
             nmax = max(nmax, int(idx.max()) + 1)
-    if reference is not None:
-        _, rxs, rys = reference
-        idx = np.nonzero(np.asarray(rys) > mass_cut)[0]
-        if idx.size:
-            nmax = max(nmax, int(np.asarray(rxs)[idx].max()) + 1)
-    top = max(max(p[: nmax + 1].max() for _, p in groups), 1e-12)
-    if reference is not None:
-        top = max(top, float(np.asarray(reference[2]).max()))
+    top = max(max(p[: nmax + 1].max() for _, p in drawn), 1e-12)
     frame = _Frame(-0.5, nmax + 0.5, 0.0, 1.08 * top)
-    parts = _header(title)
-    _axes(parts, frame, xlabel, ylabel)
-    ngr = len(groups)
     slot = (frame.x(1.0) - frame.x(0.0)) * 0.8
-    width = slot / ngr
+    width = slot / len(groups)
+    body = []
     for gi, (label, p) in enumerate(groups):
         color = _PALETTE[gi % len(_PALETTE)]
         for n in range(min(nmax + 1, p.size)):
@@ -236,21 +218,14 @@ def bar_chart(
                 continue
             x0 = frame.x(n) - slot / 2 + gi * width
             y0 = frame.y(p[n])
-            parts.append(
+            body.append(
                 f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{width:.2f}" '
                 f'height="{frame.y(0.0) - y0:.2f}" fill="{color}" fill-opacity="0.85"/>'
             )
-    labels = [g[0] for g in groups]
     if reference is not None:
-        rlabel, rxs, rys = reference
         pts = " ".join(
-            f"{frame.x(float(x)):.2f},{frame.y(float(y)):.2f}"
-            for x, y in zip(rxs, rys)
-            if x <= nmax + 0.5
+            f"{frame.x(float(n)):.2f},{frame.y(float(y)):.2f}"
+            for n, y in enumerate(drawn[-1][1][: nmax + 1])  # the reference, drawn last
         )
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="#000" stroke-width="1.6"/>')
-        labels = labels + [rlabel]
-    _legend(parts, labels)
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+        body.append(f'<polyline points="{pts}" fill="none" stroke="#000" stroke-width="1.6"/>')
+    _write(path, title, frame, xlabel, ylabel, body, [g[0] for g in drawn])

@@ -4,6 +4,7 @@ import json
 import os
 import re
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -614,6 +615,15 @@ def test_svg_content(tmp_path):
     bars = (outdir / "unit_distribution.svg").read_text(encoding="utf-8")
     assert bars.count("<rect") > 4  # grouped bars present
     assert "p_n" in bars
+
+
+def test_chart_text_is_escaped(tmp_path):
+    outdir = tmp_path / "out"
+    text = EVOLVE_INI.format(outdir=outdir).replace("basename = unit", "basename = r&d<1>")
+    assert cli.main(["evolve", _write(tmp_path, text)]) == 0
+    for name in ("r&d<1>.svg", "r&d<1>_distribution.svg"):
+        title = ElementTree.parse(outdir / name).getroot().find("{http://www.w3.org/2000/svg}text")
+        assert title.text == "r&d<1>"
 
 
 def test_figure_fig2d(tmp_path):

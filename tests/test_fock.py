@@ -74,6 +74,12 @@ def test_coherent_moments():
     assert q == pytest.approx(0.0, abs=1e-8)
 
 
+def test_negative_real_coherent_amplitude_flips_odd_signs_exactly():
+    plus, minus = fock.coherent_state(2.0, 30), fock.coherent_state(-2.0, 30)
+    assert not minus.imag.any()
+    assert np.array_equal(minus, (-1.0) ** np.arange(30) * plus)
+
+
 def test_coherent_truncation_guard():
     with pytest.raises(TruncationLeakageError) as err:
         fock.coherent_state(5.0, 60)
@@ -229,6 +235,16 @@ def test_coherent_guard_decides_as_the_scipy_tail_does():
     # the presets' states pass without asking scipy
     for alpha, dim in ((2.0, 90), (5.0, 90), (2.0, 130), (8.0, 130)):
         assert fock._tail_below(dim - 1, alpha**2, fock.COHERENT_TAIL_THRESHOLD)
+
+
+def test_coherent_min_dim_below_double_resolution():
+    # the 1e-20 weight behind the projector's 1e-10 amplitude guard
+    from scipy.special import pdtrc
+
+    for alpha in (0.3, 1.0, 2.0):
+        d = fock.coherent_min_dim(alpha, threshold=1e-20)
+        assert pdtrc(d - 1, alpha**2) < 1e-20 <= pdtrc(d - 2, alpha**2)
+    assert fock.coherent_min_dim(1.0, threshold=1e-20) + 2 == 23
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0, -2.0, 1.0 + 1.0j])
