@@ -145,8 +145,9 @@ def _steady_chart(path: str, series: list, parameter: str, title: str) -> str:
 
 
 def emit_svg(result: ScenarioResult, path: str, distribution: bool = False) -> str:
-    """One chart per call: the result's distributions as bars, or else the
-    curve of its main observable."""
+    """One chart per call: the result's distributions as bars (callers ask
+    for them only when some point holds one), or else the curve of its main
+    observable."""
     name = result.config.name
     if distribution:
         groups = [

@@ -14,7 +14,6 @@ a group or the reference carries more than ``_MASS_CUT`` (1e-4) probability.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -76,12 +75,14 @@ class _Frame:
 
 
 def _text(x, y, size: int, content: str, anchor: str = "", transform: str = "") -> str:
-    """One <text> node; its content is escaped here and nowhere else."""
+    """One <text> node; its content is XML-escaped here and nowhere else
+    (by hand: xml.sax.saxutils imports urllib.request and its SSL stack)."""
+    content = content.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     anchor = f' text-anchor="{anchor}"' if anchor else ""
     transform = f' transform="{transform}"' if transform else ""
     return (
         f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
-        f'font-size="{size}"{transform}>{escape(content)}</text>'
+        f'font-size="{size}"{transform}>{content}</text>'
     )
 
 
