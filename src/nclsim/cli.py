@@ -255,13 +255,6 @@ def _figure_files(name: str, results: dict, outdir: str, want_svg: bool) -> tupl
 # ---------------------------------------------------------------------------
 # entry point
 
-_METHODS_FOR = {
-    "evolve": ("propagate",),
-    "steady": ("steady", "steady_approx"),
-    "recurrence": ("recurrence_ncl", "recurrence_thermal"),
-    "sweep": METHODS,
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -332,10 +325,11 @@ def main(argv=None) -> int:
             results = list(families.values())
         else:  # config-driven runs
             config, fileout = parse_config(args.config)
-            if config.solver.method not in _METHODS_FOR[args.command]:
+            methods = tuple(m for m, spec in METHODS.items() if spec[0] == args.command)
+            if args.command != "sweep" and config.solver.method not in methods:
                 raise ConfigError(
                     f"subcommand {args.command!r} expects solver method in "
-                    f"{_METHODS_FOR[args.command]}, config says {config.solver.method!r}"
+                    f"{methods}, config says {config.solver.method!r}"
                 )
             results = [run_sweep(config)]
             files, status = _emit_config_outputs(results[0], fileout)

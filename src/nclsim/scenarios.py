@@ -7,6 +7,10 @@ pure data: running a preset is exactly running :func:`run_sweep` on its
 expanded configs (one per curve family), so everything a preset does can be
 reproduced from a config file.
 
+:data:`METHODS` states each solver method once: its family (evolve, steady
+or recurrence, also the subcommand that runs it), whether it needs an ncl
+gadget, and its rate needs.  Validation, point execution and the CLI read it.
+
 Sweep points are independent and may execute in parallel (worker count from
 the NCLSIM_WORKERS environment variable); results are assembled by index, so
 the output is deterministic regardless of completion order.
@@ -58,15 +62,15 @@ SWEEPABLE = (
     "gamma_linear",
     "gamma_nonlinear",
 )
-METHODS = ("propagate", "steady", "steady_approx", "recurrence_ncl", "recurrence_thermal")
-# (method, rate, whether the method needs the rate zero rather than positive)
-_RATE_NEEDS = (
-    ("recurrence_ncl", "gamma_nonlinear", False),
-    ("recurrence_thermal", "gamma_linear", False),
-    ("recurrence_thermal", "nbar", False),
-    ("steady_approx", "gamma_nonlinear", False),
-    ("steady_approx", "nbar", True),
-)
+# solver method -> (family, needs an ncl gadget, rate needs); a rate need is
+# (rate, whether the method needs it zero rather than positive)
+METHODS = {
+    "propagate": ("evolve", False, ()),
+    "steady": ("steady", False, ()),
+    "steady_approx": ("steady", True, (("gamma_nonlinear", False), ("nbar", True))),
+    "recurrence_ncl": ("recurrence", True, (("gamma_nonlinear", False),)),
+    "recurrence_thermal": ("recurrence", True, (("gamma_linear", False), ("nbar", False))),
+}
 
 
 @dataclass(frozen=True)
@@ -139,16 +143,8 @@ class ScenarioConfig:
                 raise ConfigError("sweep requested but no values given")
             if not all(np.isfinite(v) for v in self.sweep.values):
                 raise ConfigError("sweep values must be finite")
-        method = self.solver.method
-        if method not in METHODS:
-            raise ConfigError(f"unknown solver method {method!r}")
-        if method in ("steady", "steady_approx") and self.dim > SPARSE_DIM_CAP:
-            raise ConfigError(f"{method} takes dim <= {SPARSE_DIM_CAP}, got {self.dim}")
-        start = self.solver.recurrence_start
-        if method == "recurrence_ncl" and not 0 <= start < self.dim:
-            raise ConfigError(f"recurrence_start {start} outside 0..{self.dim - 1}")
-        # the rates are checked on each resolved sweep point: one good point
-        # makes the config good, and run_point fails the others
+        # the method and rates are checked on each resolved sweep point: one
+        # good point makes the config good, and run_point fails the others
         first = None
         for value in _sweep_values(self):
             try:
@@ -158,12 +154,19 @@ class ScenarioConfig:
                 first = first or exc
         else:
             raise first
+        method = self.solver.method
+        family, needs_ncl, _ = METHODS[method]
+        if family == "steady" and self.dim > SPARSE_DIM_CAP:
+            raise ConfigError(f"{method} takes dim <= {SPARSE_DIM_CAP}, got {self.dim}")
+        start = self.solver.recurrence_start
+        if method == "recurrence_ncl" and not 0 <= start < self.dim:
+            raise ConfigError(f"recurrence_start {start} outside 0..{self.dim - 1}")
         if self.gadget.kind == "ncl":
             try:
                 self.gadget.nonlinear_function()
             except InvalidStateError as exc:
                 raise ConfigError(str(exc)) from exc
-        elif method in ("steady_approx", "recurrence_ncl", "recurrence_thermal"):
+        elif needs_ncl:
             raise ConfigError(f"{method} needs an ncl gadget")
         if self.gadget.kind == "projector":
             if self.gadget.target is None or self.gadget.source is None:
@@ -172,38 +175,41 @@ class ScenarioConfig:
                 raise ConfigError(f"projector gadget needs k >= 1, got {self.gadget.k}")
             _state_spec(self.gadget.target, _PURE_KINDS)
             _state_spec(self.gadget.source, _PURE_KINDS)
-        if method == "propagate":
+        if family == "evolve":
             _state_spec(self.initial)
             expand_grid(self.solver.t_grid)
         how = self.output.distribution_at
+        if self.output.poisson_reference and (family != "evolve" or how is None):
+            raise ConfigError("poisson_reference needs method propagate and a distribution_at")
         if how is None:
             return
-        if method == "propagate":
+        if family == "evolve":
             if how not in ("max_fidelity", "min_q", "final"):
                 raise ConfigError(f"distribution_at {how!r} not valid for time series")
         elif how.startswith("value:"):
             x = _value_target(how)
-            values = self.sweep.values if self.sweep.parameter != "none" else ()
-            if not any(_value_matches(x, v) for v in values):
+            if not any(_value_matches(x, v) for v in _sweep_values(self)):
                 raise ConfigError(f"distribution_at {how!r} matches no sweep value")
         elif how != "steady":
             raise ConfigError(f"distribution_at {how!r} not valid for steady solves")
 
 
 def _check_rates(cfg: ScenarioConfig) -> None:
-    """Refuse a rate, ``nbar`` or ``omega`` that is not finite, a negative
-    rate or ``nbar``, and a rate that ``cfg``'s method needs positive, or
-    zero, and is not (``_RATE_NEEDS``)."""
+    """Refuse an unknown solver method, a rate, ``nbar`` or ``omega`` that
+    is not finite, a negative rate or ``nbar``, and a rate that breaks the
+    method's rate needs (``METHODS``)."""
+    method = cfg.solver.method
+    if method not in METHODS:
+        raise ConfigError(f"unknown solver method {method!r}")
     for name in ("gamma_linear", "gamma_nonlinear", "nbar", "omega"):
         value = getattr(cfg, name)
         if not np.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
         if value < 0 and name != "omega":
             raise ConfigError(f"{name} must be >= 0, got {value}")
-    method = cfg.solver.method
-    for needs, name, zero in _RATE_NEEDS:
+    for name, zero in METHODS[method][2]:
         value = getattr(cfg, name)
-        if method == needs and not (value == 0 if zero else value > 0):
+        if not (value == 0 if zero else value > 0):
             raise ConfigError(f"{method} needs {name} {'= 0' if zero else '> 0'}, got {value}")
 
 
@@ -246,10 +252,11 @@ class ScenarioResult:
 # state and sweep resolution
 
 
-_PURE_KINDS = ("fock", "coherent")
+_KINDS = ("fock", "coherent", "thermal")
+_PURE_KINDS = _KINDS[:2]
 
 
-def _state_spec(spec: str, kinds: tuple = _PURE_KINDS + ("thermal",)) -> tuple:
+def _state_spec(spec: str, kinds: tuple = _KINDS) -> tuple:
     """State spec -> (kind, value): vacuum (as fock:0) | fock:n | coherent:a
     | thermal:n̄, each with a finite number (an integer n); the kind must be
     in ``kinds``."""
@@ -266,20 +273,18 @@ def _state_spec(spec: str, kinds: tuple = _PURE_KINDS + ("thermal",)) -> tuple:
     return kind, value
 
 
-def _pure_state(kind: str, value: float, dim: int) -> np.ndarray:
+def _state(spec: str, dim: int, kinds: tuple = _KINDS) -> np.ndarray:
+    """State spec -> state vector (fock, coherent) or density matrix (thermal)."""
+    kind, value = _state_spec(spec, kinds)
+    if kind == "thermal":
+        return thermal_density(value, dim)
     return fock_state(value, dim) if kind == "fock" else coherent_state(value, dim)
-
-
-def _parse_pure_state(spec: str, dim: int) -> np.ndarray:
-    return _pure_state(*_state_spec(spec, _PURE_KINDS), dim)
 
 
 def _parse_state(spec: str, dim: int) -> np.ndarray:
     """State spec -> density matrix (see :func:`_state_spec`)."""
-    kind, value = _state_spec(spec)
-    if kind == "thermal":
-        return thermal_density(value, dim)
-    return pure_density(_pure_state(kind, value, dim))
+    state = _state(spec, dim)
+    return state if state.ndim == 2 else pure_density(state)
 
 
 def _with_amplitude(spec: str | None, value: float) -> str | None:
@@ -319,8 +324,8 @@ def build_system(config: ScenarioConfig):
         op = ncl_lindblad(f, dim)
     elif config.gadget.kind == "projector":
         gadget = ProjectorGadget(
-            _parse_pure_state(config.gadget.target, dim),
-            _parse_pure_state(config.gadget.source, dim),
+            _state(config.gadget.target, dim, _PURE_KINDS),
+            _state(config.gadget.source, dim, _PURE_KINDS),
             config.gadget.k,
         )
         op = projector_lindblad(gadget, dim)
@@ -366,27 +371,24 @@ def _check_range_count(spec, n: int):
 
 
 def expand_grid(t_grid: tuple) -> np.ndarray:
-    kind = t_grid[0]
-    if kind in ("log", "lin"):
-        _check_range_count(t_grid, int(t_grid[3]))
+    kind, lo, hi, n = t_grid
+    if kind not in ("log", "lin"):
+        raise ConfigError(f"unknown grid kind {kind!r}")
+    _check_range_count(t_grid, int(n))
+    if not (0 if kind == "log" else -np.inf) < lo < hi < np.inf or int(n) < 2:
+        raise ConfigError(f"bad {'log' if kind == 'log' else 'linear'} grid {t_grid!r}")
     if kind == "log":
-        _, lo, hi, n = t_grid
-        if not 0 < lo < hi < np.inf or int(n) < 2:
-            raise ConfigError(f"bad log grid {t_grid!r}")
         return np.concatenate([[0.0], np.geomspace(float(lo), float(hi), int(n))])
-    if kind == "lin":
-        _, lo, hi, n = t_grid
-        if not -np.inf < lo < hi < np.inf or int(n) < 2:
-            raise ConfigError(f"bad linear grid {t_grid!r}")
-        return np.linspace(float(lo), float(hi), int(n))
-    raise ConfigError(f"unknown grid kind {t_grid[0]!r}")
+    return np.linspace(float(lo), float(hi), int(n))
 
 
 # ---------------------------------------------------------------------------
 # single-point execution
 
 
-def _select_distribution(out: OutputSpec, reports):
+def _distribution_at(out: OutputSpec, reports: list, sweep_value: float):
+    """The distribution ``out.distribution_at`` picks from a point's reports
+    (a stationary point passes its one report), or None."""
     how = out.distribution_at
     if how is None:
         return None
@@ -396,16 +398,9 @@ def _select_distribution(out: OutputSpec, reports):
     if how == "min_q":
         qs = [r.mandel_q if np.isfinite(r.mandel_q) else np.inf for r in reports]
         return reports[int(np.argmin(qs))].distribution
-    return reports[-1].distribution  # "final"
-
-
-def _steady_distribution_wanted(out: OutputSpec, sweep_value: float) -> bool:
-    how = out.distribution_at
-    if how is None:
-        return False
-    if how == "steady":
-        return True
-    return _value_matches(_value_target(how), sweep_value)  # "value:<x>"
+    if how.startswith("value:") and not _value_matches(_value_target(how), sweep_value):
+        return None
+    return reports[-1].distribution  # "final", "steady" or the matching "value:<x>"
 
 
 def run_point(config: ScenarioConfig, value: float) -> PointResult:
@@ -413,14 +408,15 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
     cfg = resolve_point(config, value)
     _check_rates(cfg)
     method = cfg.solver.method
+    family = METHODS[method][0]
 
-    if method == "propagate":
+    if family == "evolve":
         me, _, target = build_system(cfg)
         rho0 = _parse_state(cfg.initial, cfg.dim)
         grid = expand_grid(cfg.solver.t_grid)
         traj = propagate(me, rho0, grid, tol=cfg.solver.tol)
         reports = [observable_report(s, target=target) for s in traj.states]
-        dist = _select_distribution(cfg.output, reports)
+        dist = _distribution_at(cfg.output, reports, value)
         pois = None
         if dist is not None and cfg.output.poisson_reference:
             pois = poisson_distribution(dist.mean(), dist.dim)
@@ -438,7 +434,7 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
             solver_stats=traj.stats,
         )
 
-    if method in ("steady", "steady_approx"):
+    if family == "steady":
         me, f, target = build_system(cfg)
         stats = LUStats()
         if method == "steady":
@@ -446,38 +442,24 @@ def run_point(config: ScenarioConfig, value: float) -> PointResult:
         else:
             rho = approximate_steady_state(me, f, stats=stats)
         report = observable_report(rho, target=target)
-        dist = report.distribution if _steady_distribution_wanted(cfg.output, value) else None
-        return PointResult(
-            sweep_value=value,
-            kind="steady",
-            steady_report=report,
-            distribution=dist,
-            solver_stats=stats,
-        )
-
-    if method in ("recurrence_ncl", "recurrence_thermal"):
+    else:  # the recurrences
         f = cfg.gadget.nonlinear_function()
+        stats = None
         if method == "recurrence_ncl":
             alpha0 = cfg.omega / cfg.gamma_nonlinear
             epsilon = cfg.gamma_linear / cfg.gamma_nonlinear
-            dist = ncl_recurrence(
-                f, alpha0, epsilon, cfg.dim, start=cfg.solver.recurrence_start
-            )
+            dist = ncl_recurrence(f, alpha0, epsilon, cfg.dim, start=cfg.solver.recurrence_start)
         else:
-            dist = thermal_recurrence(
-                f, cfg.nbar, cfg.gamma_nonlinear / cfg.gamma_linear, cfg.dim
-            )
+            dist = thermal_recurrence(f, cfg.nbar, cfg.gamma_nonlinear / cfg.gamma_linear, cfg.dim)
         # the purity of the diagonal ansatz
         report = distribution_report(dist, float(np.sum(dist.probabilities**2)))
-        wanted = _steady_distribution_wanted(cfg.output, value)
-        return PointResult(
-            sweep_value=value,
-            kind="steady",
-            steady_report=report,
-            distribution=dist if wanted else None,
-        )
-
-    raise ConfigError(f"unknown solver method {method!r}")
+    return PointResult(
+        sweep_value=value,
+        kind="steady",
+        steady_report=report,
+        distribution=_distribution_at(cfg.output, [report], value),
+        solver_stats=stats,
+    )
 
 
 def preflight(config: ScenarioConfig) -> None:
@@ -491,7 +473,7 @@ def preflight(config: ScenarioConfig) -> None:
     for v in _sweep_values(config):
         cfg = resolve_point(config, float(v))
         build_system(cfg)
-        if cfg.solver.method == "propagate":
+        if METHODS[cfg.solver.method][0] == "evolve":
             _parse_state(cfg.initial, cfg.dim)
 
 
@@ -520,7 +502,7 @@ def run_sweep(config: ScenarioConfig) -> ScenarioResult:
     jobs = [(config, float(v)) for v in _sweep_values(config)]
     n = _worker_count(len(jobs))
     if n > 1 and len(jobs) > 1:
-        if config.solver.method in ("steady", "steady_approx"):
+        if METHODS[config.solver.method][0] == "steady":
             # imported once here, before the fork, not once in every worker
             import scipy.sparse.csgraph  # noqa: F401
             import scipy.sparse.linalg  # noqa: F401
@@ -649,16 +631,8 @@ def expand_preset(name: str):
     return list(_PRESETS[name])
 
 
-# the keys --override may set -> their INI section, whose converter they share
-_OVERRIDABLE = {
-    "dim": "system",
-    "gamma_linear": "system",
-    "gamma_nonlinear": "system",
-    "nbar": "system",
-    "omega": "system",
-    "tol": "solver",
-    "values": "sweep",
-}
+# the keys --override may set, each converted as its INI key is
+_OVERRIDABLE = {"dim", "gamma_linear", "gamma_nonlinear", "nbar", "omega", "tol", "values"}
 
 
 def apply_overrides(config: ScenarioConfig, overrides: dict | None) -> ScenarioConfig:
@@ -670,7 +644,7 @@ def apply_overrides(config: ScenarioConfig, overrides: dict | None) -> ScenarioC
     for key, raw in (overrides or {}).items():
         if key not in _OVERRIDABLE:
             raise ConfigError(f"unknown override key {key!r}")
-        where, name, convert = KEYS[_OVERRIDABLE[key]][key]
+        where, name, convert = next(keys[key] for keys in KEYS.values() if key in keys)
         try:
             value = convert(str(raw))
         except ConfigError as exc:

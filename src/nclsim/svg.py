@@ -107,10 +107,10 @@ def _axes(frame, xlabel, ylabel) -> list:
     return parts
 
 
-def _write(path, title: str, frame, xlabel: str, ylabel: str, body: list, labels: list) -> None:
+def _write(path, title: str, frame, xlabel: str, ylabel: str, body: list, legend: list) -> None:
     """Every chart's epilogue: background, plot frame, title and axes, then
-    the chart's own body, a legend entry per label in palette order, and the
-    file."""
+    the chart's own body, a legend entry per (label, colour) of ``legend``,
+    and the file."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
@@ -122,10 +122,10 @@ def _write(path, title: str, frame, xlabel: str, ylabel: str, body: list, labels
         parts.append(_text(f"{_W / 2:.1f}", _MT - 12, 14, title, "middle"))
     parts += _axes(frame, xlabel, ylabel) + body
     x0, y = _W - _MR - 140, _MT + 14
-    for i, label in enumerate(labels):
+    for label, color in legend:
         parts.append(
             f'<line x1="{x0}" y1="{y - 4}" x2="{x0 + 22}" y2="{y - 4}" '
-            f'stroke="{_PALETTE[i % len(_PALETTE)]}" stroke-width="2"/>'
+            f'stroke="{color}" stroke-width="2"/>'
         )
         parts.append(_text(x0 + 28, y, 11, label))
         y += 16
@@ -152,6 +152,7 @@ def line_chart(
         if logx:
             ok &= xs > 0
         finite.append((label, xs[ok], ys[ok]))
+    legend = [(s[0], _PALETTE[i % len(_PALETTE)]) for i, s in enumerate(finite)]
     allx = np.concatenate([s[1] for s in finite if s[1].size] or [np.array([0.0, 1.0])])
     ally = np.concatenate([s[2] for s in finite if s[2].size] or [np.array([0.0, 1.0])])
     ypad = 0.05 * (ally.max() - ally.min() or 1.0)
@@ -166,10 +167,9 @@ def line_chart(
         logx=logx,
     )
     body = []
-    for i, (label, xs, ys) in enumerate(finite):
+    for (_, xs, ys), (_, color) in zip(finite, legend):
         if not xs.size:
             continue
-        color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(f"{frame.x(x):.2f},{frame.y(y):.2f}" for x, y in zip(xs, ys))
         body.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>'
@@ -189,7 +189,7 @@ def line_chart(
             )
             label = f"min {_fmt(best[1])} at {_fmt(best[0])}"
             body.append(_text(f"{cx + 8:.1f}", f"{cy - 8:.1f}", 11, label))
-    _write(path, title, frame, xlabel, ylabel, body, [s[0] for s in finite])
+    _write(path, title, frame, xlabel, ylabel, body, legend)
 
 
 def bar_chart(path, groups, xlabel: str, ylabel: str, title: str = "", reference=None) -> None:
@@ -211,9 +211,9 @@ def bar_chart(path, groups, xlabel: str, ylabel: str, title: str = "", reference
     frame = _Frame(-0.5, nmax + 0.5, 0.0, 1.08 * top)
     slot = (frame.x(1.0) - frame.x(0.0)) * 0.8
     width = slot / len(groups)
+    legend = [(g[0], _PALETTE[gi % len(_PALETTE)]) for gi, g in enumerate(groups)]
     body = []
-    for gi, (label, p) in enumerate(groups):
-        color = _PALETTE[gi % len(_PALETTE)]
+    for gi, ((_, p), (_, color)) in enumerate(zip(groups, legend)):
         for n in range(min(nmax + 1, p.size)):
             if p[n] <= 0:
                 continue
@@ -229,4 +229,5 @@ def bar_chart(path, groups, xlabel: str, ylabel: str, title: str = "", reference
             for n, y in enumerate(drawn[-1][1][: nmax + 1])  # the reference, drawn last
         )
         body.append(f'<polyline points="{pts}" fill="none" stroke="#000" stroke-width="1.6"/>')
-    _write(path, title, frame, xlabel, ylabel, body, [g[0] for g in drawn])
+        legend.append((reference[0], "#000"))
+    _write(path, title, frame, xlabel, ylabel, body, legend)

@@ -1,3 +1,6 @@
+import functools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -48,3 +51,29 @@ def random_state(dim, rng):
 def trace_distance(rho1, rho2):
     w = np.linalg.eigvalsh(rho1 - rho2)
     return 0.5 * float(np.abs(w).sum())
+
+
+class KindDraws:
+    """The kinds of example a Hypothesis strategy generates.  The strategy
+    passes each generated example through :meth:`drew`; :meth:`each_drawn`
+    wraps a property (above its ``@settings``) so that a run of it fails,
+    naming every kind it generated no example of.  The ``@example`` pins do
+    not go through the strategy, so they do not count."""
+
+    def __init__(self, kinds):
+        self.kinds = kinds
+        self.counts = Counter()
+
+    def drew(self, kind, example):
+        self.counts[kind] += 1
+        return example
+
+    def each_drawn(self, test):
+        @functools.wraps(test)
+        def run(*args, **kwargs):
+            self.counts.clear()
+            test(*args, **kwargs)
+            missing = [kind for kind in self.kinds if not self.counts[kind]]
+            assert not missing, f"{test.__name__} generated no example of kind {missing}"
+
+        return run

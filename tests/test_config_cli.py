@@ -202,6 +202,38 @@ def test_csv_byte_determinism_and_roundtrip(tmp_path, monkeypatch):
     assert parsed == res.points[0].reports[0].purity
 
 
+def _csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_polynomial_gadget_writes_the_bytes_of_the_named_function(tmp_path):
+    # f_coeffs = 0,1 around f_shift = 1 is f(n) = n - 1, the preset x-1
+    named = _write(tmp_path, EVOLVE_INI.format(outdir=tmp_path / "named"), name="named.ini")
+    text = EVOLVE_INI.format(outdir=tmp_path / "coeffs")
+    text = text.replace("f = x-1", "f_coeffs = 0,1\nf_shift = 1")
+    coeffs = _write(tmp_path, text, name="coeffs.ini")
+    assert cli.main(["evolve", named]) == 0 and cli.main(["evolve", coeffs]) == 0
+    want = (tmp_path / "named" / "unit_timeseries.csv").read_bytes()
+    assert (tmp_path / "coeffs" / "unit_timeseries.csv").read_bytes() == want
+
+
+def test_thermal_initial_state_and_final_distribution(tmp_path):
+    outdir = tmp_path / "out"
+    text = _set_key(EVOLVE_INI.format(outdir=outdir), "initial", "state", "thermal:0.5")
+    text = _set_key(_set_key(text, "system", "dim", "40"), "output", "distribution_at", "final")
+    text = _set_key(_set_key(text, "sweep", "parameter", "gamma_linear"), "sweep", "values", "1,2")
+    assert cli.main(["evolve", _write(tmp_path, text)]) == 0
+    series = _csv_rows(outdir / "unit_timeseries.csv")[1:]
+    dist = _csv_rows(outdir / "unit_distribution.csv")[1:]
+    for value in ("1", "2"):
+        rows = [row for row in series if row[1] == value]
+        assert abs(float(rows[0][2]) - 0.5) <= 1e-11  # mean n of thermal:0.5 at t = 0
+        # the distribution is the one at the last grid time
+        mean = sum(int(n) * float(p) for v, n, p in dist if v == value)
+        assert abs(mean - float(rows[-1][2])) <= 1e-12
+
+
 def test_recurrence_cli_hits_asymptotic_q(tmp_path):
     outdir = tmp_path / "rec"
     path = _write(tmp_path, RECURRENCE_INI.format(outdir=outdir))
@@ -297,6 +329,8 @@ def _base_ini(base, outdir):
         for key, value in (("kind", "projector"), ("target", "fock:2"), ("source", "coherent:1.2")):
             text = _set_key(text, "gadget", key, value)
         text = _set_key(text, "system", "dim", "40")
+    if base == "timeseries":  # a propagation that records no distribution
+        text = _set_key(text, "output", "distribution_at", "")
     return text
 
 
@@ -305,6 +339,7 @@ def _base_ini(base, outdir):
     "base, section, key, value",
     [
         ("evolve", "gadget", "f", "(x-1)^4"),
+        ("evolve", "gadget", "f", ""),
         ("steady", "gadget", "f", "(x-1)^4"),
         ("steady", "gadget", "kind", "none"),
         ("projector", "gadget", "target", "fock:x"),
@@ -334,6 +369,10 @@ def _base_ini(base, outdir):
         ("recurrence", "solver", "recurrence_start", "40"),
         ("recurrence", "solver", "recurrence_start", "-1"),
         ("projector", "gadget", "k", "0"),
+        # a Poisson reference is drawn only beside a propagated distribution
+        ("steady", "output", "poisson_reference", "true"),
+        ("thermal", "output", "poisson_reference", "true"),
+        ("timeseries", "output", "poisson_reference", "true"),
     ],
 )
 def test_bad_input_is_a_config_error_before_any_output(

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import theory
-from conftest import generator_residual, trace_distance
+from conftest import KindDraws, generator_residual, trace_distance
 from nclsim import evolve, fock, gadgets, liouvillian as lv, scenarios
 from nclsim.errors import (
     InvalidStateError,
@@ -580,6 +580,7 @@ _SOURCE_MAX = {
     for dim in range(16, 31)
 }
 
+_CASE_KINDS = KindDraws(("ncl", "driven", "thermal", "projector", "rotated"))
 _CASE_PARAMS = {
     "thermal": lambda dim: st.floats(0.01, 0.3),
     "projector": lambda dim: st.floats(0.3, _SOURCE_MAX[dim]),
@@ -594,16 +595,18 @@ def _propagation_cases(draw):
     generator) equations, from a coherent state whose amplitude may be
     complex (a complex ρ₀)."""
     dim = draw(st.integers(16, 30))
-    kind = draw(st.sampled_from(["ncl", "driven", "thermal", "projector", "rotated"]))
+    kind = draw(st.sampled_from(_CASE_KINDS.kinds))
     gamma_linear = draw(st.floats(0.1, 2.0))
     gamma_nonlinear = draw(st.floats(0.02, 0.2))
     param = draw(_CASE_PARAMS[kind](dim)) if kind in _CASE_PARAMS else 0.0
     alpha = draw(st.floats(0.2, 1.0)) * np.exp(1j * draw(st.sampled_from([0.0, 0.9])))
-    return _propagation_case(
+    case = _propagation_case(
         kind, dim, gamma_linear, gamma_nonlinear, param, alpha, draw(st.floats(0.05, 0.3))
     )
+    return _CASE_KINDS.drew(kind, case)
 
 
+@_CASE_KINDS.each_drawn
 @settings(max_examples=30, deadline=None, derandomize=True)
 # one pinned case of each kind, whatever the derandomized draws are
 @example(_propagation_case("ncl", 30, 2.0, 0.2, 0.0, 1.0, 0.3))

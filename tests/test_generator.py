@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import random_density
+from conftest import KindDraws, random_density
 from nclsim import fock, gadgets, liouvillian as lv, scenarios, steady
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -22,6 +22,7 @@ RTOL = 1e-12
 
 rates = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
 coeffs = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3)
+KINDS = KindDraws(("ncl", "projector", "lowrank", "none"))
 
 
 def _equation(kind, dim, seed, shape, gamma_linear, gamma_nonlinear, nbar, omega):
@@ -58,15 +59,14 @@ def equations(draw, lowering=False):
     ``lowering`` only pure-lowering ones (no drive, no pumping, no projector)."""
     dim = draw(st.integers(2, 12))
     seed = draw(st.integers(0, 2**32 - 1))
-    kinds = ["ncl", "none"] if lowering else ["ncl", "projector", "lowrank", "none"]
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from(("ncl", "none") if lowering else KINDS.kinds))
     shapes = {
         "ncl": st.tuples(coeffs, st.floats(0, 2)),
         "projector": st.integers(1, 2),
         "lowrank": st.integers(1, dim),
         "none": st.none(),
     }
-    return _equation(
+    drawn = _equation(
         kind,
         dim,
         seed,
@@ -76,6 +76,7 @@ def equations(draw, lowering=False):
         0.0 if lowering else draw(rates),
         0.0 if lowering else draw(st.one_of(st.just(0.0), st.floats(-3.0, 3.0))),
     )
+    return KINDS.drew(kind, drawn)
 
 
 # one equation of each kind, whatever the derandomized draws are
@@ -107,6 +108,7 @@ def _close(a, b, scale):
     return np.abs(a - b).max() <= RTOL * max(1.0, scale)
 
 
+@KINDS.each_drawn
 @SETTINGS
 @_pinned
 @given(equations())
@@ -127,6 +129,7 @@ def _sparse_gram(x):
     return (x.conj().T @ x).toarray()
 
 
+@KINDS.each_drawn
 @SETTINGS
 @given(equations(), st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
 def test_gram_is_bitwise_the_sparse_product(drawn, offsets):
@@ -152,6 +155,7 @@ def test_gram_of_every_preset_channel_is_bitwise_the_sparse_product():
         assert lv._gram(op).tobytes() == _sparse_gram(op).tobytes()
 
 
+@KINDS.each_drawn
 @SETTINGS
 @_pinned
 @given(equations())
@@ -183,6 +187,7 @@ def _check_hermitian_map(me, rng):
     return np.count_nonzero((rows < ns) != (cols < ns))
 
 
+@KINDS.each_drawn
 @SETTINGS
 @_pinned
 @given(equations())
@@ -202,8 +207,9 @@ def test_complex_generator_couples_the_hermitian_blocks():
     assert _check_hermitian_map(me, np.random.default_rng(7))
 
 
+@KINDS.each_drawn
 @SETTINGS
-@given(st.one_of(equations(), equations(lowering=True)), st.data())
+@given(st.booleans().flatmap(lambda lowering: equations(lowering=lowering)), st.data())
 def test_block_reader_matches_padded_rhs(drawn, data):
     me, rng = drawn
     m = data.draw(st.integers(1, me.dim))

@@ -63,6 +63,13 @@ def test_single_value_sweep_equals_single_run():
     assert [r.mandel_q for r in swept.reports] == [r.mandel_q for r in direct.reports]
 
 
+def test_unknown_method_is_a_config_error_in_validation_and_point_execution():
+    cfg = _small_evolve_config(solver=sc.SolverSpec(method="bogus"))
+    for run in (cfg.validate, lambda: sc.run_point(cfg, 1.5)):
+        with pytest.raises(ConfigError, match="unknown solver method 'bogus'"):
+            run()
+
+
 def test_per_point_failure_isolation():
     cfg = _small_evolve_config()
     bad = sc.ScenarioConfig(**{**cfg.__dict__, "sweep": sc.SweepSpec("alpha", (1.0, 4.0))})
