@@ -41,10 +41,6 @@ class TruncationLeakageError(SimulationError):
 class TruncationBreachError(SimulationError):
     """Population reached the top Fock level during time evolution."""
 
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
-
 
 class StepSizeUnderflowError(SimulationError):
     """Adaptive integrator step collapsed below resolvable size."""

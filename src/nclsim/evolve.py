@@ -18,7 +18,8 @@ grid state is re-Hermitized, ρ ← (ρ+ρ†)/2; positivity is monitored but
 never projected, so integrator bugs surface in the recorded diagnostics.
 
 For master equations with no upward coupling (no driving, no thermal
-pumping, every channel operator on a single superdiagonal) population only
+pumping, every channel operator on a single superdiagonal: the equation
+decides it, through ``MasterEquation.is_pure_lowering``) population only
 flows down the ladder, and the integrator tracks a shrinking active block:
 top rows below 1e-14 are dropped, from ρ₀ and after every substep, and the
 next basis is built on the smaller block.  The truncation-breach guard is
@@ -156,28 +157,27 @@ class SolverStats:
 
 class _Engine:
     """Krylov exponential stepper on the active block, with hermitization,
-    the breach guard, window shrink (ρ₀ included) and grid states read from
-    the basis of the substep that covers them.  The basis is one
-    (KRYLOV_DIM + 2, m, m) array in the block's dtype, allocated for each
-    block size: the orthonormal vectors, then L v_{m+1}."""
+    the breach guard, window shrink (ρ₀ included) when the equation is pure
+    lowering, and grid states read from the basis of the substep that covers
+    them.  The basis is one (KRYLOV_DIM + 2, m, m) array in the block's
+    dtype, allocated for each block size: the orthonormal vectors, then
+    L v_{m+1}."""
 
-    def __init__(self, me: MasterEquation, rho0: np.ndarray, t0: float, tol: float,
-                 window: bool):
+    def __init__(self, me: MasterEquation, rho0: np.ndarray, t0: float, tol: float):
         self.me = me
         self.dim = me.dim
         self.tol = tol
         self.t = float(t0)
-        self.windowed = bool(window) and me.is_pure_lowering()
+        self.windowed = me.is_pure_lowering()
 
         real = me.generator.dtype == np.float64 and not np.imag(rho0).any()
         y = np.array(np.real(rho0) if real else rho0, dtype=np.float64 if real else complex)
-        self.yb = 0.5 * (y + y.conj().T)
+        self.yb, self.last_asym = _hermitized(y)
         self.k_active = self.dim
         if self.windowed:
             self._shrink()
         self._allocate()
         self.h = None
-        self.last_asym = 0.0
         self.substeps = self.rejected = self.matvecs = self.max_krylov = 0
 
     def _allocate(self):
@@ -321,8 +321,7 @@ class _Engine:
         if top > BREACH_TOL:
             raise TruncationBreachError(
                 f"top Fock level population {top:.3e} exceeds {BREACH_TOL:.0e} "
-                f"at t={self.t:.6g}; increase dim",
-                time=self.t,
+                f"at t={self.t:.6g}; increase dim"
             )
 
     def run(self, t_end: float, grid: np.ndarray) -> list:
@@ -402,9 +401,7 @@ class _States(Sequence):
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _States(self.blocks[i], self.dim)
+    def __getitem__(self, i: int) -> np.ndarray:
         return _padded(self.blocks[i], self.dim)
 
 
@@ -429,7 +426,6 @@ def propagate(
     rho0: np.ndarray,
     grid,
     tol: float = DEFAULT_TOL,
-    window: bool = True,
 ) -> Trajectory:
     """Integrate dρ/dt = rhs(me, ρ) and record the state on a time grid.
 
@@ -450,7 +446,7 @@ def propagate(
     if rho0.shape != (me.dim, me.dim):
         raise InvalidStateError(f"rho0 shape {rho0.shape} != ({me.dim}, {me.dim})")
 
-    eng = _Engine(me, rho0, grid[0], tol, window)
+    eng = _Engine(me, rho0, grid[0], tol)
     states, diags = zip(eng.observe(), *eng.run(float(grid[-1]), grid[1:]))
     tr, he, mi, tp = (np.array(col) for col in zip(*diags))
     return Trajectory(grid.copy(), _States(states, me.dim), tr, he, mi, tp, eng.stats())

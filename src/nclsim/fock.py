@@ -8,13 +8,13 @@ Conventions shared by every module in the package:
 * density matrices are Hermitian, unit-trace, positive-semidefinite
   (to tolerance) ndarrays
 
-Truncation guards are on by default: constructors that would silently leak
+Truncation guards have no switch: constructors that would silently leak
 weight past the cutoff raise :class:`~nclsim.errors.TruncationLeakageError`
-instead.  Silent leakage is the dominant failure mode of Fock-space
-simulation, so disabling a guard is an explicit per-call decision.  The
-coherent guard decides without scipy where a bound on the Poisson tail
-proves the weight small, and asks ``scipy.special`` for the exact tail only
-where it cannot, so propagating a coherent state imports no scipy.
+instead, since silent leakage is the dominant failure mode of Fock-space
+simulation.  The coherent guard decides without scipy where a bound on the
+Poisson tail proves the weight small, and asks ``scipy.special`` for the
+exact tail only where it cannot, so propagating a coherent state imports no
+scipy.
 """
 
 from __future__ import annotations
@@ -113,17 +113,17 @@ def coherent_min_dim(alpha: complex, threshold: float = COHERENT_TAIL_THRESHOLD)
     return d
 
 
-def coherent_state(alpha: complex, dim: int, guard: bool = True) -> np.ndarray:
+def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     """Coherent state |α> truncated to dim levels and renormalized.
 
-    Amplitudes are c_n ∝ α^n/sqrt(n!).  With the guard enabled the discarded
-    tail weight of the untruncated Poisson photon-number distribution must be
-    below ``COHERENT_TAIL_THRESHOLD``; otherwise the call fails and names the
+    Amplitudes are c_n ∝ α^n/sqrt(n!).  The discarded tail weight of the
+    untruncated Poisson photon-number distribution must be below
+    ``COHERENT_TAIL_THRESHOLD``; otherwise the call fails and names the
     minimal acceptable dimension.
     """
     dim = _check_dim(dim)
     mu = abs(alpha) ** 2
-    if guard and not _tail_below(dim - 1, mu, COHERENT_TAIL_THRESHOLD):
+    if not _tail_below(dim - 1, mu, COHERENT_TAIL_THRESHOLD):
         tail = _poisson_sf(dim - 1, mu)
         if tail >= COHERENT_TAIL_THRESHOLD:
             need = coherent_min_dim(alpha)
@@ -182,31 +182,6 @@ def diagonal_function_operator(f, dim: int) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise InvalidStateError("nonlinearity evaluates to a non-finite value on the basis")
     return np.diag(vals).astype(complex)
-
-
-def normal_order_norm(y: np.ndarray, k: int) -> float:
-    """<y| a^k (a†)^k |y> = ||(a†)^k |y>||², by explicit operator application.
-
-    Guarded: the top k amplitudes of |y> must be below 1e-10 so that the
-    repeated creation operator cannot spill weight past the cutoff.
-    """
-    y = np.asarray(y, dtype=complex)
-    dim = y.shape[0]
-    if int(k) != k or k < 1:
-        raise InvalidDimensionError(f"power k must be a positive integer, got {k}")
-    if dim < 2:
-        raise InvalidDimensionError("state too short")
-    top = np.abs(y[dim - k:]) if k < dim else np.abs(y)
-    if top.size and top.max() >= 1e-10:
-        raise TruncationLeakageError(
-            f"top-{k} amplitudes reach {top.max():.3e}; raising by (a†)^{k} would "
-            "spill past the cutoff (increase dim)"
-        )
-    v = y.copy()
-    cr = creation(dim)
-    for _ in range(int(k)):
-        v = cr @ v
-    return float(np.real(np.vdot(v, v)))
 
 
 def check_state_vector(psi: np.ndarray) -> np.ndarray:

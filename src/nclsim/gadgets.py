@@ -4,7 +4,8 @@ Two families of dissipation are built here:
 
 * the projector gadget A = |φ><y| a^k, which funnels population from a
   source state |y> toward a target |φ> at a rate set by the norm factor
-  N = <y| a^k (a†)^k |y>;
+  N = <y| a^k (a†)^k |y>; A, N and the raised source are all read from
+  the one row <y| a^k;
 * nonlinear coherent loss (NCL) A = a f(a†a), whose dark states are
   nonlinear coherent states selected by the zeros of f.
 """
@@ -19,14 +20,9 @@ from .errors import (
     DimensionMismatchError,
     InvalidDimensionError,
     InvalidStateError,
+    TruncationLeakageError,
 )
-from .fock import (
-    annihilation,
-    check_state_vector,
-    creation,
-    diagonal_function_operator,
-    normal_order_norm,
-)
+from .fock import annihilation, check_state_vector, diagonal_function_operator
 
 _PRESET_POLYS = {
     "x-1": ([0.0, 1.0], 1.0),
@@ -66,11 +62,14 @@ class NonlinearFunction:
 class ProjectorGadget:
     """Geometry of the engineered operator A = |φ><y| a^k.
 
-    Derived quantities: the normalized raised source |Ψ> ∝ (a†)^k |y>, its
-    norm factor N, the overlap <φ|Ψ>, the orthogonal complement |0> of |Ψ>
-    inside span{|φ>, |Ψ>}, and the projector P onto that two-dimensional
-    subspace.  Construction fails when |φ> and |Ψ> are parallel (the
-    complement is undefined there).
+    Everything is read from the row <y| a^k: the dense ``operator`` A, the
+    norm factor N = ‖<y| a^k‖² = <y| a^k (a†)^k |y>, and the normalized
+    raised source |Ψ> = (a†)^k |y>/√N, the row's conjugate over √N.  Also
+    derived: the overlap <φ|Ψ>, the orthogonal complement |0> of |Ψ> inside
+    span{|φ>, |Ψ>}, and the projector P onto that two-dimensional subspace.
+    Construction fails when the top k amplitudes of |y> reach 1e-10, where
+    raising by (a†)^k would spill weight past the cutoff, and when |φ> and
+    |Ψ> are parallel (the complement is undefined there).
     """
 
     def __init__(self, target: np.ndarray, source: np.ndarray, k: int):
@@ -93,14 +92,18 @@ class ProjectorGadget:
         self.k = int(k)
         self.dim = target.shape[0]
 
-        self.norm_factor = normal_order_norm(source, self.k)  # guards the cutoff
+        top = np.abs(source[max(self.dim - self.k, 0):])
+        if top.max() >= 1e-10:
+            raise TruncationLeakageError(
+                f"top-{self.k} amplitudes reach {top.max():.3e}; raising by (a†)^{self.k} "
+                "would spill past the cutoff (increase dim)"
+            )
+        row = source.conj() @ np.linalg.matrix_power(annihilation(self.dim), self.k)
+        self.operator = np.outer(target, row)
+        self.norm_factor = float(np.real(np.vdot(row, row)))
         if self.norm_factor <= 0:
             raise InvalidStateError("norm factor vanished; (a†)^k |y> is the zero vector")
-        raised = source.copy()
-        cr = creation(self.dim)
-        for _ in range(self.k):
-            raised = cr @ raised
-        self.psi = raised / np.sqrt(self.norm_factor)
+        self.psi = row.conj() / np.sqrt(self.norm_factor)
         self.overlap = complex(np.vdot(target, self.psi))  # <φ|Ψ>
 
         leak = 1.0 - abs(self.overlap)
@@ -113,20 +116,6 @@ class ProjectorGadget:
         self.projector = np.outer(self.psi, self.psi.conj()) + np.outer(
             self.complement, self.complement.conj()
         )
-
-
-def projector_lindblad(gadget: ProjectorGadget, dim: int) -> np.ndarray:
-    """Dense matrix of A = |φ><y| a^k, zero-padded to ``dim`` if larger."""
-    if dim < gadget.dim:
-        raise DimensionMismatchError(
-            f"cannot truncate a gadget built at dim {gadget.dim} down to {dim}"
-        )
-    phi = np.zeros(dim, dtype=complex)
-    phi[: gadget.dim] = gadget.target
-    y = np.zeros(dim, dtype=complex)
-    y[: gadget.dim] = gadget.source
-    ak = np.linalg.matrix_power(annihilation(dim), gadget.k)
-    return np.outer(phi, y.conj() @ ak)
 
 
 def ncl_lindblad(f, dim: int) -> np.ndarray:

@@ -415,9 +415,9 @@ class MasterEquation:
             return self.omega / self.gamma_nonlinear
         return 0.0 if self.omega == 0 else float("inf")
 
-    def decay_scale(self, m: int | None = None) -> float:
-        """Upper estimate of the fastest decay rate (for step-size seeding)."""
-        m = self.dim if m is None else m
+    def decay_scale(self, m: int) -> float:
+        """Upper estimate of the fastest decay rate on the leading m×m block
+        (for step-size seeding)."""
         scale = 2.0 * abs(self.omega) * np.sqrt(m)
         for ch in self.channels:
             if ch.rate > 0.0:

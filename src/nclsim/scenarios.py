@@ -28,7 +28,7 @@ from . import __version__
 from .errors import ConfigError, InvalidStateError, SimulationError
 from .evolve import DEFAULT_TOL, SolverStats, propagate
 from .fock import coherent_state, fock_state, pure_density, thermal_density
-from .gadgets import NonlinearFunction, ProjectorGadget, ncl_lindblad, projector_lindblad
+from .gadgets import NonlinearFunction, ProjectorGadget, ncl_lindblad
 from .liouvillian import MasterEquation
 from .observables import (
     DiagonalDistribution,
@@ -186,6 +186,8 @@ class ScenarioConfig:
         if family == "evolve":
             if how not in ("max_fidelity", "min_q", "final"):
                 raise ConfigError(f"distribution_at {how!r} not valid for time series")
+            if how == "max_fidelity" and self.gadget.kind != "projector":
+                raise ConfigError("distribution_at max_fidelity needs a projector gadget")
         elif how.startswith("value:"):
             x = _value_target(how)
             if not any(_value_matches(x, v) for v in _sweep_values(self)):
@@ -328,7 +330,7 @@ def build_system(config: ScenarioConfig):
             _state(config.gadget.source, dim, _PURE_KINDS),
             config.gadget.k,
         )
-        op = projector_lindblad(gadget, dim)
+        op = gadget.operator
         target = gadget.target
     else:
         op = None

@@ -350,13 +350,6 @@ def _check_ncl_consistency(me: MasterEquation, f) -> None:
         raise InvalidStateError("engineered operator is not a·f(a†a) with this f")
 
 
-def _signed_alpha0(me: MasterEquation) -> float:
-    # With H = iΩ(a - a†) the four-term rewriting closes with the opposite
-    # sign of the usual amplitude Ω/γ; only α₀² enters the diagonal theory,
-    # so observable predictions are unaffected.
-    return -me.omega / me.gamma_nonlinear
-
-
 def _approximate_generator(me: MasterEquation, f) -> Generator:
     """The equation with the double-commutator term dropped.
 
@@ -368,10 +361,14 @@ def _approximate_generator(me: MasterEquation, f) -> Generator:
     _check_ncl_consistency(me, f)
     a = annihilation(me.dim)
     ad = a.conj().T
-    bm = _b_operator(f, me.epsilon, me.dim) - _signed_alpha0(me) * np.eye(me.dim)
+    # With H = iΩ(a - a†) the four-term rewriting closes with the opposite
+    # sign of the usual amplitude Ω/γ (``me.alpha0``): the signed amplitude is
+    # -Ω/γ, and B̃ = B - (-Ω/γ).  Only α₀² enters the diagonal theory, so
+    # observable predictions are unaffected.
+    bm = _b_operator(f, me.epsilon, me.dim) + me.alpha0 * np.eye(me.dim)
     bdm = bm.conj().T
     gam = me.gamma_nonlinear
-    # γ(a ρ B̃† + B̃ ρ a† - a†B̃ ρ - ρ B̃†a) with B̃ = B - α₀
+    # γ(a ρ B̃† + B̃ ρ a† - a†B̃ ρ - ρ B̃†a)
     terms = [(gam, a, bdm), (gam, bm, ad), (-gam, ad @ bm, None), (-gam, None, bdm @ a)]
     return Generator(me.dim, terms)
 

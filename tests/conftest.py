@@ -57,22 +57,41 @@ class KindDraws:
     """The kinds of example a Hypothesis strategy generates.  The strategy
     passes each generated example through :meth:`drew`; :meth:`each_drawn`
     wraps a property (above its ``@settings``) so that a run of it fails,
-    naming every kind it generated no example of.  The ``@example`` pins do
-    not go through the strategy, so they do not count."""
+    naming every kind of which the property body ran no generated example.
+    An example counts once the body has returned on it, so examples that
+    Hypothesis discards (an ``assume`` or filter that rejects them) do not
+    count, nor do the ``@example`` pins, which do not go through the
+    strategy."""
 
     def __init__(self, kinds):
         self.kinds = kinds
+        self.drawn = {}  # id -> (example, kind); holding the example keeps its id unique
         self.counts = Counter()
 
     def drew(self, kind, example):
-        self.counts[kind] += 1
+        self.drawn[id(example)] = example, kind
         return example
 
     def each_drawn(self, test):
+        body = test.hypothesis.inner_test  # Hypothesis's hook for wrapping the body
+
+        @functools.wraps(body)
+        def counted(*args, **kwargs):
+            body(*args, **kwargs)
+            for arg in (*args, *kwargs.values()):
+                example, kind = self.drawn.get(id(arg), (None, None))
+                if example is arg:
+                    self.counts[kind] += 1
+
+        test.hypothesis.inner_test = counted
+
         @functools.wraps(test)
         def run(*args, **kwargs):
             self.counts.clear()
-            test(*args, **kwargs)
+            try:
+                test(*args, **kwargs)
+            finally:
+                self.drawn.clear()
             missing = [kind for kind in self.kinds if not self.counts[kind]]
             assert not missing, f"{test.__name__} generated no example of kind {missing}"
 

@@ -52,7 +52,7 @@ def gadget_run():
     dim = 56
     src = fock.coherent_state(3.0, dim)
     g = gadgets.ProjectorGadget(fock.fock_state(2, dim), src, 2)
-    me = lv.MasterEquation(dim, gamma_nonlinear=1.0, nonlinear_op=gadgets.projector_lindblad(g, dim))
+    me = lv.MasterEquation(dim, gamma_nonlinear=1.0, nonlinear_op=g.operator)
     rho0 = fock.pure_density(src)
 
     t0 = time.time()

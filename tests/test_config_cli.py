@@ -331,6 +331,8 @@ def _base_ini(base, outdir):
         text = _set_key(text, "system", "dim", "40")
     if base == "timeseries":  # a propagation that records no distribution
         text = _set_key(text, "output", "distribution_at", "")
+    if base == "none":  # linear loss alone, no engineered channel
+        text = _set_key(text, "gadget", "kind", "none")
     return text
 
 
@@ -360,6 +362,9 @@ def _base_ini(base, outdir):
         ("evolve", "output", "distribution_at", "bogus"),
         ("evolve", "output", "distribution_at", "steady"),
         ("steady", "output", "distribution_at", "final"),
+        # only a projector gadget sets a fidelity target
+        ("evolve", "output", "distribution_at", "max_fidelity"),
+        ("none", "output", "distribution_at", "max_fidelity"),
         ("recurrence", "system", "gamma_nonlinear", "0"),
         ("thermal", "system", "gamma_linear", "0"),
         ("thermal", "system", "nbar", "0"),

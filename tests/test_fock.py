@@ -86,9 +86,6 @@ def test_coherent_truncation_guard():
     assert err.value.min_dim is not None and err.value.min_dim > 60
     # guard names a dim that actually passes
     fock.coherent_state(5.0, err.value.min_dim)
-    # and the guard can be disabled explicitly
-    v = fock.coherent_state(5.0, 60, guard=False)
-    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_poisson_guard_values_match_scipy_stats_bitwise():
@@ -276,31 +273,6 @@ def test_diagonal_function_commutes_with_number():
     d = fock.diagonal_function_operator(lambda x: (x - 2.5) ** 3, dim)
     n = fock.diagonal_function_operator(float, dim)
     assert np.array_equal(d @ n, n @ d)
-
-
-def test_normal_order_norm_vacuum_k2():
-    assert fock.normal_order_norm(fock.fock_state(0, 5), 2) == pytest.approx(2.0)
-
-
-def test_normal_order_norm_one_photon_k1():
-    assert fock.normal_order_norm(fock.fock_state(1, 4), 1) == pytest.approx(2.0)
-
-
-def test_normal_order_norm_coherent():
-    # brute-force oracle: <y| a^k (a†)^k |y> = sum_n p_n (n+1)(n+2) for k=2
-    dim = 40
-    v = fock.coherent_state(2.0, dim)
-    p = np.abs(v) ** 2
-    n = np.arange(dim)
-    oracle = float((p * (n + 1) * (n + 2)).sum())
-    val = fock.normal_order_norm(v, 2)
-    assert val == pytest.approx(oracle, abs=1e-10)
-    assert val == pytest.approx(34.0, abs=1e-8)  # |α|⁴ + 4|α|² + 2 at α=2
-
-
-def test_normal_order_norm_spill_guard():
-    with pytest.raises(TruncationLeakageError):
-        fock.normal_order_norm(fock.fock_state(1, 2), 1)
 
 
 def test_thermal_density():

@@ -76,22 +76,49 @@ def test_gadget_k1_flagged():
 
 
 def test_gadget_guard_failure():
-    with pytest.raises(TruncationLeakageError):
-        gadgets.ProjectorGadget(fock.fock_state(2, 40), fock.coherent_state(5.0, 40, guard=False), 2)
+    with pytest.raises(TruncationLeakageError, match="top-2 amplitudes"):
+        gadgets.ProjectorGadget(fock.fock_state(2, 40), fock.fock_state(39, 40), 2)
 
 
-def test_projector_lindblad_single_element():
+def test_norm_factor_vacuum_k2():
+    g = gadgets.ProjectorGadget(fock.fock_state(1, 5), fock.fock_state(0, 5), 2)
+    assert g.norm_factor == pytest.approx(2.0)
+
+
+def test_norm_factor_one_photon_k1():
+    with pytest.warns(UserWarning):
+        g = gadgets.ProjectorGadget(fock.fock_state(0, 4), fock.fock_state(1, 4), 1)
+    assert g.norm_factor == pytest.approx(2.0)
+
+
+def test_norm_factor_coherent():
+    # brute-force oracle: <y| a^k (a†)^k |y> = sum_n p_n (n+1)(n+2) for k=2
+    dim = 40
+    v = fock.coherent_state(2.0, dim)
+    p = np.abs(v) ** 2
+    n = np.arange(dim)
+    oracle = float((p * (n + 1) * (n + 2)).sum())
+    val = gadgets.ProjectorGadget(fock.fock_state(2, dim), v, 2).norm_factor
+    assert val == pytest.approx(oracle, abs=1e-10)
+    assert val == pytest.approx(34.0, abs=1e-8)  # |α|⁴ + 4|α|² + 2 at α=2
+
+
+def test_norm_factor_spill_guard():
+    with pytest.warns(UserWarning), pytest.raises(TruncationLeakageError):
+        gadgets.ProjectorGadget(fock.fock_state(0, 2), fock.fock_state(1, 2), 1)
+
+
+def test_projector_operator_single_element():
     dim = 8
     with pytest.warns(UserWarning):
         g = gadgets.ProjectorGadget(fock.fock_state(2, dim), fock.fock_state(0, dim), 1)
-    op = gadgets.projector_lindblad(g, dim)
-    assert np.allclose(op @ fock.fock_state(1, dim), fock.fock_state(2, dim))
+    assert np.allclose(g.operator @ fock.fock_state(1, dim), fock.fock_state(2, dim))
 
 
-def test_projector_lindblad_kernel_and_rank():
+def test_projector_operator_kernel_and_rank():
     dim = 40
     g = gadgets.ProjectorGadget(fock.fock_state(2, dim), fock.coherent_state(2.0, dim), 2)
-    op = gadgets.projector_lindblad(g, dim)
+    op = g.operator
     s = np.linalg.svd(op, compute_uv=False)
     assert np.sum(s > 1e-10) == 1  # rank one
     # annihilates anything orthogonal to (a†)²|y>
@@ -107,7 +134,7 @@ def test_projector_lindblad_kernel_and_rank():
 def test_fig1_operator_family(alpha):
     dim = 90
     g = gadgets.ProjectorGadget(fock.fock_state(2, dim), fock.coherent_state(alpha, dim), 2)
-    op = gadgets.projector_lindblad(g, dim)
+    op = g.operator
     expected_n = abs(alpha) ** 4 + 4 * abs(alpha) ** 2 + 2
     assert g.norm_factor == pytest.approx(expected_n, rel=1e-10)
     assert np.linalg.norm(op, ord=2) == pytest.approx(np.sqrt(expected_n), rel=1e-8)
@@ -197,9 +224,8 @@ def test_jump_rate_ratio():
 
     # projector gadget: r = Γ(n̄+1) <Ψ|n̂|Ψ> / (γ N), by independent sums
     g = gadgets.ProjectorGadget(fock.fock_state(2, dim), fock.coherent_state(5.0, dim), 2)
-    a_op = gadgets.projector_lindblad(g, dim)
     me2 = liouvillian.MasterEquation(
-        dim, gamma_linear=1.0, gamma_nonlinear=0.2, nbar=0.5, nonlinear_op=a_op
+        dim, gamma_linear=1.0, gamma_nonlinear=0.2, nbar=0.5, nonlinear_op=g.operator
     )
     r = theory.jump_rate_ratio(me2, g.psi)
     mean_psi = float(np.sum(np.arange(dim) * np.abs(g.psi) ** 2))

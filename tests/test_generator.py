@@ -10,8 +10,9 @@ projector, random low-rank or no engineered channel.  The references live in
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import oracles
 from conftest import KindDraws, random_density
@@ -141,6 +142,30 @@ def test_gram_is_bitwise_the_sparse_product(drawn, offsets):
         banded += np.diag(rng.normal(size=dim - abs(s)) + 1j * rng.normal(size=dim - abs(s)), s)
     for x in [ch.op for ch in me.channels] + [banded]:
         assert lv._gram(x).tobytes() == _sparse_gram(x).tobytes()
+
+
+def test_kind_draws_counts_only_examples_the_body_ran():
+    # every "discarded" draw is rejected inside the strategy, after drew():
+    # the body never runs one, so the run must fail naming that kind
+    kinds = KindDraws(("kept", "discarded"))
+
+    @st.composite
+    def cases(draw):
+        kind = draw(st.sampled_from(kinds.kinds))
+        case = kinds.drew(kind, [kind])
+        assume(kind == "kept")
+        return case
+
+    @kinds.each_drawn
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(cases())
+    def body_runs(case):
+        assert case == ["kept"]
+
+    with pytest.raises(AssertionError, match=r"no example of kind \['discarded'\]"):
+        body_runs()
+    assert kinds.counts["kept"] >= 1 and kinds.counts["discarded"] == 0
 
 
 def test_gram_of_every_preset_channel_is_bitwise_the_sparse_product():

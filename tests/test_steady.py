@@ -47,7 +47,7 @@ def _projector_me(dim, alpha=0.5, **rates):
     gadget = gadgets.ProjectorGadget(
         fock.fock_state(2, dim), fock.coherent_state(alpha, dim), 2
     )
-    return lv.MasterEquation(dim, nonlinear_op=gadgets.projector_lindblad(gadget, dim), **rates)
+    return lv.MasterEquation(dim, nonlinear_op=gadget.operator, **rates)
 
 
 @pytest.mark.parametrize(

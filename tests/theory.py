@@ -32,7 +32,7 @@ from nclsim.evolve import Trajectory
 from nclsim.fock import check_state_vector
 from nclsim.gadgets import NonlinearFunction, ProjectorGadget
 from nclsim.liouvillian import MasterEquation
-from nclsim.steady import _b_operator, _signed_alpha0
+from nclsim.steady import _b_operator
 
 
 class InsufficientDecayError(SimulationError):
@@ -185,6 +185,8 @@ def gaussian_profile(f: NonlinearFunction, n0: int, epsilon: float, delta_n: int
 
 
 def b_eigen_residual(me: MasterEquation, f, rho: np.ndarray) -> float:
-    """||Bρ - α₀ρ||_F, the eigen-relation residual of a candidate steady state."""
+    """||Bρ - α₀ρ||_F with the signed amplitude α₀ = -Ω/γ (see
+    ``steady._approximate_generator``), the eigen-relation residual of a
+    candidate steady state."""
     b = _b_operator(f, me.epsilon, me.dim)
-    return float(np.linalg.norm(b @ rho - _signed_alpha0(me) * rho))
+    return float(np.linalg.norm(b @ rho + me.alpha0 * rho))
