@@ -11,10 +11,8 @@ Conventions shared by every module in the package:
 Truncation guards have no switch: constructors that would silently leak
 weight past the cutoff raise :class:`~nclsim.errors.TruncationLeakageError`
 instead, since silent leakage is the dominant failure mode of Fock-space
-simulation.  The coherent guard decides without scipy where a bound on the
-Poisson tail proves the weight small, and asks ``scipy.special`` for the
-exact tail only where it cannot, so propagating a coherent state imports no
-scipy.
+simulation.  The coherent guard sums the discarded Poisson weight from the
+same log-magnitudes the state is built from; this module imports no scipy.
 """
 
 from __future__ import annotations
@@ -35,42 +33,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-8
 NORM_TOL = 1e-12
 PSD_TOL = 1e-8
-
-
-def _poisson_sf(k: int, mu: float) -> float:
-    """P(N > k) for N ~ Poisson(mu), k >= 0: the value scipy.stats.poisson.sf
-    gives, without importing scipy.stats.  The coherent guard calls it only
-    where :func:`_tail_below` cannot decide without scipy."""
-    from scipy.special import pdtrc
-
-    return float(pdtrc(k, mu))
-
-
-def _tail_below(k: int, mu: float, threshold: float) -> bool:
-    """True when a bound proves P(N > k) < threshold for N ~ Poisson(mu).
-
-    For j > k the pmf ratio p(j+1)/p(j) = μ/(j+1) is at most μ/(k+2), so the
-    tail is at most p(k+1)/(1 - μ/(k+2)) when μ < k+2.  The bound must stay
-    below threshold/2, a margin far above the rounding of the log-domain pmf,
-    so where it says "below" :func:`_poisson_sf` says so too.
-    """
-    if mu == 0.0:
-        return True
-    if mu >= k + 2:
-        return False
-    log_pmf = (k + 1) * math.log(mu) - mu - math.lgamma(k + 2)
-    return 2.0 * math.exp(log_pmf) / (1.0 - mu / (k + 2)) < threshold
-
-
-def _poisson_isf(q: float, mu: float) -> int:
-    """Smallest k with P(N > k) <= q for 0 < q < 1 and mu > 0: the value
-    scipy.stats.poisson.isf gives (its ppf of 1 - q, rounded via pdtrik)."""
-    from scipy.special import pdtr, pdtrik
-
-    p = 1.0 - q
-    k = np.ceil(pdtrik(p, mu))
-    below = max(k - 1.0, 0.0)
-    return int(below if pdtr(below, mu) >= p else k)
 
 
 def _check_dim(dim: int) -> int:
@@ -100,17 +62,27 @@ def fock_state(n: int, dim: int) -> np.ndarray:
     return vec
 
 
-def coherent_min_dim(alpha: complex, threshold: float = COHERENT_TAIL_THRESHOLD) -> int:
-    """Smallest dim whose discarded Poisson tail weight is below threshold."""
+def _coherent_weights(alpha: complex, dim: int) -> tuple:
+    """(log(|α|ⁿ/√n!), P(N ≥ n) for N ~ Poisson(μ)) at n = 0 .. max(dim,
+    μ + 50√μ + 100), μ = |α|² > 0.  The tail is the reverse cumulative sum
+    of the weights exp(2·logₙ - μ), negligible past the last n.  np.cumsum
+    adds in order, so the logs below dim and the tail at each n keep their
+    bits whatever the length."""
     mu = abs(alpha) ** 2
-    if mu == 0.0:
+    if not mu <= 1e6:  # the arrays grow as μ, far past any cutoff the solvers hold
+        raise TruncationLeakageError(f"coherent state alpha={alpha}: |alpha|^2 = {mu:.3e} > 1e6")
+    n = np.arange(max(dim, int(mu + 50.0 * math.sqrt(mu)) + 100) + 1)
+    log_mag = n * np.log(abs(alpha)) - 0.5 * np.cumsum(np.log(np.maximum(n, 1)))
+    return log_mag, np.cumsum(np.exp(2.0 * log_mag - mu)[::-1])[::-1]
+
+
+def coherent_min_dim(alpha: complex) -> int:
+    """Smallest dim whose discarded Poisson tail weight is below
+    ``COHERENT_TAIL_THRESHOLD``."""
+    if abs(alpha) ** 2 == 0.0:
         return 2
-    # isf gives a good starting point unless 1 - threshold rounds to 1 (its
-    # start is then NaN, and the walk starts at 2); walk to the exact boundary
-    d = 2 if 1.0 - threshold == 1.0 else max(2, _poisson_isf(threshold, mu) - 2)
-    while _poisson_sf(d - 1, mu) >= threshold:
-        d += 1
-    return d
+    tail = _coherent_weights(alpha, 2)[1]
+    return max(2, int(np.argmax(tail < COHERENT_TAIL_THRESHOLD)))
 
 
 def coherent_state(alpha: complex, dim: int) -> np.ndarray:
@@ -122,23 +94,19 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     minimal acceptable dimension.
     """
     dim = _check_dim(dim)
-    mu = abs(alpha) ** 2
-    if not _tail_below(dim - 1, mu, COHERENT_TAIL_THRESHOLD):
-        tail = _poisson_sf(dim - 1, mu)
-        if tail >= COHERENT_TAIL_THRESHOLD:
-            need = coherent_min_dim(alpha)
-            raise TruncationLeakageError(
-                f"coherent state alpha={alpha}: discarded tail weight {tail:.3e} "
-                f"exceeds {COHERENT_TAIL_THRESHOLD:.0e}; need dim >= {need}",
-                min_dim=need,
-            )
-    if mu == 0.0:
+    if abs(alpha) ** 2 == 0.0:
         return fock_state(0, dim)
+    log_mag, tail = _coherent_weights(alpha, dim)
+    if tail[dim] >= COHERENT_TAIL_THRESHOLD:
+        need = coherent_min_dim(alpha)
+        raise TruncationLeakageError(
+            f"coherent state alpha={alpha}: discarded tail weight {tail[dim]:.3e} "
+            f"exceeds {COHERENT_TAIL_THRESHOLD:.0e}; need dim >= {need}",
+            min_dim=need,
+        )
     n = np.arange(dim)
     # log-domain magnitudes avoid overflow of alpha**n / sqrt(n!)
-    log_mag = n * np.log(abs(alpha)) - 0.5 * np.cumsum(np.log(np.maximum(n, 1)))
-    log_mag -= log_mag.max()
-    vec = np.exp(log_mag).astype(complex)
+    vec = np.exp(log_mag[:dim] - log_mag[:dim].max()).astype(complex)
     alpha = complex(alpha)
     if alpha.imag != 0.0:
         vec *= np.exp(1j * float(np.angle(alpha)) * n)

@@ -101,8 +101,6 @@ class ProjectorGadget:
         row = source.conj() @ np.linalg.matrix_power(annihilation(self.dim), self.k)
         self.operator = np.outer(target, row)
         self.norm_factor = float(np.real(np.vdot(row, row)))
-        if self.norm_factor <= 0:
-            raise InvalidStateError("norm factor vanished; (a†)^k |y> is the zero vector")
         self.psi = row.conj() / np.sqrt(self.norm_factor)
         self.overlap = complex(np.vdot(target, self.psi))  # <φ|Ψ>
 

@@ -67,10 +67,6 @@ class LindbladChannel:
     rate: float
     op: np.ndarray
 
-    def __post_init__(self):
-        if self.rate < 0:
-            raise InvalidStateError(f"channel rate must be >= 0, got {self.rate}")
-
 
 def _diagonal_offsets(op: np.ndarray) -> np.ndarray:
     """Sorted offsets (column - row) of the nonzero diagonals of ``op``."""
@@ -88,9 +84,7 @@ def _diagonals(op):
 
 def _factors(op):
     """(U, V) with op = U·Vᵀ, from one SVD cut at numpy's ``matrix_rank`` rule
-    (s > s_max·dim·eps); None is the identity."""
-    if op is None:
-        return None
+    (s > s_max·dim·eps)."""
     u, s, vh = np.linalg.svd(op)
     rank = np.count_nonzero(s > s[0] * op.shape[0] * np.finfo(float).eps)
     return u[:, :rank] * s[:rank], vh[:rank].T

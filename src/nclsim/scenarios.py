@@ -134,8 +134,21 @@ class ScenarioConfig:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
         if not (np.isfinite(self.solver.tol) and self.solver.tol > 0):
             raise ConfigError(f"tol must be finite and > 0, got {self.solver.tol!r}")
-        if self.gadget.kind not in ("ncl", "projector", "none"):
-            raise ConfigError(f"unknown gadget kind {self.gadget.kind!r}")
+        g = self.gadget
+        if g.kind not in ("ncl", "projector", "none"):
+            raise ConfigError(f"unknown gadget kind {g.kind!r}")
+        ncl, coeffs = g.kind == "ncl", g.kind == "ncl" and g.f_name is None
+        keys = (  # (key, whether it is set, whether this gadget reads it)
+            ("f", g.f_name is not None, ncl),
+            ("f_coeffs", bool(g.f_coeffs), coeffs),
+            ("f_power", g.f_power is not None, ncl and g.f_name == "x^k"),
+            ("f_shift", g.f_shift != 0.0, coeffs),
+            ("target", g.target is not None, g.kind == "projector"),
+            ("source", g.source is not None, g.kind == "projector"),
+        )
+        unread = [key for key, given, read in keys if given and not read]
+        if unread:
+            raise ConfigError(f"{g.kind} gadget does not read {', '.join(unread)}")
         if self.sweep.parameter != "none":
             if self.sweep.parameter not in SWEEPABLE:
                 raise ConfigError(f"unknown sweep parameter {self.sweep.parameter!r}")
@@ -161,23 +174,23 @@ class ScenarioConfig:
         start = self.solver.recurrence_start
         if method == "recurrence_ncl" and not 0 <= start < self.dim:
             raise ConfigError(f"recurrence_start {start} outside 0..{self.dim - 1}")
-        if self.gadget.kind == "ncl":
+        if g.kind == "ncl":
             try:
-                self.gadget.nonlinear_function()
+                g.nonlinear_function()
             except InvalidStateError as exc:
                 raise ConfigError(str(exc)) from exc
         elif needs_ncl:
             raise ConfigError(f"{method} needs an ncl gadget")
-        if self.gadget.kind == "projector":
-            if self.gadget.target is None or self.gadget.source is None:
+        if g.kind == "projector":
+            if g.target is None or g.source is None:
                 raise ConfigError("projector gadget needs target and source states")
-            if self.gadget.k < 1:
-                raise ConfigError(f"projector gadget needs k >= 1, got {self.gadget.k}")
-            _state_spec(self.gadget.target, _PURE_KINDS)
-            _state_spec(self.gadget.source, _PURE_KINDS)
+            if g.k < 1:
+                raise ConfigError(f"projector gadget needs k >= 1, got {g.k}")
+            _state_spec(g.target, _PURE_KINDS)
+            _state_spec(g.source, _PURE_KINDS)
+        expand_grid(self.solver.t_grid)
         if family == "evolve":
             _state_spec(self.initial)
-            expand_grid(self.solver.t_grid)
         how = self.output.distribution_at
         if self.output.poisson_reference and (family != "evolve" or how is None):
             raise ConfigError("poisson_reference needs method propagate and a distribution_at")
@@ -186,7 +199,7 @@ class ScenarioConfig:
         if family == "evolve":
             if how not in ("max_fidelity", "min_q", "final"):
                 raise ConfigError(f"distribution_at {how!r} not valid for time series")
-            if how == "max_fidelity" and self.gadget.kind != "projector":
+            if how == "max_fidelity" and g.kind != "projector":
                 raise ConfigError("distribution_at max_fidelity needs a projector gadget")
         elif how.startswith("value:"):
             x = _value_target(how)

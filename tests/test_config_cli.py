@@ -326,13 +326,14 @@ def _base_ini(base, outdir):
         return text
     text = EVOLVE_INI.format(outdir=outdir)
     if base == "projector":
-        for key, value in (("kind", "projector"), ("target", "fock:2"), ("source", "coherent:1.2")):
+        gadget = ("kind", "projector"), ("f", ""), ("target", "fock:2"), ("source", "coherent:1.2")
+        for key, value in gadget:
             text = _set_key(text, "gadget", key, value)
         text = _set_key(text, "system", "dim", "40")
     if base == "timeseries":  # a propagation that records no distribution
         text = _set_key(text, "output", "distribution_at", "")
     if base == "none":  # linear loss alone, no engineered channel
-        text = _set_key(text, "gadget", "kind", "none")
+        text = _set_key(_set_key(text, "gadget", "kind", "none"), "gadget", "f", "")
     return text
 
 
@@ -374,6 +375,33 @@ def _base_ini(base, outdir):
         ("recurrence", "solver", "recurrence_start", "40"),
         ("recurrence", "solver", "recurrence_start", "-1"),
         ("projector", "gadget", "k", "0"),
+        ("projector", "gadget", "source", ""),
+        ("evolve", "system", "dim", "1"),
+        ("evolve", "gadget", "kind", "bogus"),
+        ("evolve", "sweep", "parameter", "bogus"),
+        ("evolve", "sweep", "values", "nan"),
+        ("steady", "output", "distribution_at", "value:abc"),
+        # a propagation's time grid, unread by a stationary solve, is still checked
+        ("steady", "solver", "t_grid", "foo:1e-3:1:10"),
+        # a [gadget] key the chosen kind does not read: ncl reads f or
+        # f_coeffs (with f_shift), f_power only for x^k, and no states
+        ("evolve", "gadget", "target", "fock:2"),
+        ("evolve", "gadget", "source", "coherent:1.2"),
+        ("evolve", "gadget", "f_coeffs", "0,1"),
+        ("evolve", "gadget", "f_power", "3"),
+        ("evolve", "gadget", "f_shift", "2"),
+        # a projector reads no nonlinearity
+        ("projector", "gadget", "f", "x-1"),
+        ("projector", "gadget", "f_coeffs", "0,1"),
+        ("projector", "gadget", "f_power", "2"),
+        ("projector", "gadget", "f_shift", "1"),
+        # no gadget reads nothing
+        ("none", "gadget", "f", "x-1"),
+        ("none", "gadget", "f_coeffs", "0,1"),
+        ("none", "gadget", "f_power", "2"),
+        ("none", "gadget", "f_shift", "1"),
+        ("none", "gadget", "target", "fock:2"),
+        ("none", "gadget", "source", "coherent:1.2"),
         # a Poisson reference is drawn only beside a propagated distribution
         ("steady", "output", "poisson_reference", "true"),
         ("thermal", "output", "poisson_reference", "true"),
@@ -393,6 +421,44 @@ def test_bad_input_is_a_config_error_before_any_output(
     assert cli.main([run if command == "run" else "validate", bad]) == 1
     err = capsys.readouterr().err
     assert "config error:" in err and "Traceback" not in err
+    assert not outdir.exists()
+
+
+def test_ncl_x_power_preset_reads_f_power(tmp_path):
+    text = EVOLVE_INI.format(outdir=tmp_path / "out")
+    for key, value in (("f", "x^k"), ("f_power", "2"), ("f_shift", "0")):
+        text = _set_key(text, "gadget", key, value)
+    assert cli.main(["validate", _write(tmp_path, text)]) == 0
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("missing file", "cannot read config"),
+        ("no section header", "malformed config"),
+        ("no dim", "config needs [system] with at least dim"),
+        ("unknown grid kind", "unknown grid kind 'foo'"),
+        ("override without =", "override 'dim' must be KEY=VALUE"),
+    ],
+)
+def test_unreadable_config_or_override_is_a_config_error(tmp_path, capsys, case, message):
+    outdir = tmp_path / "out"
+    text = EVOLVE_INI.format(outdir=outdir)
+    texts = {
+        "no section header": "dim = 20\n",
+        "no dim": text.replace("dim = 20\n", ""),
+        "unknown grid kind": _set_key(text, "solver", "t_grid", "foo:1e-3:1:10"),
+    }
+    path = _write(tmp_path, texts.get(case, text))
+    if case == "missing file":
+        path = str(tmp_path / "absent.ini")
+    if case == "override without =":
+        args = ["figure", "fig2d", "--out", str(outdir), "--override", "dim"]
+    else:
+        args = ["evolve", path]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err and "Traceback" not in err
     assert not outdir.exists()
 
 

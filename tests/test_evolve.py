@@ -593,11 +593,10 @@ def _propagation_case(kind, dim, gamma_linear, gamma_nonlinear, param, alpha, t_
 # that the gadget's cutoff guard accepts: it needs the top k = 2 amplitudes
 # below 1e-10, which a Poisson weight below 1e-20 from n = dim - 2 up ensures
 _SOURCE_MAX = {
-    dim: max(a for a in np.linspace(0.3, 1.0, 141) if fock.coherent_min_dim(a, 1e-20) <= dim - 2)
+    dim: max(a for a in np.linspace(0.3, 1.0, 141) if theory.coherent_min_dim(a, 1e-20) <= dim - 2)
     for dim in range(16, 31)
 }
 
-_CASE_KINDS = KindDraws(("ncl", "driven", "thermal", "projector", "rotated"))
 _CASE_PARAMS = {
     "thermal": lambda dim: st.floats(0.01, 0.3),
     "projector": lambda dim: st.floats(0.3, _SOURCE_MAX[dim]),
@@ -606,46 +605,56 @@ _CASE_PARAMS = {
 
 
 @st.composite
-def _propagation_cases(draw):
-    """(equation, ρ₀, grid) at dim 16-30: NCL (pure-lowering, so windowed),
-    driven NCL, thermal, projector and phase-rotated NCL (a complex
-    generator) equations, from a coherent state whose amplitude may be
-    complex (a complex ρ₀)."""
+def _propagation_cases(draw, kind):
+    """(equation, ρ₀, grid) of one kind at dim 16-30: NCL (pure-lowering, so
+    windowed), driven NCL, thermal, projector or phase-rotated NCL (a complex
+    generator), from a coherent state whose amplitude may be complex (a
+    complex ρ₀)."""
     dim = draw(st.integers(16, 30))
-    kind = draw(st.sampled_from(_CASE_KINDS.kinds))
     gamma_linear = draw(st.floats(0.1, 2.0))
     gamma_nonlinear = draw(st.floats(0.02, 0.2))
     param = draw(_CASE_PARAMS[kind](dim)) if kind in _CASE_PARAMS else 0.0
     alpha = draw(st.floats(0.2, 1.0)) * np.exp(1j * draw(st.sampled_from([0.0, 0.9])))
-    case = _propagation_case(
+    return _propagation_case(
         kind, dim, gamma_linear, gamma_nonlinear, param, alpha, draw(st.floats(0.05, 0.3))
     )
-    return _CASE_KINDS.drew(kind, case)
 
 
-@_CASE_KINDS.each_drawn
-@settings(max_examples=30, deadline=None, derandomize=True)
 # one pinned case of each kind, whatever the derandomized draws are
-@example(_propagation_case("ncl", 30, 2.0, 0.2, 0.0, 1.0, 0.3))
-@example(_propagation_case("driven", 20, 0.1, 0.02, -1.0, 0.9 * np.exp(0.9j), 0.3))
-@example(_propagation_case("thermal", 16, 2.0, 0.0, 0.3, 1.0, 0.3))
-@example(_propagation_case("projector", 24, 0.1, 0.0, 1.0, 0.2 * np.exp(0.9j), 0.05))
-@example(_propagation_case("rotated", 18, 0.5, 0.2, 0.0, np.exp(0.9j), 0.3))
-@given(_propagation_cases())
-def test_propagation_matches_expm_multiply_on_the_superoperator(case):
+_PINNED_CASES = {
+    "ncl": (30, 2.0, 0.2, 0.0, 1.0, 0.3),
+    "driven": (20, 0.1, 0.02, -1.0, 0.9 * np.exp(0.9j), 0.3),
+    "thermal": (16, 2.0, 0.0, 0.3, 1.0, 0.3),
+    "projector": (24, 0.1, 0.0, 1.0, 0.2 * np.exp(0.9j), 0.05),
+    "rotated": (18, 0.5, 0.2, 0.0, np.exp(0.9j), 0.3),
+}
+
+
+@pytest.mark.parametrize("kind", _PINNED_CASES)
+def test_propagation_matches_expm_multiply_on_the_superoperator(kind):
     # an independent path: Al-Mohy & Higham's truncated Taylor action of the
-    # sparse column-stacked superoperator (scipy), on the full space
+    # sparse column-stacked superoperator (scipy), on the full space; six
+    # generated examples of each kind, and the run fails if the body ran none
     from scipy.sparse.linalg import expm_multiply
 
-    me, rho0, grid = case
-    traj = evolve.propagate(me, rho0, grid)
-    want = expm_multiply(
-        oracles.superoperator(me.generator).tocsc(), oracles.vec(rho0),
-        start=grid[0], stop=grid[-1], num=grid.size, endpoint=True,
-    )
-    for state, v in zip(traj.states, want):
-        # the local error bound, 1.2·tol per unit time over at most 0.3, and rounding
-        assert np.abs(state - oracles.unvec(v, me.dim)).max() <= 1e-12
+    draws = KindDraws((kind,))
+
+    @draws.each_drawn
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @example(_propagation_case(kind, *_PINNED_CASES[kind]))
+    @given(_propagation_cases(kind).map(lambda case: draws.drew(kind, case)))
+    def matches(case):
+        me, rho0, grid = case
+        traj = evolve.propagate(me, rho0, grid)
+        want = expm_multiply(
+            oracles.superoperator(me.generator).tocsc(), oracles.vec(rho0),
+            start=grid[0], stop=grid[-1], num=grid.size, endpoint=True,
+        )
+        for state, v in zip(traj.states, want):
+            # the local error bound, 1.2·tol per unit time over at most 0.3, and rounding
+            assert np.abs(state - oracles.unvec(v, me.dim)).max() <= 1e-12
+
+    matches()
 
 
 def test_broken_down_substep_reads_a_long_grid_in_capped_batches(monkeypatch):

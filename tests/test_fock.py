@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import theory
 from nclsim import fock
 from nclsim.errors import (
     FockIndexError,
@@ -88,26 +89,41 @@ def test_coherent_truncation_guard():
     fock.coherent_state(5.0, err.value.min_dim)
 
 
-def test_poisson_guard_values_match_scipy_stats_bitwise():
-    from scipy.stats import poisson
-
-    for mu in [0.0, 1e-8, 0.25, 1.0, 4.0, 6.25, 25.0, 64.0, 100.0, 400.0, 1e4]:
-        for k in [0, 1, 2, 5, 10, 23, 60, 129, 300, 1000]:
-            assert fock._poisson_sf(k, mu) == float(poisson.sf(k, mu))
-        if mu == 0.0:
-            continue
-        for q in [1e-14, 1e-12, 1e-10, 1e-6, 0.5]:
-            assert fock._poisson_isf(q, mu) == poisson.isf(q, mu)
+def test_coherent_guard_refuses_a_mean_past_any_cutoff_before_sizing_arrays():
+    with pytest.raises(TruncationLeakageError, match="> 1e6") as err:
+        fock.coherent_state(1e4, 90)
+    assert err.value.min_dim is None
+    with pytest.raises(TruncationLeakageError):
+        fock.coherent_min_dim(1e4)
 
 
-def test_cli_import_skips_scipy_stats():
-    code = "import sys, nclsim.cli; print(any(m.startswith('scipy.stats') for m in sys.modules))"
+def test_coherent_guard_and_its_failure_import_no_scipy():
+    code = (
+        "import sys\n"
+        "from nclsim import fock, errors\n"
+        "fock.coherent_state(2.0, 30)\n"
+        "try:\n"
+        "    fock.coherent_state(5.0, 20)\n"
+        "except errors.TruncationLeakageError as exc:\n"
+        "    assert exc.min_dim == fock.coherent_min_dim(5.0) > 20\n"
+        "print(any(m.startswith('scipy') for m in sys.modules))"
+    )
+    assert _run_python(code) == "False"
+
+
+def _run_python(code):
+    """stdout of ``python -c code`` on this package, stripped."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fock.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_skips_scipy_stats():
+    code = "import sys, nclsim.cli; print(any(m.startswith('scipy.stats') for m in sys.modules))"
+    assert _run_python(code) == "False"
 
 
 _LIST_SCIPY_AFTER_RUN = """
@@ -208,47 +224,48 @@ def _poisson_tails(draw):
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(_poisson_tails())
-def test_scipy_free_tail_bound_says_below_only_where_scipy_does(tail):
-    from scipy.stats import poisson
+def test_coherent_tail_is_below_threshold_exactly_where_pdtrc_is(tail):
+    from scipy.special import pdtrc
 
     k, mu = tail
-    if fock._tail_below(k, mu, fock.COHERENT_TAIL_THRESHOLD):
-        assert poisson.sf(k, mu) < fock.COHERENT_TAIL_THRESHOLD
+    alpha = np.sqrt(mu)
+    below = fock._coherent_weights(alpha, k + 1)[1][k + 1] < fock.COHERENT_TAIL_THRESHOLD
+    assert below == (pdtrc(k, alpha**2) < fock.COHERENT_TAIL_THRESHOLD)
 
 
 def test_coherent_guard_decides_as_the_scipy_tail_does():
     # amplitudes of the figure presets (2-5 at dim 90, 2-8 at dim 130), the
     # benchmark workloads and the tests' states, at every dim up to 140
+    from scipy.special import pdtrc
+
     alphas = (0.0, 0.5, 1.0, 1.2, 1.5, 2.0, 2.5, 2.98, 3.0, 4.0, 5.0, 6.0, 8.0, -2.0, 1.0 + 1.0j)
     for alpha in alphas:
+        need = fock.coherent_min_dim(alpha)
+        assert need == theory.coherent_min_dim(alpha, fock.COHERENT_TAIL_THRESHOLD)
         for dim in range(2, 141):
-            leaks = fock._poisson_sf(dim - 1, abs(alpha) ** 2) >= fock.COHERENT_TAIL_THRESHOLD
+            leaks = pdtrc(dim - 1, abs(alpha) ** 2) >= fock.COHERENT_TAIL_THRESHOLD
             try:
                 fock.coherent_state(alpha, dim)
             except TruncationLeakageError as exc:
-                assert leaks and exc.min_dim == fock.coherent_min_dim(alpha)
+                assert leaks and exc.min_dim == need
             else:
                 assert not leaks
-    # the presets' states pass without asking scipy
-    for alpha, dim in ((2.0, 90), (5.0, 90), (2.0, 130), (8.0, 130)):
-        assert fock._tail_below(dim - 1, alpha**2, fock.COHERENT_TAIL_THRESHOLD)
 
 
 def test_coherent_min_dim_below_double_resolution():
-    # the 1e-20 weight behind the projector's 1e-10 amplitude guard
-    from scipy.special import pdtrc
-
+    # the 1e-20 weight behind the projector's 1e-10 amplitude guard: the k = 2
+    # levels a source gains above that cutoff hold amplitudes below 1e-10
     for alpha in (0.3, 1.0, 2.0):
-        d = fock.coherent_min_dim(alpha, threshold=1e-20)
-        assert pdtrc(d - 1, alpha**2) < 1e-20 <= pdtrc(d - 2, alpha**2)
-    assert fock.coherent_min_dim(1.0, threshold=1e-20) + 2 == 23
+        d = theory.coherent_min_dim(alpha, 1e-20)
+        assert np.abs(fock.coherent_state(alpha, d + 2)[d:]).max() < 1e-10
+    assert theory.coherent_min_dim(1.0, 1e-20) + 2 == 23
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0, -2.0, 1.0 + 1.0j])
 def test_coherent_approximate_eigenvector(alpha):
     # a bit below the guard threshold: the 1e-6 eigen-residual needs the
     # cutoff amplitude itself (not just the tail weight) to be ~1e-7
-    dim = fock.coherent_min_dim(alpha, threshold=1e-14)
+    dim = theory.coherent_min_dim(alpha, 1e-14)
     v = fock.coherent_state(alpha, dim)
     a = fock.annihilation(dim)
     assert np.linalg.norm(a @ v - alpha * v) <= 1e-6

@@ -17,6 +17,8 @@ numerics of ``nclsim`` against them.
       Δ²n ≈ n₀ / w ,
   whose ratio Δ²n/n₀ - 1 estimates Mandel Q (→ -4k/(4k+1) for f(n)=n^k).
 * Thermal ladder: the photon number where (γ/Γ) f(n) reaches n̄+1.
+* Coherent state |α>: the smallest cutoff whose discarded Poisson weight
+  P(N ≥ dim), N ~ Poisson(|α|²), is below a threshold, by scipy's pdtrc.
 * Truncated (driven-frame) equation: the residual of the eigen-relation
   Bρ = α₀ρ of its stationary state.
 """
@@ -45,6 +47,21 @@ class PeakWindowError(SimulationError):
 
 class UndefinedRatioError(SimulationError):
     """Jump-rate ratio has a vanishing denominator."""
+
+
+# ---------------------------------------------------------------------------
+# coherent states
+
+
+def coherent_min_dim(alpha: complex, threshold: float) -> int:
+    """Smallest dim >= 2 with P(N ≥ dim) < threshold for N ~ Poisson(|α|²),
+    walked up from 2 on scipy's pdtrc (pdtrc(k, μ) = P(N > k))."""
+    from scipy.special import pdtrc
+
+    d = 2
+    while pdtrc(d - 1, abs(alpha) ** 2) >= threshold:
+        d += 1
+    return d
 
 
 # ---------------------------------------------------------------------------
