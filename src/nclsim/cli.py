@@ -9,8 +9,8 @@ Subcommands
     validate <config>     parse + guard checks only, no solving
 
 Exit codes: 0 success, 1 config error (found before anything is solved or
-written), 2 numerical failure (no point succeeded), 3 results emitted but
-some sweep point failed.
+written), 2 numerical failure (no point succeeded) or a sweep worker that
+died, 3 results emitted but some sweep point failed.
 
 CSV output is RFC-4180-style (CRLF, header row, UTF-8, '.' decimal point)
 with 17-significant-digit floats, so re-running an identical config produces
@@ -24,6 +24,7 @@ import csv
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__, svg
 from .errors import ConfigError, SimulationError
@@ -345,6 +346,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
+        return 2
+    except BrokenProcessPool as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
         return 2
 
 

@@ -13,13 +13,20 @@ gadget, and its rate needs.  Validation, point execution and the CLI read it.
 
 Sweep points are independent and may execute in parallel (worker count from
 the NCLSIM_WORKERS environment variable); results are assembled by index, so
-the output is deterministic regardless of completion order.
+the output is deterministic regardless of completion order.  Pooled sweeps
+share one process pool, kept for the life of the interpreter: a sweep that
+needs as many workers as the kept pool has reuses its warm workers, any
+other count replaces it, and a pool whose worker died is dropped so that the
+next sweep starts a fresh one.  Workers are forked, so they see this
+module's state as it was when the kept pool started.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -511,18 +518,53 @@ def _worker_count(n_points: int) -> int:
     return max(1, min(workers, n_points))
 
 
+# the interpreter's worker pool, kept between sweeps: (pid of the process
+# that started it, worker count, executor), or None; _pool_lock is held while
+# a sweep picks and uses it
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _kept_pool(n: int) -> ProcessPoolExecutor:
+    """The kept pool if this process started it with ``n`` workers;
+    otherwise a new pool of ``n`` workers, which is kept in its place."""
+    global _pool
+    if _pool is None or _pool[:2] != (os.getpid(), n):
+        _drop_pool()
+        _pool = (os.getpid(), n, ProcessPoolExecutor(max_workers=n))
+    return _pool[2]
+
+
+def _drop_pool() -> None:
+    """Forget the kept pool, shutting it down if this process started it (a
+    forked child holds only a copy of its parent's)."""
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].shutdown()
+    _pool = None
+
+
 def run_sweep(config: ScenarioConfig) -> ScenarioResult:
-    """Run every sweep point of a config; per-point failures are isolated."""
+    """Run every sweep point of a config; per-point failures are isolated.
+
+    Raises BrokenProcessPool if a pool worker died; the kept pool is then
+    dropped, so the next sweep starts a fresh one."""
     config.validate()
     jobs = [(config, float(v)) for v in _sweep_values(config)]
     n = _worker_count(len(jobs))
-    if n > 1 and len(jobs) > 1:
+    if n > 1:
         if METHODS[config.solver.method][0] == "steady":
-            # imported once here, before the fork, not once in every worker
+            # imported here, so before the kept pool's first fork if a steady
+            # sweep starts it; workers an evolve sweep started import it on
+            # their first stationary point
             import scipy.sparse.csgraph  # noqa: F401
             import scipy.sparse.linalg  # noqa: F401
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            points = list(pool.map(_run_point_isolated, jobs))
+        with _pool_lock:
+            try:
+                points = list(_kept_pool(n).map(_run_point_isolated, jobs))
+            except BrokenProcessPool:
+                _drop_pool()
+                raise
     else:
         points = [_run_point_isolated(j) for j in jobs]
     provenance = {

@@ -1,4 +1,5 @@
 import functools
+import os
 from collections import Counter
 
 import numpy as np
@@ -35,6 +36,16 @@ def driven_ncl_steady():
 def generator_residual(me, rho):
     """‖Lρ‖_F: how far ρ is from stationary."""
     return float(np.linalg.norm(me.generator.apply(rho)))
+
+
+def process_ended(pid):
+    """Whether process ``pid`` has ended: it is gone, or a zombie."""
+    try:
+        os.kill(pid, 0)
+        with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except (ProcessLookupError, FileNotFoundError):
+        return True
 
 
 def random_density(dim, rng):

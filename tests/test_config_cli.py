@@ -3,11 +3,14 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from conftest import process_ended
 
 from nclsim import cli, evolve, scenarios as sc
 from nclsim.config import KEYS, parse_config
@@ -638,6 +641,60 @@ def test_bad_tolerance_is_config_error(tmp_path, capsys, tol):
     err = capsys.readouterr().err
     assert err.count("config error: tol must be finite and > 0") == 2
     assert "Traceback" not in err
+
+
+def test_dead_worker_fails_the_run_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NCLSIM_WORKERS", "2")
+    run_point = sc.run_point
+
+    def dies_at_1_2(config, value):
+        if value == 1.2:
+            os._exit(1)
+        return run_point(config, value)
+
+    sc._drop_pool()  # a kept pool's workers only see patches made before their fork
+    monkeypatch.setattr(sc, "run_point", dies_at_1_2)
+    path = _write(tmp_path, EVOLVE_INI.format(outdir=tmp_path / "out"))
+    assert cli.main(["evolve", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("worker failure: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    # the broken pool was dropped, so the next run starts a fresh one
+    monkeypatch.setattr(sc, "run_point", run_point)
+    assert cli.main(["evolve", path]) == 0
+
+
+_RUN_EACH_AND_LIST_WORKERS = """
+import json, multiprocessing, sys
+from nclsim import cli
+workers = []
+for command, path in zip(sys.argv[1::2], sys.argv[2::2]):
+    status = cli.main([command, path])
+    if status:
+        sys.exit(status)
+    workers.append(sorted(p.pid for p in multiprocessing.active_children()))
+print(json.dumps(workers))
+"""
+
+
+def test_pooled_runs_leave_no_worker_behind(tmp_path):
+    runs = []
+    for command, ini in (("evolve", EVOLVE_INI), ("steady", STEADY_APPROX_INI)):
+        path = _write(tmp_path, ini.format(outdir=tmp_path / command), name=f"{command}.ini")
+        runs += [command, path]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN_EACH_AND_LIST_WORKERS, *runs],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src, NCLSIM_WORKERS="2"),
+    )
+    assert out.returncode == 0, out.stderr
+    first, second = json.loads(out.stdout.splitlines()[-1])
+    # both runs used the one kept pool, and it ended with the interpreter
+    assert len(first) == 2 and second == first
+    assert all(process_ended(pid) for pid in first)
 
 
 def test_ini_without_tol_uses_the_integrator_default(tmp_path):

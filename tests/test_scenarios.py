@@ -1,5 +1,9 @@
+import dataclasses
+import multiprocessing
+
 import numpy as np
 import pytest
+from conftest import process_ended
 
 from nclsim import scenarios as sc
 from nclsim.errors import ConfigError
@@ -222,10 +226,67 @@ def test_apply_overrides():
         sc.apply_overrides(cfg, {"nope": "1"})
 
 
+def _small_steady_config():
+    return sc.ScenarioConfig(
+        name="unit",
+        dim=16,
+        gamma_linear=1.0,
+        gamma_nonlinear=1.0,
+        gadget=sc.GadgetSpec(kind="ncl", f_name="x-1"),
+        solver=sc.SolverSpec(method="steady"),
+        sweep=sc.SweepSpec("alpha0", (1.0, 3.0, 6.0)),
+        output=sc.OutputSpec(timeseries=False, distribution_at="value:6.0"),
+    )
+
+
+def _assert_same(a, b, where="point"):
+    """Equal field by field: arrays and floats bit for bit (NaN equal to NaN)
+    and of the same dtype, containers and dataclasses item by item."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in dataclasses.fields(a):
+            _assert_same(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same(x, y, f"{where}[{i}]")
+    elif isinstance(a, (np.ndarray, float)):
+        assert np.asarray(a).dtype == np.asarray(b).dtype, where
+        assert np.array_equal(a, b, equal_nan=True), where
+    else:
+        assert a == b, where
+
+
 def test_parallel_workers_match_serial(monkeypatch):
+    # the first pooled run forks cold workers, the second reuses them warm
+    for cfg in (_small_evolve_config(), _small_steady_config()):
+        monkeypatch.setenv("NCLSIM_WORKERS", "1")
+        serial = sc.run_sweep(cfg)
+        assert all(p.error is None and p.solver_stats is not None for p in serial.points)
+        sc._drop_pool()
+        monkeypatch.setenv("NCLSIM_WORKERS", "2")
+        for _ in ("cold", "warm"):
+            pooled = sc.run_sweep(cfg)
+            _assert_same(pooled.points, serial.points)
+            assert pooled.provenance == serial.provenance
+
+
+def _worker_pids() -> set:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def test_kept_pool_is_reused_and_replaced_on_another_worker_count(monkeypatch):
     cfg = _small_evolve_config()
-    serial = sc.run_sweep(cfg)
+    sc._drop_pool()
     monkeypatch.setenv("NCLSIM_WORKERS", "2")
-    parallel = sc.run_sweep(cfg)
-    for a, b in zip(serial.points, parallel.points):
-        assert [r.mandel_q for r in a.reports] == [r.mandel_q for r in b.reports]
+    before = _worker_pids()
+    sc.run_sweep(cfg)
+    first = _worker_pids() - before
+    sc.run_sweep(cfg)
+    assert len(first) == 2 and _worker_pids() - before == first
+    # three points under three workers need a pool of three
+    monkeypatch.setenv("NCLSIM_WORKERS", "3")
+    sc.run_sweep(dataclasses.replace(cfg, sweep=sc.SweepSpec("alpha", (1.0, 1.2, 1.5))))
+    third = _worker_pids() - before
+    assert len(third) == 3 and not third & first
+    assert all(process_ended(pid) for pid in first)
