@@ -17,12 +17,14 @@ the output is deterministic regardless of completion order.  Pooled sweeps
 share one process pool, kept for the life of the interpreter: a sweep that
 needs as many workers as the kept pool has reuses its warm workers, any
 other count replaces it, and a pool whose worker died is dropped so that the
-next sweep starts a fresh one.  Workers are forked, so they see this
-module's state as it was when the kept pool started.
+next sweep starts a fresh one.  Workers are forked (the ``fork`` start
+method, whatever the platform's default), so they see this module's state
+as it was when the kept pool started.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -531,7 +533,8 @@ def _kept_pool(n: int) -> ProcessPoolExecutor:
     global _pool
     if _pool is None or _pool[:2] != (os.getpid(), n):
         _drop_pool()
-        _pool = (os.getpid(), n, ProcessPoolExecutor(max_workers=n))
+        fork = multiprocessing.get_context("fork")
+        _pool = (os.getpid(), n, ProcessPoolExecutor(max_workers=n, mp_context=fork))
     return _pool[2]
 
 

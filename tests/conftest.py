@@ -5,7 +5,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nclsim import evolve, fock, gadgets, liouvillian as lv, steady
+from nclsim import evolve, fock, gadgets, liouvillian as lv, scenarios, steady
+
+
+@pytest.fixture(autouse=True)
+def no_kept_pool():
+    """Each test starts without a kept worker pool, so none runs on workers
+    forked before its patches, and leaves none running."""
+    scenarios._drop_pool()
+    yield
+    scenarios._drop_pool()
 
 
 @pytest.fixture

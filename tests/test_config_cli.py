@@ -652,7 +652,8 @@ def test_dead_worker_fails_the_run_once(tmp_path, capsys, monkeypatch):
             os._exit(1)
         return run_point(config, value)
 
-    sc._drop_pool()  # a kept pool's workers only see patches made before their fork
+    # no pool is kept yet (conftest.no_kept_pool), so this sweep's workers
+    # fork after the patch and see it
     monkeypatch.setattr(sc, "run_point", dies_at_1_2)
     path = _write(tmp_path, EVOLVE_INI.format(outdir=tmp_path / "out"))
     assert cli.main(["evolve", path]) == 2

@@ -263,7 +263,7 @@ def test_parallel_workers_match_serial(monkeypatch):
         monkeypatch.setenv("NCLSIM_WORKERS", "1")
         serial = sc.run_sweep(cfg)
         assert all(p.error is None and p.solver_stats is not None for p in serial.points)
-        sc._drop_pool()
+        sc._drop_pool()  # so the steady config's cold run is not on evolve's workers
         monkeypatch.setenv("NCLSIM_WORKERS", "2")
         for _ in ("cold", "warm"):
             pooled = sc.run_sweep(cfg)
@@ -277,7 +277,6 @@ def _worker_pids() -> set:
 
 def test_kept_pool_is_reused_and_replaced_on_another_worker_count(monkeypatch):
     cfg = _small_evolve_config()
-    sc._drop_pool()
     monkeypatch.setenv("NCLSIM_WORKERS", "2")
     before = _worker_pids()
     sc.run_sweep(cfg)
